@@ -2,7 +2,8 @@
 
 Subcommands: estimate, component, euler, sweep, count-factors, forecast.
 Exit codes: 0 success, 2 usage error, 3 domain error (non-positive or zero
-sample, coverage failure, normalization failure), 4 I/O error.
+sample, coverage failure, normalization failure, floating-point overflow),
+4 I/O error.
 """
 
 from __future__ import annotations
@@ -10,27 +11,12 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import os
 import sys
 from dataclasses import asdict
 
 from . import combinatorics, core, oracle, signal, sweeps
 from .combinatorics import IndexSet
-from .errors import (
-    DomainCoverageError,
-    GeomprodError,
-    NonPositiveSampleError,
-    NormalizationError,
-    SignalFormatError,
-    ZeroSampleError,
-)
-
-_DOMAIN_ERRORS = (
-    ZeroSampleError,
-    NonPositiveSampleError,
-    DomainCoverageError,
-    NormalizationError,
-)
+from .errors import GeomprodError, SignalFormatError
 
 
 def parse_ratio(text: str) -> float:
@@ -39,6 +25,14 @@ def parse_ratio(text: str) -> float:
         arg = float(text[len("sqrt:"):])
         return math.sqrt(arg)
     return float(text)
+
+
+def parse_finite(text: str) -> float:
+    """A finite decimal; argparse names the flag when this rejects a value."""
+    value = float(text)
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"must be a finite number, got {text!r}")
+    return value
 
 
 def parse_base(text: str) -> IndexSet:
@@ -62,12 +56,20 @@ def parse_function(text: str) -> oracle.BuiltinFunction:
     raise ValueError(f"unknown function {text!r}")
 
 
-def _resolve_n_max(args, r: float, base: IndexSet) -> int:
+def _coupling(args) -> tuple[str, int]:
+    """The truncation flag given: ('fixed_n_max', N) or ('fixed_cutoff', K)."""
     if args.n_max is not None:
-        return args.n_max
+        return "fixed_n_max", args.n_max
     if args.cutoff is not None:
-        return max(core.cutoff_n_max(args.cutoff, r), len(base))
+        return "fixed_cutoff", args.cutoff
     raise ValueError("one of --n-max or --cutoff is required")
+
+
+def _resolve_n_max(args, r: float, base: IndexSet) -> int:
+    coupling, value = _coupling(args)
+    if coupling == "fixed_n_max":
+        return value
+    return core.floored_cutoff_n_max(value, r, base)
 
 
 def _config_dict(cfg: core.GmpConfig) -> dict:
@@ -130,7 +132,7 @@ def _csv_cell(record: dict, dotted: str) -> str:
 
 def _add_estimator_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--function", required=True, type=parse_function)
-    p.add_argument("--x", required=True, type=float)
+    p.add_argument("--x", required=True, type=parse_finite)
     p.add_argument("--r", required=True, type=parse_ratio)
     p.add_argument("--n-max", type=int, default=None)
     p.add_argument("--cutoff", type=int, default=None,
@@ -187,7 +189,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--csv", required=True, dest="csv_path")
     p.add_argument("--normalize", default="divide_by_first",
                    help="divide_by_first | none | affine:A,B")
-    p.add_argument("--x", required=True, type=float)
+    p.add_argument("--x", required=True, type=parse_finite)
     p.add_argument("--r", required=True, type=parse_ratio)
     p.add_argument("--n-max", type=int, default=None)
     p.add_argument("--cutoff", type=int, default=None)
@@ -240,26 +242,12 @@ def _parse_grid(text: str) -> tuple[float, float, float]:
     return float(parts[0]), float(parts[1]), float(parts[2])
 
 
-def _threads() -> int:
-    raw = os.environ.get("GEOMPROD_THREADS", "1")
-    try:
-        n = int(raw)
-    except ValueError:
-        raise ValueError(f"GEOMPROD_THREADS must be an integer, got {raw!r}") from None
-    return n if n >= 0 else 1
-
-
 def _cmd_sweep(args) -> int:
     if args.schedule is not None:
         schedule = tuple(parse_ratio(tok) for tok in args.schedule.split(","))
     else:
         schedule = sweeps.DEFAULT_SCHEDULE
-    if args.n_max is not None:
-        coupling, value = "fixed_n_max", args.n_max
-    elif args.cutoff is not None:
-        coupling, value = "fixed_cutoff", args.cutoff
-    else:
-        raise ValueError("one of --n-max or --cutoff is required")
+    coupling, value = _coupling(args)
     spec = sweeps.SweepSpec(
         function=args.function,
         grid=_parse_grid(args.grid),
@@ -269,7 +257,7 @@ def _cmd_sweep(args) -> int:
         base=args.base,
         parity=args.parity,
     )
-    rows = sweeps.grid_eval(spec, threads=_threads())
+    rows = sweeps.grid_eval(spec)
     if args.format == "json":
         _emit(json.dumps([asdict(row) for row in rows], indent=2) + "\n", args)
     else:
@@ -278,8 +266,7 @@ def _cmd_sweep(args) -> int:
 
 
 def _cmd_count_factors(args) -> int:
-    if args.parity == "even" and any(k % 2 for k in args.base):
-        raise ValueError(f"even parity mode requires an all-even base, got {args.base}")
+    core.check_parity(args.parity, args.base)
     count = combinatorics.factor_count(args.base, args.n_max)
     if args.format == "json":
         _emit(json.dumps({"base": list(args.base.elements), "n_max": args.n_max,
@@ -339,16 +326,10 @@ def run(argv=None) -> int:
     try:
         args = parser.parse_args(argv)
         return _COMMANDS[args.command](args)
-    except _DOMAIN_ERRORS as e:
-        _report_error(e, args)
-        return 3
-    except SignalFormatError as e:
+    except (SignalFormatError, OSError) as e:
         _report_error(e, args)
         return 4
-    except OSError as e:
-        _report_error(e, args)
-        return 4
-    except GeomprodError as e:
+    except (GeomprodError, OverflowError) as e:
         _report_error(e, args)
         return 3
     except ValueError as e:

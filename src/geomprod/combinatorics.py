@@ -51,9 +51,6 @@ class IndexSet:
     def max_element(self) -> int:
         return self.elements[-1]
 
-    def issubset(self, other: "IndexSet") -> bool:
-        return set(self.elements) <= set(other.elements)
-
     def __str__(self) -> str:
         return "{" + ",".join(str(k) for k in self.elements) + "}"
 
@@ -106,18 +103,6 @@ def multiplicity(n: int, m: int) -> int:
     if n < m:
         return 0
     return math.comb(n - 1, m - 1)
-
-
-def log_multiplicity(n: int, m: int) -> float:
-    """log of multiplicity(n, m), via lgamma, for weights too large to
-    convert to float exactly inside a log-space accumulation."""
-    if n < m:
-        raise ValueError("no composition exists for n < m")
-    return (
-        math.lgamma(n)
-        - math.lgamma(m)
-        - math.lgamma(n - m + 1)
-    )
 
 
 _BRUTEFORCE_N_MAX = 30

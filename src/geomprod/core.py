@@ -13,13 +13,7 @@ import math
 from dataclasses import dataclass
 from typing import Protocol
 
-from .combinatorics import (
-    IndexSet,
-    enumerate_subsets,
-    factor_count,
-    log_multiplicity,
-    multiplicity,
-)
+from .combinatorics import IndexSet, enumerate_subsets
 from .errors import GeomprodError
 
 
@@ -47,16 +41,20 @@ class GmpConfig:
     parity: str = "all"
 
     def __post_init__(self):
-        if not self.r > 1.0:
-            raise ValueError(f"ratio r must exceed 1, got {self.r}")
+        _check_r(self.r)
         if self.n_max < len(self.base):
             raise ValueError(
                 f"n_max={self.n_max} must be at least |base|={len(self.base)}"
             )
-        if self.parity not in ("all", "even"):
-            raise ValueError(f"parity must be 'all' or 'even', got {self.parity!r}")
-        if self.parity == "even" and any(k % 2 for k in self.base):
-            raise ValueError(f"even parity mode requires an all-even base, got {self.base}")
+        check_parity(self.parity, self.base)
+
+
+def check_parity(parity: str, base: IndexSet) -> None:
+    """Reject an unknown parity mode, or 'even' with an odd element in base."""
+    if parity not in ("all", "even"):
+        raise ValueError(f"parity must be 'all' or 'even', got {parity!r}")
+    if parity == "even" and any(k % 2 for k in base):
+        raise ValueError(f"even parity mode requires an all-even base, got {base}")
 
 
 @dataclass(frozen=True)
@@ -92,23 +90,9 @@ def coefficient(S: IndexSet, r: float) -> float:
 
 def sequence_point(S: IndexSet, r: float, x: float, n: int) -> float:
     """The n-th point of the geometric sequence for index set S."""
-    _check_r(r)
     if n < 1:
         raise ValueError(f"sequence index must be >= 1, got {n}")
     return coefficient(S, r) * x / r**n
-
-
-def _weighted_term(log_f: float, n: int, m: int) -> float:
-    w = multiplicity(n, m)
-    try:
-        return log_f * w
-    except OverflowError:
-        # weight exceeds float range; carry it through lgamma
-        if log_f == 0.0:
-            return 0.0
-        return math.copysign(
-            math.exp(log_multiplicity(n, m) + math.log(abs(log_f))), log_f
-        )
 
 
 def log_partial_product(
@@ -119,7 +103,6 @@ def log_partial_product(
     Compensated summation via math.fsum; negative function values flip the
     tracked sign when their weight is odd.
     """
-    _check_r(r)
     m = len(S)
     if n_max < m:
         raise ValueError(f"n_max={n_max} must be at least |S|={m}")
@@ -134,9 +117,10 @@ def log_partial_product(
         except GeomprodError as e:
             e.args = (f"{e.args[0]} [subset {S}, n={n}]",)
             raise
-        if s < 0 and multiplicity(n, m) % 2:
+        w = math.comb(n - 1, m - 1)
+        if s < 0 and w & 1:
             sign = -sign
-        terms.append(_weighted_term(log_f, n, m))
+        terms.append(log_f * w)
     log_value = math.fsum(terms)
     if not math.isfinite(log_value):
         raise GeomprodError(
@@ -191,10 +175,7 @@ def _quotient(
 
 def estimate(f: FunctionSource, x: float, cfg: GmpConfig) -> Estimate:
     """Full multiproduct estimate of f(x) under cfg."""
-    family = enumerate_subsets(cfg.base)
-    est = _quotient(f, family.members, cfg.r, x, cfg.n_max, cfg)
-    assert est.factor_count == factor_count(cfg.base, cfg.n_max)
-    return est
+    return _quotient(f, enumerate_subsets(cfg.base).members, cfg.r, x, cfg.n_max, cfg)
 
 
 def component_estimate(
@@ -257,3 +238,9 @@ def cutoff_n_max(K: float, r: float) -> int:
     if K < 2:
         raise ValueError(f"cutoff must be >= 2, got {K}")
     return max(1, math.ceil(math.log(K) / math.log(r)))
+
+
+def floored_cutoff_n_max(K: float, r: float, base: IndexSet) -> int:
+    """cutoff_n_max(K, r) raised to |base|, so every subset of base has at
+    least one term."""
+    return max(cutoff_n_max(K, r), len(base))

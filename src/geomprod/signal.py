@@ -47,7 +47,8 @@ def load_csv(path) -> list[tuple[float, float]]:
     """Parse a two-column CSV of (t, value) pairs.
 
     An unparseable first row is treated as a header. Rows are sorted by t;
-    duplicate abscissas and series shorter than MIN_POINTS are rejected.
+    non-finite numbers, duplicate abscissas and series shorter than
+    MIN_POINTS are rejected.
     """
     rows: list[tuple[float, float]] = []
     with open(path, newline="", encoding="utf-8") as fh:
@@ -66,6 +67,10 @@ def load_csv(path) -> list[tuple[float, float]]:
                 raise SignalFormatError(
                     f"{path}:{lineno}: could not parse {record!r} as numbers"
                 ) from None
+            if not (math.isfinite(t) and math.isfinite(v)):
+                raise SignalFormatError(
+                    f"{path}:{lineno}: non-finite number in {record!r}"
+                )
             rows.append((t, v))
     rows.sort(key=lambda tv: tv[0])
     for (t0, _), (t1, _) in zip(rows, rows[1:]):

@@ -9,12 +9,10 @@ than aborting the study. Output CSV is byte-reproducible: fixed row order,
 from __future__ import annotations
 
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 from .combinatorics import IndexSet, factor_count
-from .core import GmpConfig, cutoff_n_max, estimate
+from .core import GmpConfig, estimate, floored_cutoff_n_max
 from .errors import GeomprodError
 from .oracle import BuiltinFunction
 
@@ -53,10 +51,8 @@ class SweepSpec:
 
     def n_max_for(self, r: float) -> int:
         if self.coupling == "fixed_n_max":
-            n = self.coupling_value
-        else:
-            n = cutoff_n_max(self.coupling_value, r)
-        return max(n, len(self.base))
+            return max(self.coupling_value, len(self.base))
+        return floored_cutoff_n_max(self.coupling_value, r, self.base)
 
     def grid_points(self) -> list[float]:
         start, stop, step = self.grid
@@ -95,19 +91,9 @@ def _eval_row(spec: SweepSpec, x: float, r: float) -> SweepRow:
     )
 
 
-def _run(spec: SweepSpec, pairs: list[tuple[float, float]], threads: int) -> list[SweepRow]:
-    if threads == 0:
-        threads = os.cpu_count() or 1
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            return list(pool.map(lambda p: _eval_row(spec, *p), pairs))
-    return [_eval_row(spec, x, r) for x, r in pairs]
-
-
-def grid_eval(spec: SweepSpec, threads: int = 1) -> list[SweepRow]:
+def grid_eval(spec: SweepSpec) -> list[SweepRow]:
     """One row per (x, r) pair, ordered by x then r."""
-    pairs = [(x, r) for x in spec.grid_points() for r in spec.schedule]
-    return _run(spec, pairs, threads)
+    return [_eval_row(spec, x, r) for x in spec.grid_points() for r in spec.schedule]
 
 
 def r_sweep(
@@ -118,19 +104,19 @@ def r_sweep(
     coupling_value: int,
     base: IndexSet,
     parity: str = "all",
-    threads: int = 1,
 ) -> list[SweepRow]:
     """Error at a single x across a ratio schedule; one row per r."""
-    spec = SweepSpec(
-        function=function,
-        grid=(x, x, 1.0),
-        schedule=tuple(schedule),
-        coupling=coupling,
-        coupling_value=coupling_value,
-        base=base,
-        parity=parity,
+    return grid_eval(
+        SweepSpec(
+            function=function,
+            grid=(x, x, 1.0),
+            schedule=tuple(schedule),
+            coupling=coupling,
+            coupling_value=coupling_value,
+            base=base,
+            parity=parity,
+        )
     )
-    return _run(spec, [(x, r) for r in spec.schedule], threads)
 
 
 def _fmt(v) -> str:

@@ -1,7 +1,10 @@
+import contextlib
+import io
 import json
 import math
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from geomprod.cli import parse_base, parse_function, parse_ratio, run
 
@@ -200,3 +203,81 @@ class TestForecastCommand:
             "--r", "2", "--n-max", "10", "--base", "1",
         )
         assert code == 4
+
+
+    @pytest.mark.parametrize("bad", ["nan", "inf"])
+    def test_non_finite_value_is_io_error(self, capsys, tmp_path, bad):
+        path = tmp_path / "bad.csv"
+        path.write_text(f"t,value\n0,1\n0.5,{bad}\n1,1.2\n1.5,1.3\n", encoding="utf-8")
+        code, _, err = invoke(
+            capsys,
+            "forecast", "--csv", str(path), "--x", "1",
+            "--r", "2", "--n-max", "10", "--base", "1",
+        )
+        assert code == 4
+        assert "SignalFormatError" in err and ":3:" in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("estimate", "--function", "cos", "--x", "1", "--r", "2", "--n-max", "10",
+         "--base", "2,2000"),
+        ("estimate", "--function", "cos", "--x", "1", "--r", "1e300", "--n-max", "10",
+         "--base", "2"),
+        ("estimate", "--function", "cos", "--x", "1", "--r", "2", "--n-max", "1100",
+         "--base", "1"),
+        ("estimate", "--function", "exp_scaled:1e300", "--x", "1e10", "--r", "2",
+         "--n-max", "10", "--base", "1"),
+        ("euler", "--x", "1", "--n", "2000"),
+    ],
+)
+def test_overflow_is_domain_error(capsys, argv):
+    code, out, err = invoke(capsys, *argv, "--format", "json")
+    assert code == 3
+    assert err.startswith("error: OverflowError:") and err.count("\n") == 1
+    assert json.loads(out)["error"]["type"] == "OverflowError"
+
+
+@pytest.mark.parametrize("x", ["inf", "nan"])
+@pytest.mark.parametrize(
+    "command",
+    [
+        ("estimate", "--function", "cos"),
+        ("component", "--function", "cos", "--k", "1"),
+        ("forecast", "--csv", "series.csv"),
+    ],
+)
+def test_non_finite_x_is_usage_error(capsys, command, x):
+    with pytest.raises(SystemExit) as exc:
+        run([*command, "--x", x, "--r", "2", "--n-max", "10", "--base", "1"])
+    assert exc.value.code == 2
+    assert "argument --x: must be a finite number" in capsys.readouterr().err
+
+
+_FUNCTIONS = st.one_of(
+    st.sampled_from(["one", "cos", "half_sin_shifted"]),
+    st.builds("exp_scaled:{!r}".format, st.floats(allow_nan=False, allow_infinity=False)),
+    st.builds(
+        "monomial_exp:{!r},{}".format,
+        st.floats(allow_nan=False, allow_infinity=False),
+        st.integers(min_value=1, max_value=6),
+    ),
+)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    function=_FUNCTIONS,
+    x=st.floats(allow_nan=False, allow_infinity=False),
+    r=st.floats(min_value=1.0, max_value=1e6, exclude_min=True),
+    base=st.lists(st.integers(min_value=1, max_value=3000), min_size=1, max_size=4,
+                  unique=True),
+    n_max=st.integers(min_value=0, max_value=1200),
+)
+def test_estimate_exits_with_documented_code(function, x, r, base, n_max):
+    argv = ["estimate", "--function", function, f"--x={x!r}", f"--r={r!r}",
+            "--n-max", str(n_max), "--base", ",".join(map(str, base))]
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        code = run(argv)
+    assert code in (0, 2, 3, 4)

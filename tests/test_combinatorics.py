@@ -8,7 +8,6 @@ from geomprod.combinatorics import (
     compositions_bruteforce,
     enumerate_subsets,
     factor_count,
-    log_multiplicity,
     multiplicity,
 )
 
@@ -75,12 +74,6 @@ class TestMultiplicity:
             for N in range(m, 61):
                 total = sum(multiplicity(n, m) for n in range(m, N + 1))
                 assert total == math.comb(N, m)
-
-    def test_log_multiplicity_matches_exact(self):
-        for n, m in [(10, 3), (40, 4), (100, 6)]:
-            assert math.exp(log_multiplicity(n, m)) == pytest.approx(
-                multiplicity(n, m), rel=1e-12
-            )
 
     def test_bruteforce_scale_bound(self):
         with pytest.raises(ValueError):

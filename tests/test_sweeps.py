@@ -102,10 +102,6 @@ class TestGridEval:
         b = rows_to_csv(grid_eval(fig1_spec()))
         assert a == b
 
-    def test_threads_match_serial(self):
-        spec = fig1_spec()
-        assert grid_eval(spec, threads=4) == grid_eval(spec, threads=1)
-
 
 class TestRSweep:
     def test_monomial_matches_closed_form(self):
