@@ -14,6 +14,7 @@ from .core import (
     Estimate,
     GmpConfig,
     LogProduct,
+    SubsetPlan,
     coefficient,
     component_estimate,
     cutoff_n_max,
@@ -52,6 +53,14 @@ from .signal import (
     load_csv,
     normalize,
 )
-from .sweeps import DEFAULT_SCHEDULE, SweepRow, SweepSpec, grid_eval, r_sweep, rows_to_csv
+from .sweeps import (
+    DEFAULT_SCHEDULE,
+    MAX_ROWS,
+    SweepRow,
+    SweepSpec,
+    grid_eval,
+    r_sweep,
+    rows_to_csv,
+)
 
 __version__ = "0.1.0"

@@ -3,12 +3,13 @@
 Subcommands: estimate, component, euler, sweep, count-factors, forecast.
 Exit codes: 0 success, 2 usage error, 3 domain error (non-positive or zero
 sample, coverage failure, normalization failure, floating-point overflow),
-4 I/O error.
+4 I/O error. `run` returns the code; only --help leaves it by SystemExit(0).
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -17,6 +18,18 @@ from dataclasses import asdict
 from . import combinatorics, core, oracle, signal, sweeps
 from .combinatorics import IndexSet
 from .errors import GeomprodError, SignalFormatError
+
+
+class UsageError(ValueError):
+    """The command line does not parse; exit code 2."""
+
+
+class _Parser(argparse.ArgumentParser):
+    """An ArgumentParser that raises UsageError where argparse would print
+    usage and exit, so run() reports it like any other bad value."""
+
+    def error(self, message):
+        raise UsageError(message)
 
 
 def parse_ratio(text: str) -> float:
@@ -146,8 +159,11 @@ def _add_output_flags(p: argparse.ArgumentParser, default_format: str = "json") 
     p.add_argument("--format", choices=("csv", "json"), default=default_format)
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    """The geomprod parser, built once per process; parse_args leaves it
+    unchanged, so every run() shares it."""
+    parser = _Parser(
         prog="geomprod",
         description="Extrapolation via weighted products over geometric sequences",
     )
@@ -163,7 +179,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_output_flags(p)
 
     p = sub.add_parser("euler", help="bisection cosine product vs sin(x)/x")
-    p.add_argument("--x", required=True, type=float)
+    p.add_argument("--x", required=True, type=parse_finite)
     p.add_argument("--n", required=True, type=int)
     _add_output_flags(p)
 
@@ -313,27 +329,37 @@ _COMMANDS = {
 }
 
 
-def _report_error(exc: Exception, args) -> None:
+def _wants_json(argv: list[str], args) -> bool:
+    """Whether the error record goes to stdout as JSON: the parsed --format,
+    or, when argv did not parse, a literal `--format json` in it."""
+    if args is not None:
+        return args.format == "json"
+    return "--format=json" in argv or any(
+        flag == "--format" and value == "json" for flag, value in zip(argv, argv[1:])
+    )
+
+
+def _report_error(exc: Exception, as_json: bool) -> None:
     reason = f"error: {type(exc).__name__}: {exc}".replace("\n", " ")
     print(reason, file=sys.stderr)
-    if args is not None and getattr(args, "format", None) == "json":
+    if as_json:
         print(json.dumps({"error": {"type": type(exc).__name__, "message": str(exc)}}))
 
 
 def run(argv=None) -> int:
-    parser = build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
     args = None
     try:
-        args = parser.parse_args(argv)
+        args = build_parser().parse_args(argv)
         return _COMMANDS[args.command](args)
     except (SignalFormatError, OSError) as e:
-        _report_error(e, args)
+        _report_error(e, _wants_json(argv, args))
         return 4
     except (GeomprodError, OverflowError) as e:
-        _report_error(e, args)
+        _report_error(e, _wants_json(argv, args))
         return 3
     except ValueError as e:
-        _report_error(e, args)
+        _report_error(e, _wants_json(argv, args))
         return 2
 
 

@@ -9,8 +9,10 @@ accumulated in log space with sign tracking.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Protocol
 
 from .combinatorics import IndexSet, enumerate_subsets
@@ -48,6 +50,13 @@ class GmpConfig:
             )
         check_parity(self.parity, self.base)
 
+    @cached_property
+    def plan(self) -> tuple["SubsetPlan", ...]:
+        """One SubsetPlan per non-empty subset of base, in enumerate_subsets
+        order. Built on first use and kept as long as the config, so reuse
+        one config across x."""
+        return _subset_plans(enumerate_subsets(self.base), self.r, self.n_max)
+
 
 def check_parity(parity: str, base: IndexSet) -> None:
     """Reject an unknown parity mode, or 'even' with an odd element in base."""
@@ -55,6 +64,19 @@ def check_parity(parity: str, base: IndexSet) -> None:
         raise ValueError(f"parity must be 'all' or 'even', got {parity!r}")
     if parity == "even" and any(k % 2 for k in base):
         raise ValueError(f"even parity mode requires an all-even base, got {base}")
+
+
+@dataclass(frozen=True)
+class SubsetPlan:
+    """The part of one subset's partial product that does not depend on x:
+    sample n, for n = |S|..n_max, lies at coeff * x / r**n and carries
+    weight binom(n-1, |S|-1)."""
+
+    subset: IndexSet
+    coeff: float
+    r_pows: tuple[float, ...]  # r**n
+    weights: tuple[int, ...]  # binom(n-1, |S|-1)
+    factor_count: int  # binom(n_max, |S|), the sum of the weights
 
 
 @dataclass(frozen=True)
@@ -95,40 +117,65 @@ def sequence_point(S: IndexSet, r: float, x: float, n: int) -> float:
     return coefficient(S, r) * x / r**n
 
 
-def log_partial_product(
-    f: FunctionSource, S: IndexSet, r: float, x: float, n_max: int
-) -> LogProduct:
-    """Accumulate sum_{n=|S|}^{n_max} binom(n-1, |S|-1) * log f(x_n).
+def _subset_plans(subsets, r: float, n_max: int) -> tuple[SubsetPlan, ...]:
+    """Plans for `subsets`. r**n is computed once for n = 1..n_max and the
+    weights once per cardinality; the records share them."""
+    r_pows = tuple(map(pow, itertools.repeat(r), range(1, n_max + 1)))
+    weights: dict[int, tuple[int, ...]] = {}
+    plans = []
+    for S in subsets:
+        m = len(S)
+        if m not in weights:
+            weights[m] = tuple(map(math.comb, range(m - 1, n_max), itertools.repeat(m - 1)))
+        plans.append(SubsetPlan(
+            subset=S,
+            coeff=coefficient(S, r),
+            r_pows=r_pows[m - 1:],
+            weights=weights[m],
+            factor_count=math.comb(n_max, m),
+        ))
+    return tuple(plans)
+
+
+def _accumulate(f: FunctionSource, plan: SubsetPlan, x: float) -> LogProduct:
+    """Sum weight * log f(coeff * x / r**n) over the plan's samples.
 
     Compensated summation via math.fsum; negative function values flip the
     tracked sign when their weight is odd.
     """
-    m = len(S)
-    if n_max < m:
-        raise ValueError(f"n_max={n_max} must be at least |S|={m}")
-    coeff = coefficient(S, r)
+    scaled_x = plan.coeff * x  # coeff * x / r**n, in the formula's own order
     terms = []
     sign = 1
     point = 0.0
-    for n in range(m, n_max + 1):
-        point = coeff * x / r**n
-        try:
+    try:
+        for r_n, w in zip(plan.r_pows, plan.weights):
+            point = scaled_x / r_n
             s, log_f = f.signed_log(point)
-        except GeomprodError as e:
-            e.args = (f"{e.args[0]} [subset {S}, n={n}]",)
-            raise
-        w = math.comb(n - 1, m - 1)
-        if s < 0 and w & 1:
-            sign = -sign
-        terms.append(log_f * w)
+            if s < 0 and w & 1:
+                sign = -sign
+            terms.append(log_f * w)
+    except GeomprodError as e:
+        n = len(plan.subset) + len(terms)  # one term per sample before the failing one
+        e.args = (f"{e.args[0]} [subset {plan.subset}, n={n}]",)
+        raise
     log_value = math.fsum(terms)
     if not math.isfinite(log_value):
         raise GeomprodError(
-            f"non-finite partial product accumulation for subset {S} at x={x}"
+            f"non-finite partial product accumulation for subset {plan.subset} at x={x}"
         )
     return LogProduct(
-        log_value=log_value, sign=sign, term_count=n_max - m + 1, min_point=point
+        log_value=log_value, sign=sign, term_count=len(terms), min_point=point
     )
+
+
+def log_partial_product(
+    f: FunctionSource, S: IndexSet, r: float, x: float, n_max: int
+) -> LogProduct:
+    """Accumulate sum_{n=|S|}^{n_max} binom(n-1, |S|-1) * log f(x_n)."""
+    if n_max < len(S):
+        raise ValueError(f"n_max={n_max} must be at least |S|={len(S)}")
+    (plan,) = _subset_plans([S], r, n_max)
+    return _accumulate(f, plan, x)
 
 
 def _signed_exp(sign: int, log_value: float) -> float:
@@ -138,28 +185,31 @@ def _signed_exp(sign: int, log_value: float) -> float:
         raise GeomprodError(f"estimate overflows: log value {log_value}") from None
 
 
-def _quotient(
-    f: FunctionSource,
-    subsets,
-    r: float,
-    x: float,
-    n_max: int,
-    cfg: GmpConfig,
-) -> Estimate:
+def _quotient(f: FunctionSource, x: float, cfg: GmpConfig, k: int | None = None) -> Estimate:
+    """The odd/even quotient over the subsets of cfg.base, or over those
+    whose greatest element is k."""
     if x == 0.0:
-        count = sum(math.comb(n_max, len(S)) for S in subsets)
+        # No sample is taken, so the plan is left unbuilt: its r**n can
+        # overflow for a huge r that x = 0 never needs.
+        count = sum(
+            math.comb(cfg.n_max, len(S))
+            for S in enumerate_subsets(cfg.base)
+            if k in (None, S.max_element)
+        )
         return Estimate(
             value=1.0, log_value=0.0, sign=1, x=x, config=cfg, factor_count=count
         )
     signed_logs = []
     sign = 1
     count = 0
-    for S in subsets:
-        lp = log_partial_product(f, S, r, x, n_max)
-        parity = 1 if len(S) % 2 else -1
+    for plan in cfg.plan:
+        if k not in (None, plan.subset.max_element):
+            continue
+        lp = _accumulate(f, plan, x)
+        parity = 1 if len(plan.subset) % 2 else -1
         signed_logs.append(parity * lp.log_value)
         sign *= lp.sign
-        count += math.comb(n_max, len(S))
+        count += plan.factor_count
     log_value = math.fsum(signed_logs)
     if not math.isfinite(log_value):
         raise GeomprodError(f"non-finite estimate accumulation at x={x}")
@@ -175,7 +225,7 @@ def _quotient(
 
 def estimate(f: FunctionSource, x: float, cfg: GmpConfig) -> Estimate:
     """Full multiproduct estimate of f(x) under cfg."""
-    return _quotient(f, enumerate_subsets(cfg.base).members, cfg.r, x, cfg.n_max, cfg)
+    return _quotient(f, x, cfg)
 
 
 def component_estimate(
@@ -191,9 +241,7 @@ def component_estimate(
     restricted to subsets of `base` whose greatest element is k."""
     if k not in base:
         raise ValueError(f"component order {k} not in base {base}")
-    cfg = GmpConfig(r=r, n_max=n_max, base=base, parity=parity)
-    subsets = [S for S in enumerate_subsets(base) if S.max_element == k]
-    return _quotient(f, subsets, r, x, n_max, cfg)
+    return _quotient(f, x, GmpConfig(r=r, n_max=n_max, base=base, parity=parity), k)
 
 
 def reconstruct_from_components(f: FunctionSource, x: float, cfg: GmpConfig) -> Estimate:
@@ -206,7 +254,7 @@ def reconstruct_from_components(f: FunctionSource, x: float, cfg: GmpConfig) -> 
     sign = 1
     count = 0
     for k in cfg.base:
-        comp = component_estimate(f, k, x, cfg.r, cfg.n_max, cfg.base, cfg.parity)
+        comp = _quotient(f, x, cfg, k)
         logs.append(comp.log_value)
         sign *= comp.sign
         count += comp.factor_count

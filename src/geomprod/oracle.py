@@ -11,10 +11,78 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
+from typing import Callable, NamedTuple
 
 from .combinatorics import IndexSet
 from .core import coefficient
 from .errors import ZeroSampleError
+
+
+def _cos_signed_log(x: float) -> tuple[int, float]:
+    v = math.cos(x)
+    if v == 0.0:
+        raise ZeroSampleError(x)
+    return (1 if v > 0 else -1), math.log(abs(v))
+
+
+def _half_sin_shifted(x: float) -> float:
+    return 1.0 + 0.5 * math.sin(x)
+
+
+def _half_sin_shifted_signed_log(x: float) -> tuple[int, float]:
+    return 1, math.log1p(0.5 * math.sin(x))
+
+
+class _Tag(NamedTuple):
+    """What one builtin tag computes, given the function's c and k."""
+
+    evaluators: Callable  # (c, k) -> (f, signed_log), each a function of x alone
+    even: Callable  # k -> whether f is even
+    label: Callable  # (c, k) -> str(f)
+    taylor: Callable  # (c, k, K_max) -> (n, a_n) pairs of f's Taylor series; other a_n are 0
+
+
+_TAGS = {
+    "one": _Tag(
+        evaluators=lambda c, k: (lambda x: 1.0, lambda x: (1, 0.0)),
+        even=lambda k: True,
+        label=lambda c, k: "one",
+        taylor=lambda c, k, K_max: (),
+    ),
+    "cos": _Tag(
+        evaluators=lambda c, k: (math.cos, _cos_signed_log),
+        even=lambda k: True,
+        label=lambda c, k: "cos",
+        taylor=lambda c, k, K_max: (
+            (2 * m, (-1) ** m / math.factorial(2 * m)) for m in range(1, K_max // 2 + 1)
+        ),
+    ),
+    "exp_scaled": _Tag(
+        evaluators=lambda c, k: (lambda x: math.exp(c * x), lambda x: (1, c * x)),
+        even=lambda k: False,
+        label=lambda c, k: f"exp_scaled(c={c})",
+        taylor=lambda c, k, K_max: (
+            (n, c**n / math.factorial(n)) for n in range(1, K_max + 1)
+        ),
+    ),
+    "half_sin_shifted": _Tag(
+        evaluators=lambda c, k: (_half_sin_shifted, _half_sin_shifted_signed_log),
+        even=lambda k: False,
+        label=lambda c, k: "half_sin_shifted",
+        taylor=lambda c, k, K_max: (
+            (2 * m + 1, 0.5 * (-1) ** m / math.factorial(2 * m + 1))
+            for m in range(0, (K_max - 1) // 2 + 1)
+        ),
+    ),
+    "monomial_exp": _Tag(
+        evaluators=lambda c, k: (lambda x: math.exp(c * x**k), lambda x: (1, c * x**k)),
+        even=lambda k: k % 2 == 0,
+        label=lambda c, k: f"monomial_exp(c={c}, k={k})",
+        taylor=lambda c, k, K_max: (
+            (k * m, c**m / math.factorial(m)) for m in range(1, K_max // k + 1)
+        ),
+    ),
+}
 
 
 @dataclass(frozen=True)
@@ -23,61 +91,40 @@ class BuiltinFunction:
 
     Tags: 'one', 'cos', 'exp_scaled' (exp(c*x)), 'half_sin_shifted'
     (1 + sin(x)/2), 'monomial_exp' (exp(c*x^k)).
+
+    signed_log(x) returns (sign, log|f(x)|), computed without under/overflow
+    for the exponential tags. It is the tag's evaluator, bound to c and k
+    at construction, so a sample costs one call.
     """
 
     tag: str
     c: float = 0.0
     k: int = 1
 
-    _TAGS = ("one", "cos", "exp_scaled", "half_sin_shifted", "monomial_exp")
-
     def __post_init__(self):
-        if self.tag not in self._TAGS:
+        if self.tag not in _TAGS:
             raise ValueError(f"unknown builtin tag {self.tag!r}")
         if self.tag == "monomial_exp" and self.k < 1:
             raise ValueError(f"monomial order must be positive, got {self.k}")
+        value, signed_log = _TAGS[self.tag].evaluators(self.c, self.k)
+        # Plain attributes, not fields: eq, hash, repr and replace see only
+        # tag, c and k.
+        object.__setattr__(self, "_value", value)
+        object.__setattr__(self, "signed_log", signed_log)
+
+    def __reduce__(self):
+        # The evaluators are closures, which pickle cannot store; rebuild them.
+        return BuiltinFunction, (self.tag, self.c, self.k)
 
     @property
     def even(self) -> bool:
-        if self.tag in ("one", "cos"):
-            return True
-        if self.tag == "monomial_exp":
-            return self.k % 2 == 0
-        return False
+        return _TAGS[self.tag].even(self.k)
 
     def __call__(self, x: float) -> float:
-        if self.tag == "one":
-            return 1.0
-        if self.tag == "cos":
-            return math.cos(x)
-        if self.tag == "exp_scaled":
-            return math.exp(self.c * x)
-        if self.tag == "half_sin_shifted":
-            return 1.0 + 0.5 * math.sin(x)
-        return math.exp(self.c * x**self.k)
-
-    def signed_log(self, x: float) -> tuple[int, float]:
-        """(sign, log|f(x)|), computed without under/overflow for the
-        exponential tags."""
-        if self.tag == "one":
-            return 1, 0.0
-        if self.tag == "exp_scaled":
-            return 1, self.c * x
-        if self.tag == "monomial_exp":
-            return 1, self.c * x**self.k
-        if self.tag == "half_sin_shifted":
-            return 1, math.log1p(0.5 * math.sin(x))
-        v = math.cos(x)
-        if v == 0.0:
-            raise ZeroSampleError(x)
-        return (1 if v > 0 else -1), math.log(abs(v))
+        return self._value(x)
 
     def __str__(self) -> str:
-        if self.tag == "exp_scaled":
-            return f"exp_scaled(c={self.c})"
-        if self.tag == "monomial_exp":
-            return f"monomial_exp(c={self.c}, k={self.k})"
-        return self.tag
+        return _TAGS[self.tag].label(self.c, self.k)
 
 
 ONE = BuiltinFunction("one")
@@ -152,18 +199,8 @@ class ComponentSeries:
 def _taylor_coefficients(f: BuiltinFunction, K_max: int) -> list[float]:
     a = [0.0] * (K_max + 1)
     a[0] = 1.0
-    if f.tag == "cos":
-        for m in range(1, K_max // 2 + 1):
-            a[2 * m] = (-1) ** m / math.factorial(2 * m)
-    elif f.tag == "exp_scaled":
-        for n in range(1, K_max + 1):
-            a[n] = f.c**n / math.factorial(n)
-    elif f.tag == "monomial_exp":
-        for m in range(1, K_max // f.k + 1):
-            a[f.k * m] = f.c**m / math.factorial(m)
-    elif f.tag == "half_sin_shifted":
-        for m in range(0, (K_max - 1) // 2 + 1):
-            a[2 * m + 1] = 0.5 * (-1) ** m / math.factorial(2 * m + 1)
+    for n, a_n in _TAGS[f.tag].taylor(f.c, f.k, K_max):
+        a[n] = a_n
     return a
 
 

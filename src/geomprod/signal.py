@@ -16,8 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.interpolate import PchipInterpolator
 
-from .combinatorics import enumerate_subsets
-from .core import Estimate, GmpConfig, coefficient, estimate
+from .core import Estimate, GmpConfig, estimate
 from .errors import (
     DomainCoverageError,
     NonPositiveSampleError,
@@ -191,10 +190,8 @@ def coverage_check(sig: SampledSignal, cfg: GmpConfig, x: float) -> CoverageRepo
     domain_end = sig.domain[1]
     if x == 0.0:
         return CoverageReport(True, 0.0, domain_end, math.inf)
-    max_required = max(
-        coefficient(S, cfg.r) * abs(x) / cfg.r ** len(S)
-        for S in enumerate_subsets(cfg.base)
-    )
+    # Each subset's largest sample is its first: coeff * |x| / r^|S|.
+    max_required = max(plan.coeff * abs(x) / plan.r_pows[0] for plan in cfg.plan)
     feasible = abs(x) * domain_end / max_required
     return CoverageReport(max_required <= domain_end, max_required, domain_end, feasible)
 

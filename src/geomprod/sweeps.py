@@ -20,6 +20,9 @@ CSV_HEADER = "x,r,n_max,estimate,reference,abs_error,factor_count,status"
 
 DEFAULT_SCHEDULE = tuple(1.0 + 2.0**-t for t in range(1, 9))
 
+# Largest number of rows (grid points x ratios) a SweepSpec accepts.
+MAX_ROWS = 10**6
+
 
 @dataclass(frozen=True)
 class SweepSpec:
@@ -48,6 +51,17 @@ class SweepSpec:
             raise ValueError("every schedule ratio must exceed 1")
         if self.grid[2] <= 0:
             raise ValueError("grid step must be positive")
+        # Checked on the float span, before any list is built: a grid like
+        # 0:1e9:1e-9 would otherwise allocate ~1e18 x values.
+        start, stop, step = self.grid
+        span = (stop - start) / step + 0.5
+        if math.isnan(span):
+            raise ValueError(f"grid {self.grid} does not define a point count")
+        if not span < MAX_ROWS // max(len(self.schedule), 1):
+            raise ValueError(
+                f"grid {self.grid} with {len(self.schedule)} ratios exceeds "
+                f"the {MAX_ROWS}-row sweep cap"
+            )
 
     def n_max_for(self, r: float) -> int:
         if self.coupling == "fixed_n_max":
@@ -72,16 +86,14 @@ class SweepRow:
     status: str = "ok"
 
 
-def _eval_row(spec: SweepSpec, x: float, r: float) -> SweepRow:
-    n_max = spec.n_max_for(r)
-    count = factor_count(spec.base, n_max)
+def _eval_row(function: BuiltinFunction, x: float, cfg: GmpConfig, count: int) -> SweepRow:
+    r, n_max = cfg.r, cfg.n_max
     try:
-        reference = spec.function(x)
+        reference = function(x)
     except OverflowError:
         reference = None
     try:
-        cfg = GmpConfig(r=r, n_max=n_max, base=spec.base, parity=spec.parity)
-        est = estimate(spec.function, x, cfg)
+        est = estimate(function, x, cfg)
     except (GeomprodError, OverflowError) as e:
         return SweepRow(x, r, n_max, None, reference, None, count, type(e).__name__)
     if reference is None:
@@ -92,8 +104,18 @@ def _eval_row(spec: SweepSpec, x: float, r: float) -> SweepRow:
 
 
 def grid_eval(spec: SweepSpec) -> list[SweepRow]:
-    """One row per (x, r) pair, ordered by x then r."""
-    return [_eval_row(spec, x, r) for x in spec.grid_points() for r in spec.schedule]
+    """One row per (x, r) pair, ordered by x then r. Each ratio gets one
+    config, so its plan is built once and reused across the grid."""
+    configs = []
+    for r in spec.schedule:
+        n_max = spec.n_max_for(r)
+        cfg = GmpConfig(r=r, n_max=n_max, base=spec.base, parity=spec.parity)
+        configs.append((cfg, factor_count(spec.base, n_max)))
+    return [
+        _eval_row(spec.function, x, cfg, count)
+        for x in spec.grid_points()
+        for cfg, count in configs
+    ]
 
 
 def r_sweep(

@@ -2,6 +2,7 @@ import contextlib
 import io
 import json
 import math
+import time
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -249,10 +250,72 @@ def test_overflow_is_domain_error(capsys, argv):
     ],
 )
 def test_non_finite_x_is_usage_error(capsys, command, x):
-    with pytest.raises(SystemExit) as exc:
-        run([*command, "--x", x, "--r", "2", "--n-max", "10", "--base", "1"])
-    assert exc.value.code == 2
+    code = run([*command, "--x", x, "--r", "2", "--n-max", "10", "--base", "1"])
+    assert code == 2
     assert "argument --x: must be a finite number" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("x", ["inf", "nan"])
+def test_euler_non_finite_x_is_usage_error(capsys, x):
+    code, out, err = invoke(capsys, "euler", "--x", x, "--n", "10")
+    assert code == 2
+    assert out == ""
+    assert "argument --x: must be a finite number" in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("estimate", "--function", "tan", "--x", "1", "--r", "2", "--n-max", "10",
+         "--base", "1"),
+        ("estimate", "--function", "cos", "--x", "1", "--r", "2", "--n-max", "10",
+         "--base", "2", "--parity", "odd"),
+        ("no-such-command",),
+        (),
+    ],
+)
+def test_usage_error_returns_two(capsys, argv):
+    code, out, err = invoke(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: UsageError:") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("fmt", [("--format", "json"), ("--format=json",)])
+def test_usage_error_json_record(capsys, fmt):
+    code, out, _ = invoke(
+        capsys, "estimate", "--function", "tan", "--x", "1", "--r", "2", "--n-max", "10",
+        "--base", "1", *fmt,
+    )
+    assert code == 2
+    assert json.loads(out)["error"]["type"] == "UsageError"
+
+
+def test_help_exits_zero(capsys):
+    with pytest.raises(SystemExit) as exc:
+        run(["--help"])
+    assert exc.value.code == 0
+    assert capsys.readouterr().out.startswith("usage: geomprod")
+
+
+def test_cached_parser_keeps_no_values(capsys):
+    argv = ["estimate", "--function", "cos", "--x", "1.0", "--r", "sqrt:2", "--n-max", "10",
+            "--base", "2,4"]
+    code, out, _ = invoke(capsys, *argv, "--parity", "even")
+    assert code == 0 and json.loads(out)["config"]["parity"] == "even"
+    code, out, _ = invoke(capsys, *argv)
+    assert code == 0 and json.loads(out)["config"]["parity"] == "all"
+
+
+def test_sweep_row_cap_is_usage_error(capsys):
+    t0 = time.perf_counter()
+    code, _, err = invoke(
+        capsys, "sweep", "--function", "cos", "--grid", "0:1e9:1e-9", "--n-max", "10",
+        "--base", "1",
+    )
+    assert time.perf_counter() - t0 < 1.0
+    assert code == 2
+    assert "row sweep cap" in err
 
 
 _FUNCTIONS = st.one_of(

@@ -3,7 +3,7 @@ import math
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from geomprod.combinatorics import IndexSet
+from geomprod.combinatorics import IndexSet, enumerate_subsets
 from geomprod.core import (
     GmpConfig,
     coefficient,
@@ -165,6 +165,39 @@ class TestEstimate:
         cfg = GmpConfig(r=2.0, n_max=40, base=IndexSet.of(1, 2, 3, 4))
         est = estimate(HALF_SIN_SHIFTED, 1.0, cfg)
         assert est.factor_count == 135_750
+
+    def test_plan_built_once(self):
+        cfg = GmpConfig(r=2.0, n_max=40, base=IndexSet.of(1, 2, 3, 4))
+        assert cfg.plan is cfg.plan
+        assert [p.subset for p in cfg.plan] == list(enumerate_subsets(cfg.base))
+
+    def test_fig2_bit_identical_to_direct_loop(self):
+        # The paper's formula written out independently of the plan: every
+        # estimate must match it to the last bit on the whole Fig-2 grid.
+        r, n_max = 2.0, 40
+        cfg = GmpConfig(r=r, n_max=n_max, base=IndexSet.of(1, 2, 3, 4))
+        for i in range(81):
+            x = 0.05 * i
+            signed = []
+            for S in enumerate_subsets(cfg.base):
+                m = len(S)
+                coeff = math.prod((r**k - 1.0) ** (1.0 / k) for k in S)
+                log_p = math.fsum(
+                    math.log1p(0.5 * math.sin(coeff * x / r**n)) * math.comb(n - 1, m - 1)
+                    for n in range(m, n_max + 1)
+                )
+                signed.append(log_p if m % 2 else -log_p)
+            est = estimate(HALF_SIN_SHIFTED, x, cfg)
+            assert est.log_value == math.fsum(signed)
+            assert est.value == math.exp(math.fsum(signed))
+
+    def test_zero_x_builds_no_plan(self):
+        # r = 1e300 overflows r**2, so any plan for this config raises
+        cfg = GmpConfig(r=1e300, n_max=10, base=IndexSet.of(1, 2))
+        assert estimate(_Raising(), 0.0, cfg).factor_count == 65
+        assert "plan" not in vars(cfg)
+        with pytest.raises(OverflowError):
+            estimate(ONE, 0.5, cfg)
 
     def test_even_symmetry_bit_identical(self):
         cfg = GmpConfig(r=SQRT2, n_max=10, base=IndexSet.of(2, 4), parity="even")

@@ -1,0 +1,100 @@
+"""Byte-for-byte golden outputs of the CLI.
+
+Each case runs one argv through `cli.run` and compares what it writes
+(stdout, or the `--output` file) with a file under tests/data/golden/.
+The cases are the six README examples, the default-schedule sweep the
+benchmark runs, and a sweep whose schedule reaches r = 1e300, where x = 0
+must still give an `ok` row. A speed change must leave all of them
+identical.
+
+The files were captured once, from the code before the per-configuration
+sampling plan existed. Regenerate them only for an intended output change:
+
+    PYTHONPATH=src python tests/test_golden.py
+"""
+
+from __future__ import annotations
+
+import contextlib
+import io
+import math
+import sys
+from pathlib import Path
+
+import pytest
+
+from geomprod.cli import run
+
+GOLDEN = Path(__file__).parent / "data" / "golden"
+
+# name -> argv; "{csv}" is the forecast input written by write_signal and
+# "{out}" an output file whose content is the captured result.
+CASES = {
+    "readme_estimate.json": (
+        "estimate", "--function", "cos", "--x", "1.0", "--r", "sqrt:2", "--n-max", "10",
+        "--base", "2,4", "--parity", "even",
+    ),
+    "readme_component.json": (
+        "component", "--function", "cos", "--k", "2", "--x", "1.0", "--r", "1.05",
+        "--cutoff", "32", "--base", "2,4",
+    ),
+    "readme_euler.json": ("euler", "--x", "1.5707963", "--n", "40"),
+    "readme_sweep.csv": (
+        "sweep", "--function", "cos", "--grid", "0:1.5:0.05", "--schedule", "sqrt:2",
+        "--n-max", "10", "--base", "2,4", "--parity", "even", "--output", "{out}",
+    ),
+    "readme_count_factors.csv": ("count-factors", "--base", "1,2,3,4", "--n-max", "40"),
+    "readme_forecast.json": (
+        "forecast", "--csv", "{csv}", "--normalize", "divide_by_first", "--x", "3.0",
+        "--r", "2", "--n-max", "40", "--base", "1,2,3,4",
+    ),
+    "sweep_default_schedule.csv": (
+        "sweep", "--function", "cos", "--grid", "0:3:0.05", "--cutoff", "32",
+        "--base", "2,4", "--parity", "even", "--output", "{out}",
+    ),
+    "sweep_huge_ratio.csv": (
+        "sweep", "--function", "exp_scaled:800", "--grid", "0:1:0.5",
+        "--schedule", "1.5,2,1e300", "--n-max", "10", "--base", "1,2",
+    ),
+}
+
+
+def write_signal(path: Path) -> None:
+    """81 rows of 2 + sin(t) on [0, 4]; divide_by_first scales them to 1 at t = 0."""
+    lines = ["t,value"]
+    for i in range(81):
+        t = 0.05 * i
+        lines.append(f"{t!r},{2.0 + math.sin(t)!r}")
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+
+
+def render(name: str, workdir: Path) -> str:
+    """What the case's argv writes: its stdout, or its --output file."""
+    csv_path = workdir / "signal.csv"
+    out_path = workdir / "out"
+    write_signal(csv_path)
+    argv = [a.format(csv=csv_path, out=out_path) for a in CASES[name]]
+    stdout = io.StringIO()
+    with contextlib.redirect_stdout(stdout):
+        code = run(argv)
+    assert code == 0, f"{name}: exit {code}"
+    if "{out}" in CASES[name]:
+        assert stdout.getvalue() == ""
+        return out_path.read_text(encoding="utf-8")
+    return stdout.getvalue()
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_output_matches_golden(name, tmp_path):
+    want = (GOLDEN / name).read_text(encoding="utf-8")
+    assert render(name, tmp_path) == want
+
+
+if __name__ == "__main__":
+    import tempfile
+
+    GOLDEN.mkdir(parents=True, exist_ok=True)
+    for case in sorted(CASES):
+        with tempfile.TemporaryDirectory() as tmp:
+            (GOLDEN / case).write_text(render(case, Path(tmp)), encoding="utf-8")
+        print(f"wrote {GOLDEN / case}", file=sys.stderr)

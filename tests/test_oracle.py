@@ -1,4 +1,7 @@
+import copy
+import dataclasses
 import math
+import pickle
 
 import pytest
 
@@ -44,6 +47,19 @@ class TestBuiltins:
         s, la = monomial_exp(-1.0, 6).signed_log(3.0)
         assert s == 1
         assert la == pytest.approx(-729.0, rel=1e-14)
+
+    @pytest.mark.parametrize(
+        "f",
+        [ONE, COS, HALF_SIN_SHIFTED, exp_scaled(-2.0), monomial_exp(0.3, 4)],
+    )
+    def test_value_semantics(self, f):
+        for g in (pickle.loads(pickle.dumps(f)), copy.deepcopy(f),
+                  dataclasses.replace(f)):
+            assert g == f and hash(g) == hash(f) and repr(g) == repr(f)
+            assert g.signed_log(0.7) == f.signed_log(0.7) and g(0.7) == f(0.7)
+        moved = dataclasses.replace(f, c=f.c + 1.0)
+        assert moved.c == f.c + 1.0 and moved.signed_log(0.7) == BuiltinFunction(
+            f.tag, f.c + 1.0, f.k).signed_log(0.7)
 
     def test_unknown_tag(self):
         with pytest.raises(ValueError):

@@ -7,6 +7,7 @@ from geomprod.core import cutoff_n_max
 from geomprod.oracle import COS, ONE, exp_scaled, monomial_exp
 from geomprod.sweeps import (
     DEFAULT_SCHEDULE,
+    MAX_ROWS,
     SweepSpec,
     grid_eval,
     r_sweep,
@@ -59,6 +60,22 @@ class TestSweepSpec:
                 base=IndexSet.of(1),
             )
 
+    def test_row_cap(self):
+        def spec(stop):
+            return SweepSpec(
+                function=COS,
+                grid=(0.0, stop, 1.0),
+                schedule=DEFAULT_SCHEDULE,
+                coupling="fixed_n_max",
+                coupling_value=10,
+                base=IndexSet.of(1),
+            )
+
+        assert len(spec(MAX_ROWS / 8 - 1).grid_points()) * 8 == MAX_ROWS
+        for stop in (MAX_ROWS / 8, 1e18, math.inf, math.nan):
+            with pytest.raises(ValueError):
+                spec(stop)
+
 
 class TestGridEval:
     def test_fig1_row_count(self):
@@ -96,6 +113,22 @@ class TestGridEval:
         assert [(row.x, row.r) for row in rows] == [
             (0.0, 1.2), (0.0, 1.5), (0.5, 1.2), (0.5, 1.5), (1.0, 1.2), (1.0, 1.5),
         ]
+
+    def test_huge_ratio_zero_row_ok(self):
+        # x = 0 takes no sample, so r = 1e300 still gives 1.0 there, while
+        # every other x overflows in r**n
+        spec = SweepSpec(
+            function=exp_scaled(800.0),
+            grid=(0.0, 1.0, 0.5),
+            schedule=(1.5, 2.0, 1e300),
+            coupling="fixed_n_max",
+            coupling_value=10,
+            base=IndexSet.of(1, 2),
+        )
+        rows = grid_eval(spec)
+        assert (rows[2].x, rows[2].r, rows[2].estimate, rows[2].status) == (
+            0.0, 1e300, 1.0, "ok")
+        assert [row.status for row in rows[5::3]] == ["OverflowError", "OverflowError"]
 
     def test_deterministic_csv(self):
         a = rows_to_csv(grid_eval(fig1_spec()))
