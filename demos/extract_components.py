@@ -9,17 +9,16 @@ component is the gaussian exp(-x^2/2).
 
 import math
 
-from geomprod import IndexSet, component_estimate, cutoff_n_max
+from geomprod import GmpConfig, IndexSet, component_estimate, cutoff_n_max
 from geomprod.oracle import COS, log_series_components
 
 r = 1.02
-n_max = cutoff_n_max(32, r)
-base = IndexSet.of(2, 4)
+cfg = GmpConfig(r=r, n_max=cutoff_n_max(32, r), base=IndexSet.of(2, 4))
 
-print(f"r = {r}, n_max = {n_max} (coupled so r^n_max ~ 32)")
+print(f"r = {r}, n_max = {cfg.n_max} (coupled so r^n_max ~ 32)")
 print(f"{'x':>4} {'order-2 est':>12} {'exp(-x^2/2)':>12} {'abs err':>10}")
 for x in (0.25, 0.5, 0.75, 1.0):
-    comp = component_estimate(COS, 2, x, r, n_max, base)
+    comp = component_estimate(COS, 2, x, cfg)
     target = math.exp(-0.5 * x * x)
     print(f"{x:4.2f} {comp.value:12.6f} {target:12.6f} {abs(comp.value - target):10.2e}")
 

@@ -4,7 +4,6 @@ collapse to the origin."""
 
 from .combinatorics import (
     IndexSet,
-    SubsetFamily,
     compositions_bruteforce,
     enumerate_subsets,
     factor_count,

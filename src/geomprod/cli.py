@@ -78,11 +78,12 @@ def _coupling(args) -> tuple[str, int]:
     raise ValueError("one of --n-max or --cutoff is required")
 
 
-def _resolve_n_max(args, r: float, base: IndexSet) -> int:
-    coupling, value = _coupling(args)
-    if coupling == "fixed_n_max":
-        return value
-    return core.floored_cutoff_n_max(value, r, base)
+def _config(args) -> core.GmpConfig:
+    """The config named by --r, --n-max or --cutoff, --base and --parity."""
+    coupling, n_max = _coupling(args)
+    if coupling == "fixed_cutoff":
+        n_max = core.floored_cutoff_n_max(n_max, args.r, args.base)
+    return core.GmpConfig(r=args.r, n_max=n_max, base=args.base, parity=args.parity)
 
 
 def _config_dict(cfg: core.GmpConfig) -> dict:
@@ -143,15 +144,19 @@ def _csv_cell(record: dict, dotted: str) -> str:
     return str(val)
 
 
-def _add_estimator_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--function", required=True, type=parse_function)
-    p.add_argument("--x", required=True, type=parse_finite)
-    p.add_argument("--r", required=True, type=parse_ratio)
+def _add_config_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--n-max", type=int, default=None)
     p.add_argument("--cutoff", type=int, default=None,
                    help="set n_max = ceil(ln K / ln r) instead of --n-max")
     p.add_argument("--base", required=True, type=parse_base)
     p.add_argument("--parity", choices=("all", "even"), default="all")
+
+
+def _add_estimator_flags(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--function", required=True, type=parse_function)
+    p.add_argument("--x", required=True, type=parse_finite)
+    p.add_argument("--r", required=True, type=parse_ratio)
+    _add_config_flags(p)
 
 
 def _add_output_flags(p: argparse.ArgumentParser, default_format: str = "json") -> None:
@@ -189,10 +194,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="START:STOP:STEP for the x grid")
     p.add_argument("--schedule", default=None,
                    help="comma-separated ratios; default 1+2^-t, t=1..8")
-    p.add_argument("--n-max", type=int, default=None)
-    p.add_argument("--cutoff", type=int, default=None)
-    p.add_argument("--base", required=True, type=parse_base)
-    p.add_argument("--parity", choices=("all", "even"), default="all")
+    _add_config_flags(p)
     _add_output_flags(p, default_format="csv")
 
     p = sub.add_parser("count-factors", help="multiplicity-weighted factor total")
@@ -207,28 +209,20 @@ def build_parser() -> argparse.ArgumentParser:
                    help="divide_by_first | none | affine:A,B")
     p.add_argument("--x", required=True, type=parse_finite)
     p.add_argument("--r", required=True, type=parse_ratio)
-    p.add_argument("--n-max", type=int, default=None)
-    p.add_argument("--cutoff", type=int, default=None)
-    p.add_argument("--base", required=True, type=parse_base)
-    p.add_argument("--parity", choices=("all", "even"), default="all")
+    _add_config_flags(p)
     _add_output_flags(p)
 
     return parser
 
 
 def _cmd_estimate(args) -> int:
-    n_max = _resolve_n_max(args, args.r, args.base)
-    cfg = core.GmpConfig(r=args.r, n_max=n_max, base=args.base, parity=args.parity)
-    est = core.estimate(args.function, args.x, cfg)
+    est = core.estimate(args.function, args.x, _config(args))
     _emit_record(_estimate_dict(est), args)
     return 0
 
 
 def _cmd_component(args) -> int:
-    n_max = _resolve_n_max(args, args.r, args.base)
-    est = core.component_estimate(
-        args.function, args.k, args.x, args.r, n_max, args.base, args.parity
-    )
+    est = core.component_estimate(args.function, args.k, args.x, _config(args))
     record = _estimate_dict(est)
     record["k"] = args.k
     _emit_record(record, args)
@@ -305,9 +299,7 @@ def _cmd_forecast(args) -> int:
     mode, a, b = _parse_normalize(args.normalize)
     raw = signal.load_csv(args.csv_path)
     sig = signal.normalize(raw, mode=mode, a=a, b=b)
-    n_max = _resolve_n_max(args, args.r, args.base)
-    cfg = core.GmpConfig(r=args.r, n_max=n_max, base=args.base, parity=args.parity)
-    result = signal.forecast(sig, args.x, cfg)
+    result = signal.forecast(sig, args.x, _config(args))
     _emit_record(
         {
             "normalized": _estimate_dict(result.normalized),

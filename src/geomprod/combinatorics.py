@@ -1,17 +1,17 @@
-"""Subset families, composition-count weights, and factor bookkeeping.
+"""Subset enumeration, composition-count weights, and the factor count.
 
 Every factor in an order-m partial product carries an integer weight
 binomial(n-1, m-1): the number of ways m positive indices can sum to n.
-This module owns those weights, the enumeration of the subset family that
-generates the full quotient, and a brute-force counter used as an
-independent oracle for the weights.
+This module owns those weights, the enumeration of the subsets that
+generate the full quotient, their closed-form factor count, and a
+brute-force counter used as an independent oracle for the weights.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 
 @dataclass(frozen=True)
@@ -55,42 +55,17 @@ class IndexSet:
         return "{" + ",".join(str(k) for k in self.elements) + "}"
 
 
-@dataclass(frozen=True)
-class SubsetFamily:
-    """All non-empty subsets of a base index set, in a fixed order.
-
-    Order is cardinality-major, then lexicographic, so any serialized
-    output derived from the family is reproducible byte-for-byte.
-    """
-
-    base: IndexSet
-    members: tuple[IndexSet, ...] = field(default=())
-
-    def __post_init__(self):
-        if not self.members:
-            object.__setattr__(self, "members", _enumerate(self.base))
-
-    def __len__(self) -> int:
-        return len(self.members)
-
-    def __iter__(self):
-        return iter(self.members)
-
-
-def _enumerate(base: IndexSet) -> tuple[IndexSet, ...]:
-    members = []
-    for size in range(1, len(base) + 1):
-        for combo in itertools.combinations(base.elements, size):
-            members.append(IndexSet(combo))
-    return tuple(members)
-
-
-def enumerate_subsets(base: IndexSet) -> SubsetFamily:
+def enumerate_subsets(base: IndexSet) -> tuple[IndexSet, ...]:
     """Return all 2^|base| - 1 non-empty subsets of `base`.
 
-    Deterministic order: by cardinality, then lexicographic.
+    Order is cardinality-major, then lexicographic, so any serialized
+    output derived from the subsets is reproducible byte-for-byte.
     """
-    return SubsetFamily(base)
+    return tuple(
+        IndexSet(combo)
+        for size in range(1, len(base) + 1)
+        for combo in itertools.combinations(base.elements, size)
+    )
 
 
 def multiplicity(n: int, m: int) -> int:
@@ -142,11 +117,10 @@ def factor_count(base: IndexSet, n_max: int) -> int:
     quotient generated by `base`, truncated at n_max.
 
     Per subset S this is sum_{n=|S|}^{n_max} binomial(n-1, |S|-1), which
-    telescopes to binomial(n_max, |S|).
+    telescopes to binomial(n_max, |S|). Summed over the binomial(|base|, m)
+    subsets of each size m, Vandermonde's identity gives
+    binomial(|base| + n_max, |base|) - 1 without enumerating them.
     """
     if n_max < len(base):
         raise ValueError(f"n_max={n_max} below largest subset cardinality {len(base)}")
-    total = 0
-    for subset in enumerate_subsets(base):
-        total += math.comb(n_max, len(subset))
-    return total
+    return math.comb(len(base) + n_max, len(base)) - 1

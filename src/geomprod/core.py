@@ -100,8 +100,9 @@ class Estimate:
 
 
 def _check_r(r: float) -> None:
-    if not r > 1.0:
-        raise ValueError(f"ratio r must exceed 1, got {r}")
+    """Reject a ratio outside 1 < r < inf; every ratio the package takes passes here."""
+    if not 1.0 < r < math.inf:
+        raise ValueError(f"ratio r must exceed 1 and be finite, got {r}")
 
 
 def coefficient(S: IndexSet, r: float) -> float:
@@ -228,20 +229,12 @@ def estimate(f: FunctionSource, x: float, cfg: GmpConfig) -> Estimate:
     return _quotient(f, x, cfg)
 
 
-def component_estimate(
-    f: FunctionSource,
-    k: int,
-    x: float,
-    r: float,
-    n_max: int,
-    base: IndexSet,
-    parity: str = "all",
-) -> Estimate:
+def component_estimate(f: FunctionSource, k: int, x: float, cfg: GmpConfig) -> Estimate:
     """Estimate of the order-k component exp(c_k x^k): the quotient
-    restricted to subsets of `base` whose greatest element is k."""
-    if k not in base:
-        raise ValueError(f"component order {k} not in base {base}")
-    return _quotient(f, x, GmpConfig(r=r, n_max=n_max, base=base, parity=parity), k)
+    restricted to the subsets of cfg.base whose greatest element is k."""
+    if k not in cfg.base:
+        raise ValueError(f"component order {k} not in base {cfg.base}")
+    return _quotient(f, x, cfg, k)
 
 
 def reconstruct_from_components(f: FunctionSource, x: float, cfg: GmpConfig) -> Estimate:

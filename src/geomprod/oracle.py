@@ -104,6 +104,8 @@ class BuiltinFunction:
     def __post_init__(self):
         if self.tag not in _TAGS:
             raise ValueError(f"unknown builtin tag {self.tag!r}")
+        if not math.isfinite(self.c):
+            raise ValueError(f"function constant must be finite, got {self.c}")
         if self.tag == "monomial_exp" and self.k < 1:
             raise ValueError(f"monomial order must be positive, got {self.k}")
         value, signed_log = _TAGS[self.tag].evaluators(self.c, self.k)

@@ -12,7 +12,7 @@ import math
 from dataclasses import dataclass
 
 from .combinatorics import IndexSet, factor_count
-from .core import GmpConfig, estimate, floored_cutoff_n_max
+from .core import GmpConfig, _check_r, estimate, floored_cutoff_n_max
 from .errors import GeomprodError
 from .oracle import BuiltinFunction
 
@@ -47,21 +47,24 @@ class SweepSpec:
             raise ValueError(f"unknown coupling {self.coupling!r}")
         if self.coupling == "fixed_cutoff" and self.coupling_value < 2:
             raise ValueError("fixed_cutoff K must be >= 2")
-        if any(r <= 1.0 for r in self.schedule):
-            raise ValueError("every schedule ratio must exceed 1")
+        for r in self.schedule:
+            _check_r(r)
         if self.grid[2] <= 0:
             raise ValueError("grid step must be positive")
         # Checked on the float span, before any list is built: a grid like
         # 0:1e9:1e-9 would otherwise allocate ~1e18 x values.
         start, stop, step = self.grid
         span = (stop - start) / step + 0.5
-        if math.isnan(span):
-            raise ValueError(f"grid {self.grid} does not define a point count")
+        if not all(map(math.isfinite, (start, stop, step, span))):
+            raise ValueError(f"grid {self.grid} must be finite, with a finite point count")
         if not span < MAX_ROWS // max(len(self.schedule), 1):
             raise ValueError(
                 f"grid {self.grid} with {len(self.schedule)} ratios exceeds "
                 f"the {MAX_ROWS}-row sweep cap"
             )
+        # The last point can pass stop by half a step, and so leave the float range.
+        if not math.isfinite(start + max(math.floor(span), 0) * step):
+            raise ValueError(f"grid {self.grid} ends outside the float range")
 
     def n_max_for(self, r: float) -> int:
         if self.coupling == "fixed_n_max":
@@ -91,6 +94,8 @@ def _eval_row(function: BuiltinFunction, x: float, cfg: GmpConfig, count: int) -
     try:
         reference = function(x)
     except OverflowError:
+        reference = math.inf
+    if not math.isfinite(reference):  # exp(inf) is inf, not an OverflowError
         reference = None
     try:
         est = estimate(function, x, cfg)

@@ -170,7 +170,7 @@ def test_criterion_8_component_extraction():
     t0 = time.perf_counter()
     r = 1.05
     n_max = max(cutoff_n_max(32, r), 2)
-    comp = component_estimate(COS, 2, 1.0, r, n_max, IndexSet.of(2, 4))
+    comp = component_estimate(COS, 2, 1.0, GmpConfig(r, n_max, IndexSet.of(2, 4)))
     comp_err = abs(comp.value - math.exp(-0.5))
 
     worst_diff = 0.0

@@ -5,7 +5,7 @@ import math
 import time
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from geomprod.cli import parse_base, parse_function, parse_ratio, run
 
@@ -344,3 +344,56 @@ def test_estimate_exits_with_documented_code(function, x, r, base, n_max):
     with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
         code = run(argv)
     assert code in (0, 2, 3, 4)
+
+
+def _reject_constant(name):
+    raise ValueError(f"{name} is not JSON")
+
+
+# Any float, with inf, -inf and nan drawn often; or one in a part's usual range.
+_ANY_FLOAT = st.one_of(st.sampled_from([math.inf, -math.inf, math.nan]), st.floats())
+
+
+def _float_or(usual):
+    return st.one_of(usual, _ANY_FLOAT)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    function=st.one_of(
+        st.sampled_from(["one", "cos", "half_sin_shifted"]),
+        st.builds("exp_scaled:{!r}".format, _float_or(st.floats(-10.0, 10.0))),
+        st.builds("monomial_exp:{!r},{}".format, _float_or(st.floats(-10.0, 10.0)),
+                  st.integers(1, 6)),
+    ),
+    start=_float_or(st.floats(-4.0, 4.0)),
+    step=_float_or(st.floats(0.01, 1.0)),
+    # stop = start + points * step keeps a finite grid at about 11 points;
+    # a drawn non-finite stop replaces it
+    points=st.integers(min_value=0, max_value=10),
+    stop=st.one_of(st.none(), st.sampled_from([math.inf, -math.inf, math.nan])),
+    schedule=st.lists(_float_or(st.floats(1.0, 1e6, exclude_min=True)), min_size=1,
+                      max_size=3),
+    base=st.lists(st.integers(min_value=1, max_value=3000), min_size=1, max_size=3,
+                  unique=True),
+    n_max=st.integers(min_value=0, max_value=60),
+)
+# exp(1e300 * 1e20) is inf without an OverflowError; an infinite ratio
+@example(function="exp_scaled:1e300", start=1e20, step=1.0, points=0, stop=None,
+         schedule=[2.0], base=[1], n_max=1)
+@example(function="cos", start=0.0, step=0.5, points=2, stop=None, schedule=[math.inf],
+         base=[1], n_max=1)
+def test_sweep_json_exits_with_documented_code(
+    function, start, step, points, stop, schedule, base, n_max
+):
+    if stop is None:
+        stop = start + points * step
+    argv = ["sweep", "--function", function, f"--grid={start!r}:{stop!r}:{step!r}",
+            "--schedule=" + ",".join(map(repr, schedule)), "--n-max", str(n_max),
+            "--base", ",".join(map(str, base)), "--format", "json"]
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+        code = run(argv)
+    assert code in (0, 2, 3, 4)
+    if code == 0:
+        json.loads(out.getvalue(), parse_constant=_reject_constant)

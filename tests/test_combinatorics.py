@@ -44,7 +44,7 @@ class TestEnumerateSubsets:
         base = IndexSet.of(1, 3, 5)
         a = enumerate_subsets(base)
         b = enumerate_subsets(base)
-        assert a.members == b.members
+        assert a == b
 
 
 class TestMultiplicity:

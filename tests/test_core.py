@@ -26,8 +26,9 @@ class TestGmpConfig:
         GmpConfig(r=2.0, n_max=10, base=IndexSet.of(1, 2))
 
     def test_r_must_exceed_one(self):
-        with pytest.raises(ValueError):
-            GmpConfig(r=1.0, n_max=10, base=IndexSet.of(1))
+        for r in (1.0, math.inf):
+            with pytest.raises(ValueError):
+                GmpConfig(r=r, n_max=10, base=IndexSet.of(1))
 
     def test_n_max_vs_base(self):
         with pytest.raises(ValueError):
@@ -240,25 +241,25 @@ class TestEstimate:
 class TestComponentEstimate:
     def test_singleton_closed_form(self):
         c, r, n_max = 0.8, 1.5, 15
-        est = component_estimate(exp_scaled(c), 1, 1.2, r, n_max, IndexSet.of(1))
+        est = component_estimate(exp_scaled(c), 1, 1.2, GmpConfig(r, n_max, IndexSet.of(1)))
         assert est.value == pytest.approx(
             math.exp(c * 1.2 * (1 - r**-n_max)), rel=1e-13
         )
 
     def test_constant_one(self):
-        est = component_estimate(ONE, 2, 1.0, 1.3, 8, IndexSet.of(2, 4))
+        est = component_estimate(ONE, 2, 1.0, GmpConfig(1.3, 8, IndexSet.of(2, 4)))
         assert est.value == 1.0
 
     def test_cos_gaussian_component(self):
         # order-2 component of cos is exp(-x^2/2); small r-1, coupled n_max
         r = 1.02
         n_max = cutoff_n_max(32, r)
-        est = component_estimate(COS, 2, 1.0, r, n_max, IndexSet.of(2, 4))
+        est = component_estimate(COS, 2, 1.0, GmpConfig(r, n_max, IndexSet.of(2, 4)))
         assert est.value == pytest.approx(math.exp(-0.5), abs=2e-3)
 
     def test_k_not_in_base(self):
         with pytest.raises(ValueError):
-            component_estimate(ONE, 3, 1.0, 2.0, 10, IndexSet.of(2, 4))
+            component_estimate(ONE, 3, 1.0, GmpConfig(2.0, 10, IndexSet.of(2, 4)))
 
 
 class TestReconstruction:

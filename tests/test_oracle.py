@@ -65,6 +65,13 @@ class TestBuiltins:
         with pytest.raises(ValueError):
             BuiltinFunction("sinh")
 
+    @pytest.mark.parametrize("c", [math.inf, -math.inf, math.nan])
+    def test_non_finite_constant(self, c):
+        with pytest.raises(ValueError):
+            exp_scaled(c)
+        with pytest.raises(ValueError):
+            monomial_exp(c, 2)
+
 
 class TestEulerProduct:
     def test_origin(self):

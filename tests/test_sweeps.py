@@ -48,17 +48,22 @@ class TestSweepSpec:
         assert spec.n_max_for(SQRT2) == 10
 
     def test_validation(self):
-        with pytest.raises(ValueError):
-            fig1_spec(schedule=(1.0,))
-        with pytest.raises(ValueError):
-            SweepSpec(
-                function=COS,
-                grid=(0.0, 1.0, -0.1),
-                schedule=(2.0,),
-                coupling="fixed_n_max",
-                coupling_value=10,
-                base=IndexSet.of(1),
-            )
+        for r in (1.0, math.inf, math.nan):
+            with pytest.raises(ValueError):
+                fig1_spec(schedule=(r,))
+        # a negative step; non-finite parts; a span that overflows; a last
+        # point half a step past stop that leaves the float range
+        for grid in ((0.0, 1.0, -0.1), (0.0, 1.0, math.inf), (math.nan, 1.0, 0.5),
+                     (-math.inf, 1.0, 0.5), (1e308, -1e308, 1.0), (5e307, 1.7e308, 1.79e308)):
+            with pytest.raises(ValueError):
+                SweepSpec(
+                    function=COS,
+                    grid=grid,
+                    schedule=(2.0,),
+                    coupling="fixed_n_max",
+                    coupling_value=10,
+                    base=IndexSet.of(1),
+                )
 
     def test_row_cap(self):
         def spec(stop):
@@ -129,6 +134,41 @@ class TestGridEval:
         assert (rows[2].x, rows[2].r, rows[2].estimate, rows[2].status) == (
             0.0, 1e300, 1.0, "ok")
         assert [row.status for row in rows[5::3]] == ["OverflowError", "OverflowError"]
+
+    def test_non_finite_reference_is_empty(self):
+        # exp(1e300 * 1e20) is exp(inf) = inf, which raises no OverflowError
+        spec = SweepSpec(
+            function=exp_scaled(1e300),
+            grid=(1e20, 1e20, 1.0),
+            schedule=(2.0,),
+            coupling="fixed_n_max",
+            coupling_value=1,
+            base=IndexSet.of(1),
+        )
+        [row] = grid_eval(spec)
+        assert (row.reference, row.status) == (None, "GeomprodError")
+
+    def test_non_finite_reference_with_estimate_is_reference_overflow(self):
+        class InfiniteReference:
+            """Samples like ONE, but evaluates to inf."""
+
+            def __call__(self, x):
+                return math.inf
+
+            def signed_log(self, x):
+                return 1, 0.0
+
+        spec = SweepSpec(
+            function=InfiniteReference(),
+            grid=(1.0, 1.0, 1.0),
+            schedule=(2.0,),
+            coupling="fixed_n_max",
+            coupling_value=4,
+            base=IndexSet.of(1),
+        )
+        [row] = grid_eval(spec)
+        assert (row.estimate, row.reference, row.abs_error, row.status) == (
+            1.0, None, None, "ReferenceOverflow")
 
     def test_deterministic_csv(self):
         a = rows_to_csv(grid_eval(fig1_spec()))
