@@ -12,6 +12,7 @@ import argparse
 import functools
 import json
 import math
+import re
 import sys
 from dataclasses import asdict
 
@@ -26,7 +27,12 @@ class UsageError(ValueError):
 
 class _Parser(argparse.ArgumentParser):
     """An ArgumentParser that raises UsageError where argparse would print
-    usage and exit, so run() reports it like any other bad value."""
+    usage and exit, so run() reports it like any other bad value, and that
+    reads a separate negative number in exponent form (-1e-05) as a value."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = re.compile(r"^-(\d+\.?\d*|\.\d+)([eE][+-]?\d+)?$")
 
     def error(self, message):
         raise UsageError(message)
@@ -114,13 +120,29 @@ def _emit(text: str, args) -> None:
         sys.stdout.write(text)
 
 
+def _finite(obj):
+    """obj with every non-finite float, at any depth, replaced by None."""
+    if isinstance(obj, float):
+        return obj if math.isfinite(obj) else None
+    if isinstance(obj, dict):
+        return {key: _finite(val) for key, val in obj.items()}
+    if isinstance(obj, list):
+        return [_finite(val) for val in obj]
+    return obj
+
+
+def _dumps(obj, **kwargs) -> str:
+    """JSON text in which a non-finite float is null, never NaN or Infinity."""
+    return json.dumps(_finite(obj), allow_nan=False, **kwargs)
+
+
 def _emit_record(record: dict, args) -> None:
     if args.format == "csv":
         flat = _flatten(record)
         lines = [",".join(flat), ",".join(_csv_cell(record, key) for key in flat)]
         _emit("\n".join(lines) + "\n", args)
     else:
-        _emit(json.dumps(record, indent=2, sort_keys=True) + "\n", args)
+        _emit(_dumps(record, indent=2, sort_keys=True) + "\n", args)
 
 
 def _flatten(record: dict, prefix: str = "") -> list[str]:
@@ -137,11 +159,7 @@ def _csv_cell(record: dict, dotted: str) -> str:
     val = record
     for part in dotted.split("."):
         val = val[part]
-    if isinstance(val, float):
-        return f"{val:.17g}"
-    if isinstance(val, list):
-        return ";".join(str(v) for v in val)
-    return str(val)
+    return sweeps._fmt(val)
 
 
 def _add_config_flags(p: argparse.ArgumentParser) -> None:
@@ -269,7 +287,7 @@ def _cmd_sweep(args) -> int:
     )
     rows = sweeps.grid_eval(spec)
     if args.format == "json":
-        _emit(json.dumps([asdict(row) for row in rows], indent=2) + "\n", args)
+        _emit(_dumps([asdict(row) for row in rows], indent=2) + "\n", args)
     else:
         _emit(sweeps.rows_to_csv(rows), args)
     return 0
@@ -279,8 +297,8 @@ def _cmd_count_factors(args) -> int:
     core.check_parity(args.parity, args.base)
     count = combinatorics.factor_count(args.base, args.n_max)
     if args.format == "json":
-        _emit(json.dumps({"base": list(args.base.elements), "n_max": args.n_max,
-                          "factor_count": count}) + "\n", args)
+        _emit(_dumps({"base": list(args.base.elements), "n_max": args.n_max,
+                      "factor_count": count}) + "\n", args)
     else:
         _emit(f"{count}\n", args)
     return 0
@@ -335,7 +353,7 @@ def _report_error(exc: Exception, as_json: bool) -> None:
     reason = f"error: {type(exc).__name__}: {exc}".replace("\n", " ")
     print(reason, file=sys.stderr)
     if as_json:
-        print(json.dumps({"error": {"type": type(exc).__name__, "message": str(exc)}}))
+        print(_dumps({"error": {"type": type(exc).__name__, "message": str(exc)}}))
 
 
 def run(argv=None) -> int:

@@ -112,15 +112,22 @@ def compositions_bruteforce(n: int, m: int) -> int:
     return count(n, m)
 
 
-def factor_count(base: IndexSet, n_max: int) -> int:
+def factor_count(base: IndexSet, n_max: int, k: int | None = None) -> int:
     """Total multiplicity-weighted number of function factors in the full
-    quotient generated by `base`, truncated at n_max.
+    quotient generated by `base`, truncated at n_max; with k, only in the
+    part whose subsets have greatest element k.
 
     Per subset S this is sum_{n=|S|}^{n_max} binomial(n-1, |S|-1), which
-    telescopes to binomial(n_max, |S|). Summed over the binomial(|base|, m)
-    subsets of each size m, Vandermonde's identity gives
-    binomial(|base| + n_max, |base|) - 1 without enumerating them.
+    telescopes to binomial(n_max, |S|). Summed over the subsets of each size,
+    Vandermonde's identity gives binomial(|base| + n_max, |base|) - 1 for the
+    whole base, and binomial(j + n_max, j + 1) for the subsets {k} + T with T
+    drawn from the j elements of base below k, without enumerating them.
     """
     if n_max < len(base):
         raise ValueError(f"n_max={n_max} below largest subset cardinality {len(base)}")
-    return math.comb(len(base) + n_max, len(base)) - 1
+    if k is None:
+        return math.comb(len(base) + n_max, len(base)) - 1
+    if k not in base:
+        raise ValueError(f"component order {k} not in base {base}")
+    j = base.elements.index(k)
+    return math.comb(j + n_max, j + 1)

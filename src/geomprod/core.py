@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Protocol
 
-from .combinatorics import IndexSet, enumerate_subsets
+from .combinatorics import IndexSet, enumerate_subsets, factor_count
 from .errors import GeomprodError
 
 
@@ -76,7 +76,6 @@ class SubsetPlan:
     coeff: float
     r_pows: tuple[float, ...]  # r**n
     weights: tuple[int, ...]  # binom(n-1, |S|-1)
-    factor_count: int  # binom(n_max, |S|), the sum of the weights
 
 
 @dataclass(frozen=True)
@@ -133,7 +132,6 @@ def _subset_plans(subsets, r: float, n_max: int) -> tuple[SubsetPlan, ...]:
             coeff=coefficient(S, r),
             r_pows=r_pows[m - 1:],
             weights=weights[m],
-            factor_count=math.comb(n_max, m),
         ))
     return tuple(plans)
 
@@ -145,6 +143,10 @@ def _accumulate(f: FunctionSource, plan: SubsetPlan, x: float) -> LogProduct:
     tracked sign when their weight is odd.
     """
     scaled_x = plan.coeff * x  # coeff * x / r**n, in the formula's own order
+    if not math.isfinite(scaled_x):
+        raise GeomprodError(
+            f"sample point coeff * x overflows for subset {plan.subset} at x={x}"
+        )
     terms = []
     sign = 1
     point = 0.0
@@ -179,49 +181,33 @@ def log_partial_product(
     return _accumulate(f, plan, x)
 
 
-def _signed_exp(sign: int, log_value: float) -> float:
+def _combine(logs: list[float], sign: int, x: float, cfg: GmpConfig, count: int) -> Estimate:
+    """The Estimate whose log value is the compensated sum of `logs`."""
+    log_value = math.fsum(logs)
     try:
-        return sign * math.exp(log_value)
+        value = sign * math.exp(log_value)
     except OverflowError:
         raise GeomprodError(f"estimate overflows: log value {log_value}") from None
+    return Estimate(
+        value=value, log_value=log_value, sign=sign, x=x, config=cfg, factor_count=count
+    )
 
 
 def _quotient(f: FunctionSource, x: float, cfg: GmpConfig, k: int | None = None) -> Estimate:
     """The odd/even quotient over the subsets of cfg.base, or over those
     whose greatest element is k."""
-    if x == 0.0:
-        # No sample is taken, so the plan is left unbuilt: its r**n can
-        # overflow for a huge r that x = 0 never needs.
-        count = sum(
-            math.comb(cfg.n_max, len(S))
-            for S in enumerate_subsets(cfg.base)
-            if k in (None, S.max_element)
-        )
-        return Estimate(
-            value=1.0, log_value=0.0, sign=1, x=x, config=cfg, factor_count=count
-        )
-    signed_logs = []
+    count = factor_count(cfg.base, cfg.n_max, k)
+    logs = []
     sign = 1
-    count = 0
-    for plan in cfg.plan:
+    # x = 0 takes no sample, so the plan is left unbuilt: its r**n can
+    # overflow for a huge r that x = 0 never needs.
+    for plan in cfg.plan if x != 0.0 else ():
         if k not in (None, plan.subset.max_element):
             continue
         lp = _accumulate(f, plan, x)
-        parity = 1 if len(plan.subset) % 2 else -1
-        signed_logs.append(parity * lp.log_value)
+        logs.append(lp.log_value if len(plan.subset) % 2 else -lp.log_value)
         sign *= lp.sign
-        count += plan.factor_count
-    log_value = math.fsum(signed_logs)
-    if not math.isfinite(log_value):
-        raise GeomprodError(f"non-finite estimate accumulation at x={x}")
-    return Estimate(
-        value=_signed_exp(sign, log_value),
-        log_value=log_value,
-        sign=sign,
-        x=x,
-        config=cfg,
-        factor_count=count,
-    )
+    return _combine(logs, sign, x, cfg, count)
 
 
 def estimate(f: FunctionSource, x: float, cfg: GmpConfig) -> Estimate:
@@ -231,9 +217,8 @@ def estimate(f: FunctionSource, x: float, cfg: GmpConfig) -> Estimate:
 
 def component_estimate(f: FunctionSource, k: int, x: float, cfg: GmpConfig) -> Estimate:
     """Estimate of the order-k component exp(c_k x^k): the quotient
-    restricted to the subsets of cfg.base whose greatest element is k."""
-    if k not in cfg.base:
-        raise ValueError(f"component order {k} not in base {cfg.base}")
+    restricted to the subsets of cfg.base whose greatest element is k.
+    A k outside cfg.base raises ValueError."""
     return _quotient(f, x, cfg, k)
 
 
@@ -243,22 +228,13 @@ def reconstruct_from_components(f: FunctionSource, x: float, cfg: GmpConfig) -> 
     The subset family partitions by greatest element, so this regroups the
     exact factors of estimate() and must agree with it in log space.
     """
-    logs = []
-    sign = 1
-    count = 0
-    for k in cfg.base:
-        comp = _quotient(f, x, cfg, k)
-        logs.append(comp.log_value)
-        sign *= comp.sign
-        count += comp.factor_count
-    log_value = math.fsum(logs)
-    return Estimate(
-        value=_signed_exp(sign, log_value),
-        log_value=log_value,
-        sign=sign,
-        x=x,
-        config=cfg,
-        factor_count=count,
+    comps = [_quotient(f, x, cfg, k) for k in cfg.base]
+    return _combine(
+        [c.log_value for c in comps],
+        math.prod(c.sign for c in comps),
+        x,
+        cfg,
+        factor_count(cfg.base, cfg.n_max),
     )
 
 

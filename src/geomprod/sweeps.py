@@ -9,14 +9,12 @@ than aborting the study. Output CSV is byte-reproducible: fixed row order,
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 from .combinatorics import IndexSet, factor_count
 from .core import GmpConfig, _check_r, estimate, floored_cutoff_n_max
 from .errors import GeomprodError
 from .oracle import BuiltinFunction
-
-CSV_HEADER = "x,r,n_max,estimate,reference,abs_error,factor_count,status"
 
 DEFAULT_SCHEDULE = tuple(1.0 + 2.0**-t for t in range(1, 9))
 
@@ -89,6 +87,9 @@ class SweepRow:
     status: str = "ok"
 
 
+CSV_HEADER = ",".join(field.name for field in fields(SweepRow))
+
+
 def _eval_row(function: BuiltinFunction, x: float, cfg: GmpConfig, count: int) -> SweepRow:
     r, n_max = cfg.r, cfg.n_max
     try:
@@ -147,28 +148,19 @@ def r_sweep(
 
 
 def _fmt(v) -> str:
+    """One CSV cell: empty for None or a non-finite float, 17 significant
+    digits for a float, ';'-joined for a list, str otherwise."""
     if v is None:
         return ""
-    if isinstance(v, int):
-        return str(v)
-    return f"{v:.17g}"
+    if isinstance(v, float):
+        return f"{v:.17g}" if math.isfinite(v) else ""
+    if isinstance(v, list):
+        return ";".join(map(str, v))
+    return str(v)
 
 
 def rows_to_csv(rows: list[SweepRow]) -> str:
+    """CSV_HEADER, then one line per row with its fields in declaration order."""
     lines = [CSV_HEADER]
-    for row in rows:
-        lines.append(
-            ",".join(
-                [
-                    _fmt(row.x),
-                    _fmt(row.r),
-                    str(row.n_max),
-                    _fmt(row.estimate),
-                    _fmt(row.reference),
-                    _fmt(row.abs_error),
-                    str(row.factor_count),
-                    row.status,
-                ]
-            )
-        )
+    lines.extend(",".join(map(_fmt, vars(row).values())) for row in rows)
     return "\n".join(lines) + "\n"

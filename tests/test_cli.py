@@ -5,7 +5,7 @@ import math
 import time
 
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 from geomprod.cli import parse_base, parse_function, parse_ratio, run
 
@@ -62,6 +62,15 @@ class TestEstimateCommand:
         _, out1, _ = invoke(capsys, *argv)
         _, out2, _ = invoke(capsys, *argv)
         assert out1 == out2
+
+    def test_negative_exponent_value(self, capsys):
+        code, out, _ = invoke(
+            capsys,
+            "estimate", "--function", "cos", "--x", "-1e-05", "--r", "2", "--n-max", "10",
+            "--base", "2",
+        )
+        assert code == 0
+        assert json.loads(out)["x"] == -1e-05
 
     def test_missing_truncation_is_usage_error(self, capsys):
         code, _, err = invoke(
@@ -219,25 +228,29 @@ class TestForecastCommand:
         assert "SignalFormatError" in err and ":3:" in err
 
 
+# The last argv's first sample point, coeff * x = 1e6 * 1e308, is inf.
 @pytest.mark.parametrize(
-    "argv",
+    "argv, error",
     [
-        ("estimate", "--function", "cos", "--x", "1", "--r", "2", "--n-max", "10",
-         "--base", "2,2000"),
-        ("estimate", "--function", "cos", "--x", "1", "--r", "1e300", "--n-max", "10",
-         "--base", "2"),
-        ("estimate", "--function", "cos", "--x", "1", "--r", "2", "--n-max", "1100",
-         "--base", "1"),
-        ("estimate", "--function", "exp_scaled:1e300", "--x", "1e10", "--r", "2",
-         "--n-max", "10", "--base", "1"),
-        ("euler", "--x", "1", "--n", "2000"),
+        (("estimate", "--function", "cos", "--x", "1", "--r", "2", "--n-max", "10",
+          "--base", "2,2000"), "OverflowError"),
+        (("estimate", "--function", "cos", "--x", "1", "--r", "1e300", "--n-max", "10",
+          "--base", "2"), "OverflowError"),
+        (("estimate", "--function", "cos", "--x", "1", "--r", "2", "--n-max", "1100",
+          "--base", "1"), "OverflowError"),
+        (("estimate", "--function", "exp_scaled:1e300", "--x", "1e10", "--r", "2",
+          "--n-max", "10", "--base", "1"), "OverflowError"),
+        (("euler", "--x", "1", "--n", "2000"), "OverflowError"),
+        (("estimate", "--function", "cos", "--x=1e308", "--r", "1e6", "--n-max", "1",
+          "--base", "1"), "GeomprodError"),
     ],
+    ids=[f"argv{i}" for i in range(6)],
 )
-def test_overflow_is_domain_error(capsys, argv):
+def test_overflow_is_domain_error(capsys, argv, error):
     code, out, err = invoke(capsys, *argv, "--format", "json")
     assert code == 3
-    assert err.startswith("error: OverflowError:") and err.count("\n") == 1
-    assert json.loads(out)["error"]["type"] == "OverflowError"
+    assert err.startswith(f"error: {error}:") and err.count("\n") == 1
+    assert json.loads(out)["error"]["type"] == error
 
 
 @pytest.mark.parametrize("x", ["inf", "nan"])
@@ -397,3 +410,84 @@ def test_sweep_json_exits_with_documented_code(
     assert code in (0, 2, 3, 4)
     if code == 0:
         json.loads(out.getvalue(), parse_constant=_reject_constant)
+
+
+_BASES = st.lists(st.integers(min_value=1, max_value=6), min_size=1, max_size=3, unique=True)
+# Any finite x, with both zeros drawn often; passed space-separated, as users do.
+_XS = st.one_of(st.sampled_from([0.0, -0.0]), st.floats(allow_nan=False, allow_infinity=False))
+
+
+def _join(base):
+    return ",".join(map(str, base))
+
+
+@st.composite
+def _component_argv(draw):
+    base = draw(_BASES)
+    return ["component", "--function", draw(_FUNCTIONS),
+            "--k", str(draw(st.sampled_from([*base, 0]))),
+            "--x", repr(draw(st.one_of(_XS, st.floats(-3.0, 3.0)))),
+            f"--r={draw(_float_or(st.floats(1.0, 4.0, exclude_min=True)))!r}",
+            "--n-max", str(draw(st.integers(0, 60))), "--base", _join(base)]
+
+
+@st.composite
+def _euler_argv(draw):
+    return ["euler", "--x", repr(draw(_XS)), "--n", str(draw(st.integers(-1, 3000)))]
+
+
+@st.composite
+def _count_factors_argv(draw):
+    base = draw(st.lists(st.integers(1, 3000), min_size=1, max_size=6, unique=True))
+    return ["count-factors", "--base", _join(base), "--n-max",
+            str(draw(st.integers(-1, 10**6))), "--parity", draw(st.sampled_from(["all", "even"]))]
+
+
+@st.composite
+def _forecast_argv(draw):
+    # "{csv}" stands for the drawn series, written under tmp_path
+    base = draw(st.lists(st.integers(1, 4), min_size=1, max_size=3, unique=True))
+    return ["forecast", "--csv", "{csv}",
+            "--normalize", draw(st.sampled_from(
+                ["divide_by_first", "none", "affine:0,1", "affine:-1,2", "affine:1,0"])),
+            "--x", repr(draw(st.one_of(_XS, st.floats(-20.0, 20.0), st.floats(0.0, 2.0)))),
+            "--r", repr(draw(st.floats(1.1, 4.0))),
+            draw(st.sampled_from(["--n-max", "--cutoff"])), str(draw(st.integers(0, 30))),
+            "--base", _join(base)]
+
+
+_RAMP = [(0.25 * i, 1.0 + 0.1 * i) for i in range(12)]
+
+
+@settings(max_examples=100, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(
+    argv=st.one_of(_component_argv(), _euler_argv(), _count_factors_argv(), _forecast_argv()),
+    fmt=st.sampled_from(["json", "csv"]),
+    # a well-formed positive series, or a few arbitrary rows
+    series=st.one_of(
+        st.builds(lambda step, values: [(i * step, v) for i, v in enumerate(values)],
+                  st.floats(0.25, 2.0), st.lists(st.floats(0.1, 10.0), min_size=4, max_size=20)),
+        st.lists(st.tuples(_ANY_FLOAT, _ANY_FLOAT), max_size=6),
+    ),
+)
+# x = 0 has no finite largest feasible horizon; a first sample point of inf
+@example(argv=["forecast", "--csv", "{csv}", "--x", "0", "--r", "2", "--n-max", "4",
+               "--base", "1"], fmt="json", series=_RAMP)
+@example(argv=["forecast", "--csv", "{csv}", "--x", "-0.0", "--r", "2", "--n-max", "4",
+               "--base", "1"], fmt="csv", series=_RAMP)
+@example(argv=["component", "--function", "cos", "--k", "1", "--x", "1e308", "--r", "1e6",
+               "--n-max", "1", "--base", "1"], fmt="json", series=[])
+def test_other_commands_print_finite_output(tmp_path, argv, fmt, series):
+    path = tmp_path / "series.csv"
+    path.write_text("".join(f"{t!r},{v!r}\n" for t, v in series), encoding="utf-8")
+    argv = [str(path) if arg == "{csv}" else arg for arg in argv] + ["--format", fmt]
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+        code = run(argv)
+    assert code in (0, 2, 3, 4)
+    if fmt == "json":
+        json.loads(out.getvalue(), parse_constant=_reject_constant)
+    else:
+        cells = out.getvalue().replace("\n", ",").split(",")
+        assert not {cell.lstrip("+-").lower() for cell in cells} & {"nan", "inf", "infinity"}

@@ -103,3 +103,22 @@ class TestFactorCount:
     def test_n_max_too_small(self):
         with pytest.raises(ValueError):
             factor_count(IndexSet.of(1, 2, 3), 2)
+
+    @given(
+        elements=st.lists(st.integers(1, 40), min_size=1, max_size=6, unique=True),
+        extra=st.integers(0, 54),
+    )
+    def test_per_order_count_matches_enumeration(self, elements, extra):
+        base = IndexSet.of(*elements)
+        n_max = len(base) + extra
+        subsets = enumerate_subsets(base)
+        counts = [factor_count(base, n_max, k) for k in base]
+        for k, count in zip(base, counts):
+            assert count == sum(
+                math.comb(n_max, len(s)) for s in subsets if s.max_element == k
+            )
+        assert sum(counts) == factor_count(base, n_max)
+
+    def test_order_outside_base(self):
+        with pytest.raises(ValueError, match="not in base"):
+            factor_count(IndexSet.of(2, 4), 10, 3)

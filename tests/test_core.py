@@ -196,6 +196,9 @@ class TestEstimate:
         # r = 1e300 overflows r**2, so any plan for this config raises
         cfg = GmpConfig(r=1e300, n_max=10, base=IndexSet.of(1, 2))
         assert estimate(_Raising(), 0.0, cfg).factor_count == 65
+        # {2} and {1,2}: C(10,1) + C(10,2)
+        assert component_estimate(_Raising(), 2, 0.0, cfg).factor_count == 55
+        assert reconstruct_from_components(_Raising(), 0.0, cfg).factor_count == 65
         assert "plan" not in vars(cfg)
         with pytest.raises(OverflowError):
             estimate(ONE, 0.5, cfg)

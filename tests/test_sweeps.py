@@ -148,6 +148,20 @@ class TestGridEval:
         [row] = grid_eval(spec)
         assert (row.reference, row.status) == (None, "GeomprodError")
 
+    def test_overflowing_sample_point_fails_its_row(self):
+        # coeff * x = (1e6 - 1) * 1e308 is inf, while cos(1e308) is finite
+        spec = SweepSpec(
+            function=COS,
+            grid=(1e308, 1e308, 1.0),
+            schedule=(1e6,),
+            coupling="fixed_n_max",
+            coupling_value=1,
+            base=IndexSet.of(1),
+        )
+        [row] = grid_eval(spec)
+        assert (row.estimate, row.reference, row.status) == (
+            None, math.cos(1e308), "GeomprodError")
+
     def test_non_finite_reference_with_estimate_is_reference_overflow(self):
         class InfiniteReference:
             """Samples like ONE, but evaluates to inf."""
