@@ -16,7 +16,7 @@ import re
 import sys
 from dataclasses import asdict
 
-from . import combinatorics, core, oracle, signal, sweeps
+from . import combinatorics, core, oracle, sweeps
 from .combinatorics import IndexSet
 from .errors import GeomprodError, SignalFormatError
 
@@ -314,6 +314,8 @@ def _parse_normalize(text: str):
 
 
 def _cmd_forecast(args) -> int:
+    from . import signal  # numpy is imported only by the command that needs it
+
     mode, a, b = _parse_normalize(args.normalize)
     raw = signal.load_csv(args.csv_path)
     sig = signal.normalize(raw, mode=mode, a=a, b=b)

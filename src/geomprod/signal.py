@@ -2,19 +2,19 @@
 
 A raw (t, value) series is shifted so time starts at 0, normalized so the
 first value is exactly 1, and bridged to the estimator's geometric sample
-points with a shape-preserving cubic interpolant. Coverage checks guarantee
-every required sample point lies inside the sampled range before a forecast
-runs.
+points with a shape-preserving cubic interpolant (PCHIP). Coverage checks
+guarantee every required sample point lies inside the sampled range before a
+forecast runs.
 """
 
 from __future__ import annotations
 
 import csv
 import math
+from bisect import bisect_right
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.interpolate import PchipInterpolator
 
 from .core import Estimate, GmpConfig, estimate
 from .errors import (
@@ -82,6 +82,83 @@ def load_csv(path) -> list[tuple[float, float]]:
     return rows
 
 
+def _sign(v: float) -> int:
+    return (v > 0.0) - (v < 0.0)
+
+
+def _end_slope(h0: float, h1: float, m0: float, m1: float) -> float:
+    """One-sided three-point end slope with its two shape guards (Moler,
+    Numerical Computing with MATLAB, section 3.6, pchiptx)."""
+    d = ((2 * h0 + h1) * m0 - h0 * m1) / (h0 + h1)
+    if _sign(d) != _sign(m0):
+        return 0.0
+    if _sign(m0) != _sign(m1) and abs(d) > 3.0 * abs(m0):
+        return 3.0 * m0
+    return d
+
+
+class _Pchip:
+    """scipy's PchipInterpolator(ts, vs, extrapolate=False) on [ts[0], ts[-1]],
+    computed with the same floating-point operations in the same order, so
+    every value matches it to the bit.
+
+    A forecast queries a few intervals near t = 0 hundreds of times and most
+    others never, so each interval's cubic is built on its first query.
+    """
+
+    __slots__ = ("_ts", "_vs", "_last", "_cubics")
+
+    def __init__(self, ts: list[float], vs: list[float]):
+        self._ts = ts
+        self._vs = vs
+        self._last = len(ts) - 2  # the last knot belongs to the last interval
+        self._cubics: dict[int, tuple[float, float, float, float]] = {}
+
+    def _secant(self, i: int) -> float:
+        return (self._vs[i + 1] - self._vs[i]) / (self._ts[i + 1] - self._ts[i])
+
+    def _slope(self, k: int) -> float:
+        """The derivative at knot k."""
+        ts, last = self._ts, self._last
+        if last == 0:
+            return self._secant(0)
+        if k == 0:
+            return _end_slope(ts[1] - ts[0], ts[2] - ts[1], self._secant(0), self._secant(1))
+        if k == last + 1:
+            return _end_slope(ts[k] - ts[k - 1], ts[k - 1] - ts[k - 2],
+                              self._secant(k - 1), self._secant(k - 2))
+        # Fritsch-Butland weighted harmonic mean of the neighbouring secants,
+        # zero where either is flat or their signs differ.
+        ml, mr = self._secant(k - 1), self._secant(k)
+        if ml == 0.0 or mr == 0.0 or _sign(ml) != _sign(mr):
+            return 0.0
+        hl, hr = ts[k] - ts[k - 1], ts[k + 1] - ts[k]
+        w1, w2 = 2 * hr + hl, hr + 2 * hl
+        whmean = (w1 / ml + w2 / mr) / (w1 + w2)
+        # numpy's 1/0 is a signed infinity where Python raises
+        return 1.0 / whmean if whmean else math.copysign(math.inf, whmean)
+
+    def _cubic(self, i: int) -> tuple[float, float, float, float]:
+        """CubicHermiteSpline's coefficients on interval i, constant first."""
+        h = self._ts[i + 1] - self._ts[i]
+        m = self._secant(i)
+        d0, d1 = self._slope(i), self._slope(i + 1)
+        t = (d0 + d1 - 2 * m) / h
+        return self._vs[i], d0, (m - d0) / h - t, t / h
+
+    def __call__(self, x: float) -> float:
+        i = bisect_right(self._ts, x) - 1
+        if i > self._last:
+            i = self._last
+        c = self._cubics.get(i)
+        if c is None:
+            c = self._cubics[i] = self._cubic(i)
+        s = x - self._ts[i]
+        z = s * s
+        # PPoly's sum, from 0.0 upward with a running power of s
+        return 0.0 + c[0] + c[1] * s + c[2] * z + c[3] * (z * s)
+
+
 class SampledSignal:
     """Immutable sampled series with a shape-preserving cubic interpolant.
 
@@ -97,6 +174,8 @@ class SampledSignal:
     ):
         abscissas = np.asarray(abscissas, dtype=float)
         values = np.asarray(values, dtype=float)
+        if abscissas.ndim != 1 or len(abscissas) < 2 or values.shape != abscissas.shape:
+            raise ValueError("need two or more abscissas and one value for each")
         if abscissas[0] != 0.0:
             raise ValueError("first abscissa must be 0 after time shift")
         if np.any(np.diff(abscissas) <= 0):
@@ -104,26 +183,30 @@ class SampledSignal:
         if np.any(values <= 0):
             bad = int(np.argmax(values <= 0))
             raise NormalizationError(
-                f"non-positive value {values[bad]!r} at t={abscissas[bad]!r}"
+                f"non-positive value {float(values[bad])!r} "
+                f"at t={float(abscissas[bad])!r}"
             )
         if values[0] != 1.0:
             raise ValueError("normalized value at t=0 must be exactly 1")
+        if not (np.isfinite(abscissas).all() and np.isfinite(values).all()):
+            raise ValueError("abscissas and values must be finite")
         self.abscissas = abscissas
         self.values = values
         self.normalization = normalization
-        self._interp = PchipInterpolator(abscissas, values, extrapolate=False)
+        self._t_last = float(abscissas[-1])
+        self._interp = _Pchip(abscissas.tolist(), values.tolist())
         self.abscissas.setflags(write=False)
         self.values.setflags(write=False)
 
     @property
     def domain(self) -> tuple[float, float]:
-        return 0.0, float(self.abscissas[-1])
+        return 0.0, self._t_last
 
     def __call__(self, x: float) -> float:
-        lo, hi = self.domain
-        if x < lo or x > hi:
-            raise DomainCoverageError(x, lo, hi)
-        return float(self._interp(x))
+        x = float(x)
+        if x < 0.0 or x > self._t_last:
+            raise DomainCoverageError(x, 0.0, self._t_last)
+        return self._interp(x)
 
     def signed_log(self, x: float) -> tuple[int, float]:
         v = self(x)

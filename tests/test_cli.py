@@ -2,11 +2,16 @@ import contextlib
 import io
 import json
 import math
+import os
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import pytest
 from hypothesis import HealthCheck, example, given, settings, strategies as st
 
+import geomprod
 from geomprod.cli import parse_base, parse_function, parse_ratio, run
 
 
@@ -227,6 +232,58 @@ class TestForecastCommand:
         assert code == 4
         assert "SignalFormatError" in err and ":3:" in err
 
+    def test_non_positive_value_message(self, capsys, tmp_path):
+        path = tmp_path / "negative.csv"
+        path.write_text("0,1\n1,2\n2,-1\n3,4\n", encoding="utf-8")
+        code, _, err = invoke(
+            capsys,
+            "forecast", "--csv", str(path), "--x", "1", "--r", "2", "--n-max", "10",
+            "--base", "1",
+        )
+        assert code == 3
+        assert err == "error: NormalizationError: non-positive value -1.0 at t=2.0\n"
+
+
+# Runs one command in a fresh interpreter and reports which heavy modules it
+# imported; the command's own output is discarded.
+_IMPORT_PROBE = """\
+import contextlib, io, json, sys
+from geomprod.cli import run
+with contextlib.redirect_stdout(io.StringIO()):
+    code = run(sys.argv[1:])
+print(json.dumps([code, "numpy" in sys.modules, "scipy" in sys.modules]))
+"""
+
+
+def _imports_of(argv):
+    env = dict(os.environ, PYTHONPATH=str(Path(geomprod.__file__).parents[1]))
+    proc = subprocess.run([sys.executable, "-c", _IMPORT_PROBE, *argv], env=env,
+                          capture_output=True, text=True, timeout=60, check=True)
+    return json.loads(proc.stdout)
+
+
+@pytest.mark.parametrize("argv", [
+    ["estimate", "--function", "cos", "--x", "1", "--r", "2", "--n-max", "10", "--base", "2,4"],
+    ["component", "--function", "cos", "--k", "2", "--x", "1", "--r", "2", "--n-max", "10",
+     "--base", "2,4"],
+    ["euler", "--x", "1", "--n", "10"],
+    ["sweep", "--function", "cos", "--grid", "0:1:0.5", "--schedule", "2", "--n-max", "4",
+     "--base", "2"],
+    ["count-factors", "--base", "1,2", "--n-max", "4"],
+], ids=lambda argv: argv[0])
+def test_command_imports_neither_numpy_nor_scipy(argv):
+    assert _imports_of(argv) == [0, False, False]
+
+
+def test_forecast_does_not_import_scipy(tmp_path):
+    path = tmp_path / "series.csv"
+    path.write_text("".join(f"{0.25 * i},{1.0 + 0.1 * i}\n" for i in range(12)),
+                    encoding="utf-8")
+    code, _, scipy_loaded = _imports_of(
+        ["forecast", "--csv", str(path), "--x", "1", "--r", "2", "--n-max", "4", "--base", "1"]
+    )
+    assert (code, scipy_loaded) == (0, False)
+
 
 # The last argv's first sample point, coeff * x = 1e6 * 1e308, is inf.
 @pytest.mark.parametrize(
@@ -350,17 +407,30 @@ _FUNCTIONS = st.one_of(
     base=st.lists(st.integers(min_value=1, max_value=3000), min_size=1, max_size=4,
                   unique=True),
     n_max=st.integers(min_value=0, max_value=1200),
+    fmt=st.sampled_from(["json", "csv"]),
 )
-def test_estimate_exits_with_documented_code(function, x, r, base, n_max):
+def test_estimate_exits_with_documented_code(function, x, r, base, n_max, fmt):
     argv = ["estimate", "--function", function, f"--x={x!r}", f"--r={r!r}",
-            "--n-max", str(n_max), "--base", ",".join(map(str, base))]
-    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+            "--n-max", str(n_max), "--base", ",".join(map(str, base)), "--format", fmt]
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
         code = run(argv)
     assert code in (0, 2, 3, 4)
+    if code == 0:
+        _assert_finite_output(out.getvalue(), fmt)
 
 
 def _reject_constant(name):
     raise ValueError(f"{name} is not JSON")
+
+
+def _assert_finite_output(text, fmt):
+    """JSON that parses with no NaN or Infinity, or CSV with no such cell."""
+    if fmt == "json":
+        json.loads(text, parse_constant=_reject_constant)
+    else:
+        cells = text.replace("\n", ",").split(",")
+        assert not {cell.lstrip("+-").lower() for cell in cells} & {"nan", "inf", "infinity"}
 
 
 # Any float, with inf, -inf and nan drawn often; or one in a part's usual range.
@@ -486,8 +556,4 @@ def test_other_commands_print_finite_output(tmp_path, argv, fmt, series):
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
         code = run(argv)
     assert code in (0, 2, 3, 4)
-    if fmt == "json":
-        json.loads(out.getvalue(), parse_constant=_reject_constant)
-    else:
-        cells = out.getvalue().replace("\n", ",").split(",")
-        assert not {cell.lstrip("+-").lower() for cell in cells} & {"nan", "inf", "infinity"}
+    _assert_finite_output(out.getvalue(), fmt)

@@ -1,7 +1,9 @@
 import math
+import random
 
 import numpy as np
 import pytest
+from scipy.interpolate import PchipInterpolator
 
 from geomprod.combinatorics import IndexSet
 from geomprod.core import GmpConfig, estimate
@@ -13,6 +15,8 @@ from geomprod.errors import (
 from geomprod.oracle import HALF_SIN_SHIFTED
 from geomprod.signal import (
     Normalization,
+    SampledSignal,
+    _Pchip,
     coverage_check,
     forecast,
     load_csv,
@@ -89,6 +93,20 @@ class TestNormalize:
         with pytest.raises(NormalizationError):
             normalize([(0, 0.0), (1, 1.0), (2, 2.0), (3, 3.0)], "divide_by_first")
 
+    @pytest.mark.parametrize("raw", [
+        [(0, 1e-300), (1, 1.0), (2, 1e300), (3, 1.0)],  # the scaled 1e300 overflows
+        [(-1e308, 1.0), (0, 1.0), (1e308, 1.0), (1.5e308, 1.0)],  # so does the shifted time
+    ])
+    def test_non_finite_after_normalization(self, raw):
+        with pytest.raises(ValueError, match="finite"):
+            normalize(raw, "divide_by_first")
+
+    def test_too_few_samples(self):
+        with pytest.raises(ValueError, match="two or more"):
+            normalize([(0, 1.0)], "divide_by_first")
+        with pytest.raises(ValueError, match="one value for each"):
+            SampledSignal(np.array([0.0, 1.0]), np.array([1.0]), Normalization(0.0, 1.0))
+
     def test_time_shift(self):
         sig = normalize([(5, 2.0), (6, 2.2), (7, 2.4), (8, 2.6)], "divide_by_first")
         assert sig.abscissas[0] == 0.0
@@ -119,6 +137,63 @@ class TestSampledSignal:
             sig(2.5)
         with pytest.raises(DomainCoverageError):
             sig(-0.1)
+
+
+def random_series(rows, seed, positive=False):
+    """Uneven knots; values with sign changes, zeros, flat runs and repeats."""
+    rng = random.Random(seed)
+    ts = [0.0]
+    while len(ts) < rows:
+        ts.append(ts[-1] + rng.choice([0.05, rng.uniform(1e-6, 2.0), rng.expovariate(3.0)]))
+    vs = []
+    for _ in range(rows):
+        roll = rng.random()
+        if roll < 0.25 and vs:
+            vs.append(vs[-1])
+        elif roll < 0.4:
+            vs.append(float(rng.randint(-2, 2)))
+        else:
+            vs.append(rng.uniform(-3.0, 3.0) * 10.0 ** rng.randint(-2, 2))
+    if positive:
+        vs = [1.0] + [abs(v) + 0.5 for v in vs[1:]]
+    return ts, vs
+
+
+def queries(ts, seed):
+    """Every knot, the last included, then random interior points, most of
+    them near t = 0, where a forecast samples."""
+    rng = random.Random(seed)
+    span = ts[-1]
+    return ts + [span * rng.random() for _ in ts] + [span * rng.random() ** 8 for _ in ts]
+
+
+ROWS = (2, 3, 4, 81, 801)
+
+
+class TestPchipMatchesScipy:
+    """The package's PCHIP performs scipy's floating-point operations, so
+    values must be equal, not close."""
+
+    @pytest.mark.parametrize("rows", ROWS)
+    @pytest.mark.parametrize("seed", range(4))
+    def test_bit_identical(self, rows, seed):
+        ts, vs = random_series(rows, seed)
+        reference = PchipInterpolator(np.array(ts), np.array(vs), extrapolate=False)
+        pchip, qs = _Pchip(ts, vs), queries(ts, seed)
+        assert [pchip(q) for q in qs] == reference(np.array(qs)).tolist()
+
+    @pytest.mark.parametrize("rows", ROWS)
+    def test_sampled_signal_bit_identical(self, rows):
+        ts, vs = random_series(rows, 100 + rows, positive=True)
+        sig = SampledSignal(np.array(ts), np.array(vs), Normalization(0.0, 1.0))
+        reference = PchipInterpolator(sig.abscissas, sig.values, extrapolate=False)
+        qs = queries(ts, rows)
+        assert [sig(q) for q in qs] == reference(np.array(qs)).tolist()
+
+    def test_returns_python_float(self):
+        sig = normalize(half_sin_series(4.0, 0.25), "none")
+        for t in (0.0, 1.3, 4.0):
+            assert type(sig(np.float64(t))) is float
 
 
 class TestCoverageCheck:
