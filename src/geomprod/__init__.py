@@ -42,6 +42,16 @@ from .oracle import (
     sinc,
     truncated_invariance_closed_form,
 )
+from .signal import (
+    CoverageReport,
+    ForecastResult,
+    Normalization,
+    SampledSignal,
+    coverage_check,
+    forecast,
+    load_csv,
+    normalize,
+)
 from .sweeps import (
     DEFAULT_SCHEDULE,
     MAX_ROWS,
@@ -53,24 +63,3 @@ from .sweeps import (
 )
 
 __version__ = "0.1.0"
-
-# geomprod.signal imports numpy; its names load on first access (PEP 562),
-# so commands and callers that never forecast do not pay for that import.
-_SIGNAL_NAMES = frozenset({
-    "CoverageReport",
-    "ForecastResult",
-    "Normalization",
-    "SampledSignal",
-    "coverage_check",
-    "forecast",
-    "load_csv",
-    "normalize",
-})
-
-
-def __getattr__(name):
-    if name in _SIGNAL_NAMES:
-        from . import signal
-
-        return getattr(signal, name)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

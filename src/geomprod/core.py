@@ -19,6 +19,11 @@ from .combinatorics import IndexSet, enumerate_subsets, factor_count
 from .errors import GeomprodError
 
 
+# Largest number of samples one config's plan may hold: building it and one
+# estimate on it take about 1 s (2 CPUs, Python 3.11).
+MAX_SAMPLES = 10**6
+
+
 class FunctionSource(Protocol):
     """Anything the estimator can sample.
 
@@ -49,6 +54,13 @@ class GmpConfig:
                 f"n_max={self.n_max} must be at least |base|={len(self.base)}"
             )
         check_parity(self.parity, self.base)
+        # Counted in closed form, before any subset is enumerated.
+        samples = plan_samples(len(self.base), self.n_max)
+        if samples > MAX_SAMPLES:
+            raise ValueError(
+                f"n_max={self.n_max} with |base|={len(self.base)} needs {samples} "
+                f"samples per estimate, over the {MAX_SAMPLES}-sample plan cap"
+            )
 
     @cached_property
     def plan(self) -> tuple["SubsetPlan", ...]:
@@ -56,6 +68,13 @@ class GmpConfig:
         order. Built on first use and kept as long as the config, so reuse
         one config across x."""
         return _subset_plans(enumerate_subsets(self.base), self.r, self.n_max)
+
+
+def plan_samples(b: int, n_max: int) -> int:
+    """Samples in the plan of a b-element base truncated at n_max: each
+    m-element subset contributes n_max - m + 1, and summing over the C(b, m)
+    subsets of each size gives (n_max + 1)(2^b - 1) - b 2^(b-1)."""
+    return (n_max + 1) * (2**b - 1) - b * 2 ** (b - 1)
 
 
 def check_parity(parity: str, base: IndexSet) -> None:

@@ -10,11 +10,12 @@ forecast runs.
 from __future__ import annotations
 
 import csv
+import itertools
 import math
+import operator
 from bisect import bisect_right
 from dataclasses import dataclass
-
-import numpy as np
+from functools import cached_property
 
 from .core import Estimate, GmpConfig, estimate
 from .errors import (
@@ -71,7 +72,7 @@ def load_csv(path) -> list[tuple[float, float]]:
                     f"{path}:{lineno}: non-finite number in {record!r}"
                 )
             rows.append((t, v))
-    rows.sort(key=lambda tv: tv[0])
+    rows.sort(key=operator.itemgetter(0))
     for (t0, _), (t1, _) in zip(rows, rows[1:]):
         if t0 == t1:
             raise SignalFormatError(f"{path}: duplicate abscissa {t0!r}")
@@ -159,44 +160,62 @@ class _Pchip:
         return 0.0 + c[0] + c[1] * s + c[2] * z + c[3] * (z * s)
 
 
+def _frozen_array(xs: list[float]):
+    """xs as a read-only float64 ndarray; the package's only numpy use."""
+    import numpy as np
+
+    array = np.array(xs, dtype=float)
+    array.setflags(write=False)
+    return array
+
+
 class SampledSignal:
     """Immutable sampled series with a shape-preserving cubic interpolant.
 
     Acts as a FunctionSource over [0, t_last]; queries outside the sampled
-    range raise DomainCoverageError.
+    range raise DomainCoverageError. The series is held as Python lists;
+    numpy is imported only to build the `abscissas` and `values` arrays.
     """
 
-    def __init__(
-        self,
-        abscissas: np.ndarray,
-        values: np.ndarray,
-        normalization: Normalization,
-    ):
-        abscissas = np.asarray(abscissas, dtype=float)
-        values = np.asarray(values, dtype=float)
-        if abscissas.ndim != 1 or len(abscissas) < 2 or values.shape != abscissas.shape:
+    def __init__(self, abscissas, values, normalization: Normalization):
+        try:
+            ts = list(map(float, abscissas))
+            vs = list(map(float, values))
+        except TypeError:  # a scalar, or the rows of a 2-D array
+            ts = vs = []
+        if len(ts) < 2 or len(vs) != len(ts):
             raise ValueError("need two or more abscissas and one value for each")
-        if abscissas[0] != 0.0:
+        if ts[0] != 0.0:
             raise ValueError("first abscissa must be 0 after time shift")
-        if np.any(np.diff(abscissas) <= 0):
-            raise ValueError("abscissas must be strictly increasing")
-        if np.any(values <= 0):
-            bad = int(np.argmax(values <= 0))
-            raise NormalizationError(
-                f"non-positive value {float(values[bad])!r} "
-                f"at t={float(abscissas[bad])!r}"
-            )
-        if values[0] != 1.0:
-            raise ValueError("normalized value at t=0 must be exactly 1")
-        if not (np.isfinite(abscissas).all() and np.isfinite(values).all()):
+        # inf < inf is False, so an overflowed time must fail here, before
+        # the order check could call it out of order.
+        if not all(map(math.isfinite, ts)):
             raise ValueError("abscissas and values must be finite")
-        self.abscissas = abscissas
-        self.values = values
+        if not all(map(operator.lt, ts, ts[1:])):
+            raise ValueError("abscissas must be strictly increasing")
+        # nan <= 0 is False: a nan value fails the last check, not this one
+        if any(map(operator.le, vs, itertools.repeat(0.0))):
+            bad = next(i for i, v in enumerate(vs) if v <= 0.0)
+            raise NormalizationError(f"non-positive value {vs[bad]!r} at t={ts[bad]!r}")
+        if vs[0] != 1.0:
+            raise ValueError("normalized value at t=0 must be exactly 1")
+        if not all(map(math.isfinite, vs)):
+            raise ValueError("abscissas and values must be finite")
+        self._ts = ts
+        self._vs = vs
         self.normalization = normalization
-        self._t_last = float(abscissas[-1])
-        self._interp = _Pchip(abscissas.tolist(), values.tolist())
-        self.abscissas.setflags(write=False)
-        self.values.setflags(write=False)
+        self._t_last = ts[-1]
+        self._interp = _Pchip(ts, vs)
+
+    @cached_property
+    def abscissas(self):
+        """The shifted sample times, as a read-only float64 ndarray."""
+        return _frozen_array(self._ts)
+
+    @cached_property
+    def values(self):
+        """The normalized sample values, as a read-only float64 ndarray."""
+        return _frozen_array(self._vs)
 
     @property
     def domain(self) -> tuple[float, float]:
@@ -229,13 +248,12 @@ def normalize(
     (stored = a + b*raw; must map the first value to 1), 'none' (raw values
     must already start at 1).
     """
-    ts = np.array([t for t, _ in raw], dtype=float)
-    vs = np.array([v for _, v in raw], dtype=float)
-    ts = ts - ts[0]
+    t0, v0 = raw[0]
+    ts = [t - t0 for t, _ in raw]
     if mode == "divide_by_first":
-        if vs[0] == 0.0:
+        if v0 == 0.0:
             raise NormalizationError("first value is zero; cannot divide by it")
-        norm = Normalization(offset=0.0, scale=1.0 / vs[0])
+        norm = Normalization(offset=0.0, scale=1.0 / v0)
     elif mode == "affine":
         if a is None or b is None or b == 0.0:
             raise ValueError("affine mode needs offset a and nonzero scale b")
@@ -244,7 +262,8 @@ def normalize(
         norm = Normalization(offset=0.0, scale=1.0)
     else:
         raise ValueError(f"unknown normalization mode {mode!r}")
-    stored = norm.offset + norm.scale * vs
+    offset, scale = norm.offset, norm.scale
+    stored = [offset + scale * v for _, v in raw]
     if abs(stored[0] - 1.0) > 1e-9:
         raise NormalizationError(
             f"normalized value at t=0 is {stored[0]!r}, must be 1"

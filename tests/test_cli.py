@@ -243,6 +243,29 @@ class TestForecastCommand:
         assert code == 3
         assert err == "error: NormalizationError: non-positive value -1.0 at t=2.0\n"
 
+    def test_unnormalized_start_message(self, capsys, tmp_path):
+        path = tmp_path / "series.csv"
+        path.write_text("0,2\n1,2.2\n2,2.4\n3,2.6\n", encoding="utf-8")
+        code, _, err = invoke(
+            capsys,
+            "forecast", "--csv", str(path), "--normalize", "none", "--x", "1", "--r", "2",
+            "--n-max", "10", "--base", "1",
+        )
+        assert code == 3
+        assert err == "error: NormalizationError: normalized value at t=0 is 2.0, must be 1\n"
+
+    def test_overflowed_time_shift_message(self, capsys, tmp_path):
+        # 1.5e308 - (-1e308) is inf: one error line and no warning before it
+        path = tmp_path / "series.csv"
+        path.write_text("-1e308,1\n0,1\n1e308,1\n1.5e308,1\n", encoding="utf-8")
+        code, _, err = invoke(
+            capsys,
+            "forecast", "--csv", str(path), "--x", "1", "--r", "2", "--n-max", "10",
+            "--base", "1",
+        )
+        assert code == 2
+        assert err == "error: ValueError: abscissas and values must be finite\n"
+
 
 # Runs one command in a fresh interpreter and reports which heavy modules it
 # imported; the command's own output is discarded.
@@ -279,10 +302,9 @@ def test_forecast_does_not_import_scipy(tmp_path):
     path = tmp_path / "series.csv"
     path.write_text("".join(f"{0.25 * i},{1.0 + 0.1 * i}\n" for i in range(12)),
                     encoding="utf-8")
-    code, _, scipy_loaded = _imports_of(
+    assert _imports_of(
         ["forecast", "--csv", str(path), "--x", "1", "--r", "2", "--n-max", "4", "--base", "1"]
-    )
-    assert (code, scipy_loaded) == (0, False)
+    ) == [0, False, False]
 
 
 # The last argv's first sample point, coeff * x = 1e6 * 1e308, is inf.
@@ -377,6 +399,30 @@ def test_cached_parser_keeps_no_values(capsys):
     assert code == 0 and json.loads(out)["config"]["parity"] == "all"
 
 
+# Each config's plan would hold trillions of samples: n_max = ceil(ln 32 / ln r)
+# is about 3.5e12 for r = 1 + 1e-12, and a 40-element base has 2^40 - 1 subsets.
+_PLAN_CAP_ARGVS = [
+    ["estimate", "--function", "cos", "--x", "1", "--r", "1.000000000001", "--cutoff", "32",
+     "--base", "1"],
+    ["estimate", "--function", "cos", "--x", "0", "--r", "1.000000000001", "--cutoff", "32",
+     "--base", "1"],
+    ["sweep", "--function", "cos", "--grid", "0:1:1", "--schedule", "1.000000000001",
+     "--cutoff", "32", "--base", "1"],
+    ["estimate", "--function", "cos", "--x", "1", "--r", "2", "--n-max", "40",
+     "--base", ",".join(map(str, range(1, 41)))],
+]
+
+
+@pytest.mark.parametrize("argv", _PLAN_CAP_ARGVS, ids=["estimate", "x0", "sweep", "base40"])
+def test_plan_cap_is_usage_error(capsys, argv):
+    t0 = time.perf_counter()
+    code, _, err = invoke(capsys, *argv)
+    assert time.perf_counter() - t0 < 1.0
+    assert code == 2
+    assert err.startswith("error: ValueError: ") and err.count("\n") == 1
+    assert "sample plan cap" in err
+
+
 def test_sweep_row_cap_is_usage_error(capsys):
     t0 = time.perf_counter()
     code, _, err = invoke(
@@ -403,15 +449,24 @@ _FUNCTIONS = st.one_of(
 @given(
     function=_FUNCTIONS,
     x=st.floats(allow_nan=False, allow_infinity=False),
-    r=st.floats(min_value=1.0, max_value=1e6, exclude_min=True),
+    # any ratio, or one just above 1, where --cutoff asks for a long plan
+    r=st.one_of(st.floats(min_value=1.0, max_value=1e6, exclude_min=True),
+                st.builds(lambda k: 1.0 + 2.0**-k, st.integers(min_value=1, max_value=52))),
     base=st.lists(st.integers(min_value=1, max_value=3000), min_size=1, max_size=4,
                   unique=True),
-    n_max=st.integers(min_value=0, max_value=1200),
+    truncation=st.one_of(
+        st.tuples(st.just("--n-max"), st.integers(min_value=0, max_value=1200)),
+        st.tuples(st.just("--cutoff"), st.integers(min_value=0, max_value=10**6)),
+    ),
     fmt=st.sampled_from(["json", "csv"]),
 )
-def test_estimate_exits_with_documented_code(function, x, r, base, n_max, fmt):
+@example(function="cos", x=1.0, r=1.000000000001, base=[1], truncation=("--cutoff", 32),
+         fmt="json")
+@example(function="cos", x=1.0, r=2.0, base=list(range(1, 41)), truncation=("--n-max", 40),
+         fmt="json")
+def test_estimate_exits_with_documented_code(function, x, r, base, truncation, fmt):
     argv = ["estimate", "--function", function, f"--x={x!r}", f"--r={r!r}",
-            "--n-max", str(n_max), "--base", ",".join(map(str, base)), "--format", fmt]
+            *map(str, truncation), "--base", ",".join(map(str, base)), "--format", fmt]
     out = io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
         code = run(argv)

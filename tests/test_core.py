@@ -5,12 +5,14 @@ from hypothesis import given, settings, strategies as st
 
 from geomprod.combinatorics import IndexSet, enumerate_subsets
 from geomprod.core import (
+    MAX_SAMPLES,
     GmpConfig,
     coefficient,
     component_estimate,
     cutoff_n_max,
     estimate,
     log_partial_product,
+    plan_samples,
     pollution_exponent,
     reconstruct_from_components,
     sequence_point,
@@ -38,6 +40,22 @@ class TestGmpConfig:
         with pytest.raises(ValueError):
             GmpConfig(r=2.0, n_max=10, base=IndexSet.of(1, 2), parity="even")
         GmpConfig(r=2.0, n_max=10, base=IndexSet.of(2, 4), parity="even")
+
+    @pytest.mark.parametrize("base, n_max", [
+        ((1,), 1), ((1,), 7), ((2, 5), 2), ((1, 2, 3, 4), 40), ((1, 3, 4, 6, 7), 9),
+    ])
+    def test_plan_samples_closed_form(self, base, n_max):
+        cfg = GmpConfig(r=2.0, n_max=n_max, base=IndexSet(base))
+        assert plan_samples(len(base), n_max) == sum(len(p.r_pows) for p in cfg.plan)
+
+    def test_plan_size_cap(self):
+        # the largest n_max a singleton base may take: n_max samples
+        GmpConfig(r=2.0, n_max=MAX_SAMPLES, base=IndexSet.of(1))
+        with pytest.raises(ValueError, match="plan cap"):
+            GmpConfig(r=2.0, n_max=MAX_SAMPLES + 1, base=IndexSet.of(1))
+        # 2^40 subsets are never enumerated: the count is checked first
+        with pytest.raises(ValueError, match="23089744183255 samples"):
+            GmpConfig(r=2.0, n_max=40, base=IndexSet(tuple(range(1, 41))))
 
 
 class TestCoefficient:

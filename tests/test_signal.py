@@ -107,6 +107,25 @@ class TestNormalize:
         with pytest.raises(ValueError, match="one value for each"):
             SampledSignal(np.array([0.0, 1.0]), np.array([1.0]), Normalization(0.0, 1.0))
 
+    @pytest.mark.parametrize("shape", [(2, 2), (3, 1)])
+    def test_two_dimensional_input(self, shape):
+        grid = np.ones(shape)
+        with pytest.raises(ValueError, match="need two or more abscissas and one value for each"):
+            SampledSignal(grid, grid, Normalization(0.0, 1.0))
+
+    def test_inputs_stay_writeable(self):
+        ts, vs = np.array([0.0, 1.0, 2.0]), np.array([1.0, 1.5, 2.0])
+        sig = SampledSignal(ts, vs, Normalization(0.0, 1.0))
+        assert ts.flags.writeable and vs.flags.writeable
+        assert isinstance(sig.values, np.ndarray) and not sig.values.flags.writeable
+        assert not sig.abscissas.flags.writeable
+        assert sig.values.tolist() == [1.0, 1.5, 2.0]
+
+    def test_scale_is_python_float(self):
+        sig = normalize([(0, 2.0), (1, 2.2), (2, 2.6), (3, 2.9)], "divide_by_first")
+        assert type(sig.normalization.scale) is float
+        assert repr(sig.normalization) == "Normalization(offset=0.0, scale=0.5)"
+
     def test_time_shift(self):
         sig = normalize([(5, 2.0), (6, 2.2), (7, 2.4), (8, 2.6)], "divide_by_first")
         assert sig.abscissas[0] == 0.0
