@@ -86,9 +86,7 @@ def _coupling(args) -> tuple[str, int]:
 
 def _config(args) -> core.GmpConfig:
     """The config named by --r, --n-max or --cutoff, --base and --parity."""
-    coupling, n_max = _coupling(args)
-    if coupling == "fixed_cutoff":
-        n_max = core.floored_cutoff_n_max(n_max, args.r, args.base)
+    n_max = core.coupled_n_max(*_coupling(args), args.r, args.base)
     return core.GmpConfig(r=args.r, n_max=n_max, base=args.base, parity=args.parity)
 
 
@@ -138,28 +136,19 @@ def _dumps(obj, **kwargs) -> str:
 
 def _emit_record(record: dict, args) -> None:
     if args.format == "csv":
-        flat = _flatten(record)
-        lines = [",".join(flat), ",".join(_csv_cell(record, key) for key in flat)]
-        _emit("\n".join(lines) + "\n", args)
+        keys, values = zip(*_flatten(record))
+        _emit(",".join(keys) + "\n" + ",".join(map(sweeps._fmt, values)) + "\n", args)
     else:
         _emit(_dumps(record, indent=2, sort_keys=True) + "\n", args)
 
 
-def _flatten(record: dict, prefix: str = "") -> list[str]:
-    keys = []
+def _flatten(record: dict, prefix: str = ""):
+    """(dotted key, value) for every leaf of record, keys sorted at each level."""
     for key, val in sorted(record.items()):
         if isinstance(val, dict):
-            keys.extend(_flatten(val, prefix + key + "."))
+            yield from _flatten(val, prefix + key + ".")
         else:
-            keys.append(prefix + key)
-    return keys
-
-
-def _csv_cell(record: dict, dotted: str) -> str:
-    val = record
-    for part in dotted.split("."):
-        val = val[part]
-    return sweeps._fmt(val)
+            yield prefix + key, val
 
 
 def _add_config_flags(p: argparse.ArgumentParser) -> None:

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Protocol
 
-from .combinatorics import IndexSet, enumerate_subsets, factor_count
+from .combinatorics import IndexSet, enumerate_subsets, factor_count, multiplicity
 from .errors import GeomprodError
 
 
@@ -49,18 +49,10 @@ class GmpConfig:
 
     def __post_init__(self):
         _check_r(self.r)
-        if self.n_max < len(self.base):
-            raise ValueError(
-                f"n_max={self.n_max} must be at least |base|={len(self.base)}"
-            )
-        check_parity(self.parity, self.base)
+        b = len(self.base)
         # Counted in closed form, before any subset is enumerated.
-        samples = plan_samples(len(self.base), self.n_max)
-        if samples > MAX_SAMPLES:
-            raise ValueError(
-                f"n_max={self.n_max} with |base|={len(self.base)} needs {samples} "
-                f"samples per estimate, over the {MAX_SAMPLES}-sample plan cap"
-            )
+        _check_plan(self.n_max, "base", b, plan_samples(b, self.n_max))
+        check_parity(self.parity, self.base)
 
     @cached_property
     def plan(self) -> tuple["SubsetPlan", ...]:
@@ -75,6 +67,18 @@ def plan_samples(b: int, n_max: int) -> int:
     m-element subset contributes n_max - m + 1, and summing over the C(b, m)
     subsets of each size gives (n_max + 1)(2^b - 1) - b 2^(b-1)."""
     return (n_max + 1) * (2**b - 1) - b * 2 ** (b - 1)
+
+
+def _check_plan(n_max: int, name: str, size: int, samples: int) -> None:
+    """Reject an n_max below `size`, the largest subset of the set `name`,
+    and a plan of more than MAX_SAMPLES samples."""
+    if n_max < size:
+        raise ValueError(f"n_max={n_max} must be at least |{name}|={size}")
+    if samples > MAX_SAMPLES:
+        raise ValueError(
+            f"n_max={n_max} with |{name}|={size} needs {samples} "
+            f"samples per estimate, over the {MAX_SAMPLES}-sample plan cap"
+        )
 
 
 def check_parity(parity: str, base: IndexSet) -> None:
@@ -145,7 +149,7 @@ def _subset_plans(subsets, r: float, n_max: int) -> tuple[SubsetPlan, ...]:
     for S in subsets:
         m = len(S)
         if m not in weights:
-            weights[m] = tuple(map(math.comb, range(m - 1, n_max), itertools.repeat(m - 1)))
+            weights[m] = tuple(map(multiplicity, range(m, n_max + 1), itertools.repeat(m)))
         plans.append(SubsetPlan(
             subset=S,
             coeff=coefficient(S, r),
@@ -194,8 +198,7 @@ def log_partial_product(
     f: FunctionSource, S: IndexSet, r: float, x: float, n_max: int
 ) -> LogProduct:
     """Accumulate sum_{n=|S|}^{n_max} binom(n-1, |S|-1) * log f(x_n)."""
-    if n_max < len(S):
-        raise ValueError(f"n_max={n_max} must be at least |S|={len(S)}")
+    _check_plan(n_max, "S", len(S), n_max - len(S) + 1)
     (plan,) = _subset_plans([S], r, n_max)
     return _accumulate(f, plan, x)
 
@@ -273,10 +276,15 @@ def cutoff_n_max(K: float, r: float) -> int:
     _check_r(r)
     if K < 2:
         raise ValueError(f"cutoff must be >= 2, got {K}")
-    return max(1, math.ceil(math.log(K) / math.log(r)))
+    return math.ceil(math.log(K) / math.log(r))
 
 
-def floored_cutoff_n_max(K: float, r: float, base: IndexSet) -> int:
-    """cutoff_n_max(K, r) raised to |base|, so every subset of base has at
-    least one term."""
-    return max(cutoff_n_max(K, r), len(base))
+def coupled_n_max(coupling: str, value: int, r: float, base: IndexSet) -> int:
+    """The n_max a truncation coupling gives at ratio r: 'fixed_n_max' takes
+    value as n_max; 'fixed_cutoff' takes it as the cutoff K of cutoff_n_max,
+    raised to |base| so every subset of base has at least one term."""
+    if coupling == "fixed_n_max":
+        return value
+    if coupling == "fixed_cutoff":
+        return max(cutoff_n_max(value, r), len(base))
+    raise ValueError(f"unknown coupling {coupling!r}")

@@ -269,6 +269,10 @@ def normalize(
             f"normalized value at t=0 is {stored[0]!r}, must be 1"
         )
     stored[0] = 1.0
+    # A raw series of finite numbers can still overflow here, and that is a
+    # normalization failure, not a bad argument.
+    if not (all(map(math.isfinite, ts)) and all(map(math.isfinite, stored))):
+        raise NormalizationError("shifted times and normalized values must be finite")
     return SampledSignal(ts, stored, norm)  # rejects a non-positive stored value
 
 

@@ -10,9 +10,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, fields
+from functools import cached_property
 
 from .combinatorics import IndexSet, factor_count
-from .core import GmpConfig, _check_r, estimate, floored_cutoff_n_max
+from .core import GmpConfig, coupled_n_max, estimate
 from .errors import GeomprodError
 from .oracle import BuiltinFunction
 
@@ -29,7 +30,7 @@ class SweepSpec:
 
     coupling 'fixed_n_max' uses coupling_value as n_max directly;
     'fixed_cutoff' sets n_max = ceil(ln K / ln r) with K = coupling_value,
-    so truncation keeps pace as r drops toward 1.
+    so truncation keeps pace as r drops toward 1 (core.coupled_n_max).
     """
 
     function: BuiltinFunction
@@ -41,12 +42,7 @@ class SweepSpec:
     parity: str = "all"
 
     def __post_init__(self):
-        if self.coupling not in ("fixed_n_max", "fixed_cutoff"):
-            raise ValueError(f"unknown coupling {self.coupling!r}")
-        if self.coupling == "fixed_cutoff" and self.coupling_value < 2:
-            raise ValueError("fixed_cutoff K must be >= 2")
-        for r in self.schedule:
-            _check_r(r)
+        self.configs  # built here, so a bad coupling, cutoff or ratio fails construction
         if self.grid[2] <= 0:
             raise ValueError("grid step must be positive")
         # Checked on the float span, before any list is built: a grid like
@@ -65,9 +61,15 @@ class SweepSpec:
             raise ValueError(f"grid {self.grid} ends outside the float range")
 
     def n_max_for(self, r: float) -> int:
-        if self.coupling == "fixed_n_max":
-            return max(self.coupling_value, len(self.base))
-        return floored_cutoff_n_max(self.coupling_value, r, self.base)
+        return coupled_n_max(self.coupling, self.coupling_value, r, self.base)
+
+    @cached_property
+    def configs(self) -> tuple[GmpConfig, ...]:
+        """One config per ratio of the schedule, in schedule order."""
+        return tuple(
+            GmpConfig(r=r, n_max=self.n_max_for(r), base=self.base, parity=self.parity)
+            for r in self.schedule
+        )
 
     def grid_points(self) -> list[float]:
         start, stop, step = self.grid
@@ -90,8 +92,9 @@ class SweepRow:
 CSV_HEADER = ",".join(field.name for field in fields(SweepRow))
 
 
-def _eval_row(function: BuiltinFunction, x: float, cfg: GmpConfig, count: int) -> SweepRow:
+def _eval_row(function: BuiltinFunction, x: float, cfg: GmpConfig) -> SweepRow:
     r, n_max = cfg.r, cfg.n_max
+    count = factor_count(cfg.base, n_max)
     try:
         reference = function(x)
     except OverflowError:
@@ -110,17 +113,11 @@ def _eval_row(function: BuiltinFunction, x: float, cfg: GmpConfig, count: int) -
 
 
 def grid_eval(spec: SweepSpec) -> list[SweepRow]:
-    """One row per (x, r) pair, ordered by x then r. Each ratio gets one
-    config, so its plan is built once and reused across the grid."""
-    configs = []
-    for r in spec.schedule:
-        n_max = spec.n_max_for(r)
-        cfg = GmpConfig(r=r, n_max=n_max, base=spec.base, parity=spec.parity)
-        configs.append((cfg, factor_count(spec.base, n_max)))
+    """One row per (x, r) pair, ordered by x then r. Each ratio has one
+    config in spec.configs, so its plan is built once and reused across the
+    grid."""
     return [
-        _eval_row(spec.function, x, cfg, count)
-        for x in spec.grid_points()
-        for cfg, count in configs
+        _eval_row(spec.function, x, cfg) for x in spec.grid_points() for cfg in spec.configs
     ]
 
 

@@ -255,16 +255,19 @@ class TestForecastCommand:
         assert err == "error: NormalizationError: normalized value at t=0 is 2.0, must be 1\n"
 
     def test_overflowed_time_shift_message(self, capsys, tmp_path):
-        # 1.5e308 - (-1e308) is inf: one error line and no warning before it
+        # 1.5e308 - (-1e308) is inf, and so is 1e300 / 1e-300: a floating-point
+        # overflow (exit 3), reported in one error line with no warning before it
         path = tmp_path / "series.csv"
-        path.write_text("-1e308,1\n0,1\n1e308,1\n1.5e308,1\n", encoding="utf-8")
-        code, _, err = invoke(
-            capsys,
-            "forecast", "--csv", str(path), "--x", "1", "--r", "2", "--n-max", "10",
-            "--base", "1",
-        )
-        assert code == 2
-        assert err == "error: ValueError: abscissas and values must be finite\n"
+        for text in ("-1e308,1\n0,1\n1e308,1\n1.5e308,1\n", "0,1e-300\n1,1\n2,1e300\n3,1\n"):
+            path.write_text(text, encoding="utf-8")
+            code, _, err = invoke(
+                capsys,
+                "forecast", "--csv", str(path), "--x", "1", "--r", "2", "--n-max", "10",
+                "--base", "1",
+            )
+            assert code == 3
+            assert err == ("error: NormalizationError: "
+                           "shifted times and normalized values must be finite\n")
 
 
 # Runs one command in a fresh interpreter and reports which heavy modules it
@@ -423,6 +426,27 @@ def test_plan_cap_is_usage_error(capsys, argv):
     assert "sample plan cap" in err
 
 
+@pytest.mark.parametrize("n_max, base", [("1", "1,2"), ("0", "1"), ("-3", "1")])
+def test_sweep_n_max_below_base_is_usage_error(capsys, n_max, base):
+    # --n-max is used as given, as in estimate: never raised to |base|
+    code, out, err = invoke(
+        capsys, "sweep", "--function", "cos", "--grid", "0:1:0.5", "--schedule", "2",
+        "--n-max", n_max, "--base", base,
+    )
+    assert (code, out) == (2, "")
+    assert err == (f"error: ValueError: n_max={n_max} must be at least "
+                   f"|base|={len(base.split(','))}\n")
+
+
+def test_sweep_cutoff_error_matches_estimate(capsys):
+    truncation = ("--cutoff", "1", "--base", "1", "--format", "csv")
+    estimate = invoke(capsys, "estimate", "--function", "cos", "--x", "1", "--r", "2",
+                      *truncation)
+    sweep = invoke(capsys, "sweep", "--function", "cos", "--grid", "0:1:0.5",
+                   "--schedule", "2", *truncation)
+    assert estimate == sweep == (2, "", "error: ValueError: cutoff must be >= 2, got 1\n")
+
+
 def test_sweep_row_cap_is_usage_error(capsys):
     t0 = time.perf_counter()
     code, _, err = invoke(
@@ -514,20 +538,26 @@ def _float_or(usual):
                       max_size=3),
     base=st.lists(st.integers(min_value=1, max_value=3000), min_size=1, max_size=3,
                   unique=True),
-    n_max=st.integers(min_value=0, max_value=60),
+    truncation=st.one_of(
+        st.tuples(st.just("--n-max"), st.integers(min_value=-3, max_value=60)),
+        st.tuples(st.just("--cutoff"), st.integers(min_value=-3, max_value=10**6)),
+    ),
 )
-# exp(1e300 * 1e20) is inf without an OverflowError; an infinite ratio
+# exp(1e300 * 1e20) is inf without an OverflowError; an infinite ratio; a
+# fixed n_max below |base|
 @example(function="exp_scaled:1e300", start=1e20, step=1.0, points=0, stop=None,
-         schedule=[2.0], base=[1], n_max=1)
+         schedule=[2.0], base=[1], truncation=("--n-max", 1))
 @example(function="cos", start=0.0, step=0.5, points=2, stop=None, schedule=[math.inf],
-         base=[1], n_max=1)
+         base=[1], truncation=("--n-max", 1))
+@example(function="cos", start=0.0, step=0.5, points=2, stop=None, schedule=[2.0],
+         base=[1], truncation=("--n-max", -3))
 def test_sweep_json_exits_with_documented_code(
-    function, start, step, points, stop, schedule, base, n_max
+    function, start, step, points, stop, schedule, base, truncation
 ):
     if stop is None:
         stop = start + points * step
     argv = ["sweep", "--function", function, f"--grid={start!r}:{stop!r}:{step!r}",
-            "--schedule=" + ",".join(map(repr, schedule)), "--n-max", str(n_max),
+            "--schedule=" + ",".join(map(repr, schedule)), *map(str, truncation),
             "--base", ",".join(map(str, base)), "--format", "json"]
     out = io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):

@@ -9,6 +9,7 @@ from geomprod.core import (
     GmpConfig,
     coefficient,
     component_estimate,
+    coupled_n_max,
     cutoff_n_max,
     estimate,
     log_partial_product,
@@ -139,6 +140,11 @@ class TestLogPartialProduct:
     def test_n_max_below_cardinality(self):
         with pytest.raises(ValueError):
             log_partial_product(ONE, IndexSet.of(1, 2, 3), 2.0, 1.0, 2)
+
+    def test_plan_cap(self):
+        # n_max - |S| + 1 samples over the cap, refused before any r**n is computed
+        with pytest.raises(ValueError, match="plan cap"):
+            log_partial_product(ONE, IndexSet.of(1), 1 + 1e-6, 1.0, MAX_SAMPLES + 1)
 
 
 class _Raising:
@@ -342,3 +348,26 @@ class TestCutoff:
     def test_grows_toward_one(self):
         ns = [cutoff_n_max(32, 1 + 2.0**-t) for t in range(1, 9)]
         assert all(a < b for a, b in zip(ns, ns[1:]))
+
+    def test_at_least_one(self):
+        # ln 2 / ln r > 0 for every finite r > 1, so the ceiling is never 0
+        assert cutoff_n_max(2, 1e300) == cutoff_n_max(2, 1.7976931348623157e308) == 1
+
+
+class TestCoupledNMax:
+    def test_fixed_n_max_is_used_as_given(self):
+        for value in (-3, 0, 1, 40):
+            assert coupled_n_max("fixed_n_max", value, 2.0, IndexSet.of(1, 2)) == value
+
+    def test_fixed_cutoff_is_raised_to_base(self):
+        assert coupled_n_max("fixed_cutoff", 32, SQRT2, IndexSet.of(2, 4)) == 10
+        # ceil(ln 2 / ln 2) = 1, below |base| = 3
+        assert coupled_n_max("fixed_cutoff", 2, 2.0, IndexSet.of(1, 2, 3)) == 3
+
+    def test_checks(self):
+        with pytest.raises(ValueError, match="unknown coupling 'cutoff'"):
+            coupled_n_max("cutoff", 32, 2.0, IndexSet.of(1))
+        with pytest.raises(ValueError, match="cutoff must be >= 2, got 1"):
+            coupled_n_max("fixed_cutoff", 1, 2.0, IndexSet.of(1))
+        with pytest.raises(ValueError, match="ratio r must exceed 1"):
+            coupled_n_max("fixed_cutoff", 32, 1.0, IndexSet.of(1))

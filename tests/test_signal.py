@@ -98,7 +98,7 @@ class TestNormalize:
         [(-1e308, 1.0), (0, 1.0), (1e308, 1.0), (1.5e308, 1.0)],  # so does the shifted time
     ])
     def test_non_finite_after_normalization(self, raw):
-        with pytest.raises(ValueError, match="finite"):
+        with pytest.raises(NormalizationError, match="finite"):
             normalize(raw, "divide_by_first")
 
     def test_too_few_samples(self):

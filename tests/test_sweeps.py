@@ -47,6 +47,34 @@ class TestSweepSpec:
         )
         assert spec.n_max_for(SQRT2) == 10
 
+    def test_configs_one_per_ratio(self):
+        spec = fig1_spec(schedule=(SQRT2, 1.5, 2.0))
+        assert [(cfg.r, cfg.n_max, cfg.base, cfg.parity) for cfg in spec.configs] == [
+            (r, 10, IndexSet.of(2, 4), "even") for r in (SQRT2, 1.5, 2.0)]
+        assert spec.configs is spec.configs
+
+    def test_fixed_n_max_below_base_is_rejected(self):
+        # a fixed n_max is used as given, never raised to |base|
+        with pytest.raises(ValueError, match=r"n_max=1 must be at least \|base\|=2"):
+            SweepSpec(
+                function=COS,
+                grid=(0.0, 1.0, 0.5),
+                schedule=(2.0,),
+                coupling="fixed_n_max",
+                coupling_value=1,
+                base=IndexSet.of(1, 2),
+            )
+
+    def test_coupling_checks(self):
+        def spec(coupling, value):
+            return SweepSpec(function=COS, grid=(0.0, 1.0, 0.5), schedule=(2.0,),
+                             coupling=coupling, coupling_value=value, base=IndexSet.of(1))
+
+        with pytest.raises(ValueError, match="unknown coupling 'fixed_k'"):
+            spec("fixed_k", 10)
+        with pytest.raises(ValueError, match="cutoff must be >= 2, got 1"):
+            spec("fixed_cutoff", 1)
+
     def test_validation(self):
         for r in (1.0, math.inf, math.nan):
             with pytest.raises(ValueError):
