@@ -54,6 +54,18 @@ def parse_finite(text: str) -> float:
     return value
 
 
+def parse_normalize(text: str) -> tuple[str, float | None, float | None]:
+    """'divide_by_first', 'none', or 'affine:A,B' with A and B finite."""
+    if text in ("divide_by_first", "none"):
+        return text, None, None
+    mode, _, params = text.partition(":")
+    if mode != "affine" or params.count(",") != 1:
+        raise argparse.ArgumentTypeError(
+            f"must be divide_by_first, none or affine:A,B, got {text!r}")
+    a, b = map(parse_finite, params.split(","))
+    return mode, a, b
+
+
 def parse_base(text: str) -> IndexSet:
     try:
         elements = tuple(int(tok) for tok in text.split(","))
@@ -212,7 +224,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("forecast", help="forecast a sampled signal from CSV")
     p.add_argument("--csv", required=True, dest="csv_path")
-    p.add_argument("--normalize", default="divide_by_first",
+    p.add_argument("--normalize", default="divide_by_first", type=parse_normalize,
                    help="divide_by_first | none | affine:A,B")
     p.add_argument("--x", required=True, type=parse_finite)
     p.add_argument("--r", required=True, type=parse_ratio)
@@ -293,17 +305,8 @@ def _cmd_count_factors(args) -> int:
     return 0
 
 
-def _parse_normalize(text: str):
-    if text in ("divide_by_first", "none"):
-        return text, None, None
-    if text.startswith("affine:"):
-        a_str, b_str = text[len("affine:"):].split(",")
-        return "affine", float(a_str), float(b_str)
-    raise ValueError(f"unknown normalization mode {text!r}")
-
-
 def _cmd_forecast(args) -> int:
-    mode, a, b = _parse_normalize(args.normalize)
+    mode, a, b = args.normalize
     raw = signal.load_csv(args.csv_path)
     sig = signal.normalize(raw, mode=mode, a=a, b=b)
     result = signal.forecast(sig, args.x, _config(args))

@@ -112,6 +112,13 @@ def compositions_bruteforce(n: int, m: int) -> int:
     return count(n, m)
 
 
+def check_n_max(n_max: int, name: str, size: int) -> None:
+    """Reject an n_max below `size`, the largest subset of the set `name`,
+    which would leave that subset without a term."""
+    if n_max < size:
+        raise ValueError(f"n_max={n_max} must be at least |{name}|={size}")
+
+
 def factor_count(base: IndexSet, n_max: int, k: int | None = None) -> int:
     """Total multiplicity-weighted number of function factors in the full
     quotient generated by `base`, truncated at n_max; with k, only in the
@@ -123,8 +130,7 @@ def factor_count(base: IndexSet, n_max: int, k: int | None = None) -> int:
     whole base, and binomial(j + n_max, j + 1) for the subsets {k} + T with T
     drawn from the j elements of base below k, without enumerating them.
     """
-    if n_max < len(base):
-        raise ValueError(f"n_max={n_max} below largest subset cardinality {len(base)}")
+    check_n_max(n_max, "base", len(base))
     if k is None:
         return math.comb(len(base) + n_max, len(base)) - 1
     if k not in base:

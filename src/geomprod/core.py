@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Protocol
 
-from .combinatorics import IndexSet, enumerate_subsets, factor_count, multiplicity
+from .combinatorics import IndexSet, check_n_max, enumerate_subsets, factor_count, multiplicity
 from .errors import GeomprodError
 
 
@@ -70,10 +70,8 @@ def plan_samples(b: int, n_max: int) -> int:
 
 
 def _check_plan(n_max: int, name: str, size: int, samples: int) -> None:
-    """Reject an n_max below `size`, the largest subset of the set `name`,
-    and a plan of more than MAX_SAMPLES samples."""
-    if n_max < size:
-        raise ValueError(f"n_max={n_max} must be at least |{name}|={size}")
+    """check_n_max, then reject a plan of more than MAX_SAMPLES samples."""
+    check_n_max(n_max, name, size)
     if samples > MAX_SAMPLES:
         raise ValueError(
             f"n_max={n_max} with |{name}|={size} needs {samples} "

@@ -15,7 +15,6 @@ import math
 import operator
 from bisect import bisect_right
 from dataclasses import dataclass
-from functools import cached_property
 
 from .core import Estimate, GmpConfig, estimate
 from .errors import (
@@ -109,7 +108,7 @@ class _Pchip:
 
     __slots__ = ("_ts", "_vs", "_last", "_cubics")
 
-    def __init__(self, ts: list[float], vs: list[float]):
+    def __init__(self, ts: tuple[float, ...], vs: tuple[float, ...]):
         self._ts = ts
         self._vs = vs
         self._last = len(ts) - 2  # the last knot belongs to the last interval
@@ -160,29 +159,21 @@ class _Pchip:
         return 0.0 + c[0] + c[1] * s + c[2] * z + c[3] * (z * s)
 
 
-def _frozen_array(xs: list[float]):
-    """xs as a read-only float64 ndarray; the package's only numpy use."""
-    import numpy as np
-
-    array = np.array(xs, dtype=float)
-    array.setflags(write=False)
-    return array
-
-
 class SampledSignal:
     """Immutable sampled series with a shape-preserving cubic interpolant.
 
     Acts as a FunctionSource over [0, t_last]; queries outside the sampled
-    range raise DomainCoverageError. The series is held as Python lists;
-    numpy is imported only to build the `abscissas` and `values` arrays.
+    range raise DomainCoverageError. `abscissas` (the shifted times) and
+    `values` (the normalized values) are tuples of floats, and the
+    interpolant reads the same tuples.
     """
 
     def __init__(self, abscissas, values, normalization: Normalization):
         try:
-            ts = list(map(float, abscissas))
-            vs = list(map(float, values))
+            ts = tuple(map(float, abscissas))
+            vs = tuple(map(float, values))
         except TypeError:  # a scalar, or the rows of a 2-D array
-            ts = vs = []
+            ts = vs = ()
         if len(ts) < 2 or len(vs) != len(ts):
             raise ValueError("need two or more abscissas and one value for each")
         if ts[0] != 0.0:
@@ -201,21 +192,11 @@ class SampledSignal:
             raise ValueError("normalized value at t=0 must be exactly 1")
         if not all(map(math.isfinite, vs)):
             raise ValueError("abscissas and values must be finite")
-        self._ts = ts
-        self._vs = vs
+        self.abscissas = ts
+        self.values = vs
         self.normalization = normalization
         self._t_last = ts[-1]
         self._interp = _Pchip(ts, vs)
-
-    @cached_property
-    def abscissas(self):
-        """The shifted sample times, as a read-only float64 ndarray."""
-        return _frozen_array(self._ts)
-
-    @cached_property
-    def values(self):
-        """The normalized sample values, as a read-only float64 ndarray."""
-        return _frozen_array(self._vs)
 
     @property
     def domain(self) -> tuple[float, float]:

@@ -201,6 +201,22 @@ class TestForecastCommand:
         assert json.loads(out)["error"]["type"] == "DomainCoverageError"
         assert err.count("\n") == 1  # single-line reason
 
+    @pytest.mark.parametrize("spec, reason", [
+        ("affine:nan,1", "must be a finite number, got 'nan'"),
+        ("affine:inf,1", "must be a finite number, got 'inf'"),
+        ("affine:1,nan", "must be a finite number, got 'nan'"),
+        ("affine:1", "must be divide_by_first, none or affine:A,B, got 'affine:1'"),
+    ])
+    def test_bad_affine_parameters_are_usage_errors(self, capsys, tmp_path, spec, reason):
+        path = self.write_series(tmp_path)
+        code, out, err = invoke(
+            capsys,
+            "forecast", "--csv", str(path), "--normalize", spec, "--x", "1",
+            "--r", "2", "--n-max", "4", "--base", "1",
+        )
+        assert (code, out) == (2, "")
+        assert err == f"error: UsageError: argument --normalize: {reason}\n"
+
     def test_missing_file_is_io_error(self, capsys, tmp_path):
         code, _, err = invoke(
             capsys,
@@ -281,9 +297,21 @@ print(json.dumps([code, "numpy" in sys.modules, "scipy" in sys.modules]))
 """
 
 
-def _imports_of(argv):
+# The library path, series accessors included: load, normalize, read the
+# series back, forecast.
+_LIBRARY_PROBE = """\
+import json, sys
+import geomprod as gp
+sig = gp.normalize(gp.load_csv(sys.argv[1]))
+series = sig.abscissas + sig.values
+gp.forecast(sig, 1.0, gp.GmpConfig(r=2.0, n_max=4, base=gp.IndexSet.of(1)))
+print(json.dumps([len(series), "numpy" in sys.modules, "scipy" in sys.modules]))
+"""
+
+
+def _imports_of(argv, probe=_IMPORT_PROBE):
     env = dict(os.environ, PYTHONPATH=str(Path(geomprod.__file__).parents[1]))
-    proc = subprocess.run([sys.executable, "-c", _IMPORT_PROBE, *argv], env=env,
+    proc = subprocess.run([sys.executable, "-c", probe, *argv], env=env,
                           capture_output=True, text=True, timeout=60, check=True)
     return json.loads(proc.stdout)
 
@@ -308,6 +336,12 @@ def test_forecast_does_not_import_scipy(tmp_path):
     assert _imports_of(
         ["forecast", "--csv", str(path), "--x", "1", "--r", "2", "--n-max", "4", "--base", "1"]
     ) == [0, False, False]
+
+
+def test_library_forecast_imports_neither_numpy_nor_scipy(tmp_path):
+    path = tmp_path / "series.csv"
+    path.write_text(_csv(_RAMP), encoding="utf-8")
+    assert _imports_of([str(path)], _LIBRARY_PROBE) == [24, False, False]
 
 
 # The last argv's first sample point, coeff * x = 1e6 * 1e308, is inf.
@@ -436,6 +470,27 @@ def test_sweep_n_max_below_base_is_usage_error(capsys, n_max, base):
     assert (code, out) == (2, "")
     assert err == (f"error: ValueError: n_max={n_max} must be at least "
                    f"|base|={len(base.split(','))}\n")
+
+
+@pytest.mark.parametrize("command", [
+    ["count-factors"],
+    ["estimate", "--function", "cos", "--x", "1", "--r", "2"],
+    ["component", "--function", "cos", "--k", "1", "--x", "1", "--r", "2"],
+    ["sweep", "--function", "cos", "--grid", "0:1:0.5", "--schedule", "2"],
+    ["forecast", "--csv", "{csv}", "--x", "1", "--r", "2"],
+], ids=lambda command: command[0])
+def test_n_max_below_base_has_one_wording(capsys, tmp_path, command):
+    path = tmp_path / "series.csv"
+    path.write_text(_csv(_RAMP), encoding="utf-8")
+    argv = [str(path) if arg == "{csv}" else arg for arg in command]
+    code, _, err = invoke(capsys, *argv, "--n-max", "1", "--base", "1,2")
+    assert (code, err) == (2, "error: ValueError: n_max=1 must be at least |base|=2\n")
+
+
+def test_count_factors_has_no_sample_cap(capsys):
+    # count-factors samples nothing, so a plan far over MAX_SAMPLES still counts
+    code, out, _ = invoke(capsys, "count-factors", "--base", "1,2", "--n-max", str(10**8))
+    assert (code, out) == (0, f"{math.comb(10**8 + 2, 2) - 1}\n")
 
 
 def test_sweep_cutoff_error_matches_estimate(capsys):
@@ -614,28 +669,59 @@ def _forecast_argv(draw):
 _RAMP = [(0.25 * i, 1.0 + 0.1 * i) for i in range(12)]
 
 
+def _csv(rows, header=False, quote=False, blank_every=0):
+    """rows as forecast CSV text: an optional `t,value` header, every cell
+    in double quotes if quote, and a blank line after every blank_every rows."""
+    q = '"' if quote else ""
+    lines = ["t,value\n"] if header else []
+    for i, (t, v) in enumerate(rows, start=1):
+        lines.append(f"{q}{t!r}{q},{q}{v!r}{q}\n")
+        if blank_every and i % blank_every == 0:
+            lines.append("\n")
+    return "".join(lines)
+
+
+def _wave(rows, t0, step, amplitude):
+    """A long series from a few numbers: 1 + amplitude*sin at `rows` times
+    t0, t0 + step, ...; non-positive somewhere once amplitude exceeds 1."""
+    return [(t0 + i * step, 1.0 + amplitude * math.sin(i * step)) for i in range(rows)]
+
+
+@st.composite
+def _series_csv(draw):
+    # a long smooth series, a short well-formed positive one, or a few arbitrary rows
+    rows = draw(st.one_of(
+        st.builds(_wave, st.integers(4, 8001), st.floats(-100.0, 100.0),
+                  st.floats(1e-3, 2.0), st.floats(0.0, 2.0)),
+        st.builds(lambda step, values: [(i * step, v) for i, v in enumerate(values)],
+                  st.floats(0.25, 2.0), st.lists(st.floats(0.1, 10.0), min_size=4, max_size=20)),
+        st.lists(st.tuples(_ANY_FLOAT, _ANY_FLOAT), max_size=6),
+    ))
+    return _csv(rows, draw(st.booleans()), draw(st.booleans()),
+                draw(st.sampled_from([0, 1, 3, 1000])))
+
+
 @settings(max_examples=100, deadline=None,
           suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(
     argv=st.one_of(_component_argv(), _euler_argv(), _count_factors_argv(), _forecast_argv()),
     fmt=st.sampled_from(["json", "csv"]),
-    # a well-formed positive series, or a few arbitrary rows
-    series=st.one_of(
-        st.builds(lambda step, values: [(i * step, v) for i, v in enumerate(values)],
-                  st.floats(0.25, 2.0), st.lists(st.floats(0.1, 10.0), min_size=4, max_size=20)),
-        st.lists(st.tuples(_ANY_FLOAT, _ANY_FLOAT), max_size=6),
-    ),
+    series=_series_csv(),
 )
 # x = 0 has no finite largest feasible horizon; a first sample point of inf
 @example(argv=["forecast", "--csv", "{csv}", "--x", "0", "--r", "2", "--n-max", "4",
-               "--base", "1"], fmt="json", series=_RAMP)
+               "--base", "1"], fmt="json", series=_csv(_RAMP))
 @example(argv=["forecast", "--csv", "{csv}", "--x", "-0.0", "--r", "2", "--n-max", "4",
-               "--base", "1"], fmt="csv", series=_RAMP)
+               "--base", "1"], fmt="csv", series=_csv(_RAMP))
 @example(argv=["component", "--function", "cos", "--k", "1", "--x", "1e308", "--r", "1e6",
-               "--n-max", "1", "--base", "1"], fmt="json", series=[])
+               "--n-max", "1", "--base", "1"], fmt="json", series="")
+# the longest series, with every layout option
+@example(argv=["forecast", "--csv", "{csv}", "--x", "1", "--r", "2", "--n-max", "40",
+               "--base", "1,2,3,4"], fmt="json",
+         series=_csv(_wave(8001, -3.0, 1e-3, 0.5), header=True, quote=True, blank_every=3))
 def test_other_commands_print_finite_output(tmp_path, argv, fmt, series):
     path = tmp_path / "series.csv"
-    path.write_text("".join(f"{t!r},{v!r}\n" for t, v in series), encoding="utf-8")
+    path.write_text(series, encoding="utf-8")
     argv = [str(path) if arg == "{csv}" else arg for arg in argv] + ["--format", fmt]
     out = io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
