@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Protocol
@@ -30,6 +31,16 @@ class FunctionSource(Protocol):
     signed_log(x) returns (sign, log|f(x)|). Implementations raise
     ZeroSampleError for f(x) == 0, and signal-backed sources additionally
     raise NonPositiveSampleError / DomainCoverageError.
+
+    A source may also define log_batch(points), which the estimator then
+    calls once per subset instead of signed_log once per sample. It takes
+    a lazy iterable of one subset's sample points, in signed_log's order,
+    and returns (logs, negatives): an iterable of log|f| at those points
+    and the positions of the points where f < 0. Its values must equal
+    signed_log's to the bit. Any ValueError or ArithmeticError, raised by
+    log_batch or while its logs are consumed, makes the estimator rerun
+    the subset through signed_log, which raises the typed error; so does a
+    non-finite weighted sum.
     """
 
     def __call__(self, x: float) -> float: ...
@@ -101,7 +112,11 @@ class SubsetPlan:
 
 @dataclass(frozen=True)
 class LogProduct:
-    """One truncated partial product, held as log|value| plus its sign."""
+    """One truncated partial product, held as log|value| plus its sign.
+
+    min_point is the last sample, coeff * x / r**n_max, the one nearest 0.
+    For x < 0 it is the largest sample, not the minimum.
+    """
 
     log_value: float
     sign: int
@@ -157,17 +172,43 @@ def _subset_plans(subsets, r: float, n_max: int) -> tuple[SubsetPlan, ...]:
     return tuple(plans)
 
 
+def _accumulate_batch(f: FunctionSource, plan: SubsetPlan, scaled_x: float) -> LogProduct | None:
+    """_accumulate in one pass through f.log_batch, or None where the scalar
+    loop must rerun: on a ValueError or ArithmeticError, or a non-finite sum."""
+    try:
+        logs, negatives = f.log_batch(
+            map(operator.truediv, itertools.repeat(scaled_x), plan.r_pows))
+        log_value = math.fsum(map(operator.mul, logs, plan.weights))
+    except (ValueError, ArithmeticError):
+        return None
+    if not math.isfinite(log_value):
+        return None
+    flips = sum(plan.weights[i] & 1 for i in negatives)
+    return LogProduct(
+        log_value=log_value,
+        sign=-1 if flips & 1 else 1,
+        term_count=len(plan.weights),
+        min_point=scaled_x / plan.r_pows[-1],
+    )
+
+
 def _accumulate(f: FunctionSource, plan: SubsetPlan, x: float) -> LogProduct:
     """Sum weight * log f(coeff * x / r**n) over the plan's samples.
 
     Compensated summation via math.fsum; negative function values flip the
-    tracked sign when their weight is odd.
+    tracked sign when their weight is odd. A source with log_batch takes
+    the batch path; the scalar loop below defines the result, and every
+    error, for both.
     """
     scaled_x = plan.coeff * x  # coeff * x / r**n, in the formula's own order
     if not math.isfinite(scaled_x):
         raise GeomprodError(
             f"sample point coeff * x overflows for subset {plan.subset} at x={x}"
         )
+    if hasattr(f, "log_batch"):
+        lp = _accumulate_batch(f, plan, scaled_x)
+        if lp is not None:
+            return lp
     terms = []
     sign = 1
     point = 0.0

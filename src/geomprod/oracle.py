@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
@@ -25,6 +26,16 @@ def _cos_signed_log(x: float) -> tuple[int, float]:
     return (1 if v > 0 else -1), math.log(abs(v))
 
 
+def _cos_log_batch(points):
+    values = list(map(math.cos, points))
+    negatives = ()
+    if min(values) < 0.0:
+        negatives = list(itertools.compress(
+            itertools.count(), map(operator.lt, values, itertools.repeat(0.0))))
+    # log(0.0) raises ValueError, so a zero sample reruns the scalar loop
+    return map(math.log, map(abs, values)), negatives
+
+
 def _half_sin_shifted(x: float) -> float:
     return 1.0 + 0.5 * math.sin(x)
 
@@ -33,10 +44,15 @@ def _half_sin_shifted_signed_log(x: float) -> tuple[int, float]:
     return 1, math.log1p(0.5 * math.sin(x))
 
 
+def _half_sin_shifted_log_batch(points):
+    return map(math.log1p, map(operator.mul, itertools.repeat(0.5), map(math.sin, points))), ()
+
+
 class _Tag(NamedTuple):
     """What one builtin tag computes, given the function's c and k."""
 
     evaluators: Callable  # (c, k) -> (f, signed_log), each a function of x alone
+    batch: Callable  # (c, k) -> log_batch, core.FunctionSource's batch form of signed_log
     even: Callable  # k -> whether f is even
     label: Callable  # (c, k) -> str(f)
     taylor: Callable  # (c, k, K_max) -> (n, a_n) pairs of f's Taylor series; other a_n are 0
@@ -45,12 +61,14 @@ class _Tag(NamedTuple):
 _TAGS = {
     "one": _Tag(
         evaluators=lambda c, k: (lambda x: 1.0, lambda x: (1, 0.0)),
+        batch=lambda c, k: lambda points: ((0.0 for _ in points), ()),
         even=lambda k: True,
         label=lambda c, k: "one",
         taylor=lambda c, k, K_max: (),
     ),
     "cos": _Tag(
         evaluators=lambda c, k: (math.cos, _cos_signed_log),
+        batch=lambda c, k: _cos_log_batch,
         even=lambda k: True,
         label=lambda c, k: "cos",
         taylor=lambda c, k, K_max: (
@@ -59,6 +77,7 @@ _TAGS = {
     ),
     "exp_scaled": _Tag(
         evaluators=lambda c, k: (lambda x: math.exp(c * x), lambda x: (1, c * x)),
+        batch=lambda c, k: lambda points: (map(operator.mul, itertools.repeat(c), points), ()),
         even=lambda k: False,
         label=lambda c, k: f"exp_scaled(c={c})",
         taylor=lambda c, k, K_max: (
@@ -67,6 +86,7 @@ _TAGS = {
     ),
     "half_sin_shifted": _Tag(
         evaluators=lambda c, k: (_half_sin_shifted, _half_sin_shifted_signed_log),
+        batch=lambda c, k: _half_sin_shifted_log_batch,
         even=lambda k: False,
         label=lambda c, k: "half_sin_shifted",
         taylor=lambda c, k, K_max: (
@@ -76,6 +96,8 @@ _TAGS = {
     ),
     "monomial_exp": _Tag(
         evaluators=lambda c, k: (lambda x: math.exp(c * x**k), lambda x: (1, c * x**k)),
+        batch=lambda c, k: lambda points: (map(
+            operator.mul, itertools.repeat(c), map(pow, points, itertools.repeat(k))), ()),
         even=lambda k: k % 2 == 0,
         label=lambda c, k: f"monomial_exp(c={c}, k={k})",
         taylor=lambda c, k, K_max: (
@@ -94,7 +116,9 @@ class BuiltinFunction:
 
     signed_log(x) returns (sign, log|f(x)|), computed without under/overflow
     for the exponential tags. It is the tag's evaluator, bound to c and k
-    at construction, so a sample costs one call.
+    at construction, so a sample costs one call. log_batch(points) is its
+    batch form (see core.FunctionSource), bound the same way: the estimator
+    evaluates each subset's samples in one pass of C-level maps.
     """
 
     tag: str
@@ -108,11 +132,13 @@ class BuiltinFunction:
             raise ValueError(f"function constant must be finite, got {self.c}")
         if self.tag == "monomial_exp" and self.k < 1:
             raise ValueError(f"monomial order must be positive, got {self.k}")
-        value, signed_log = _TAGS[self.tag].evaluators(self.c, self.k)
+        tag = _TAGS[self.tag]
+        value, signed_log = tag.evaluators(self.c, self.k)
         # Plain attributes, not fields: eq, hash, repr and replace see only
         # tag, c and k.
         object.__setattr__(self, "_value", value)
         object.__setattr__(self, "signed_log", signed_log)
+        object.__setattr__(self, "log_batch", tag.batch(self.c, self.k))
 
     def __reduce__(self):
         # The evaluators are closures, which pickle cannot store; rebuild them.

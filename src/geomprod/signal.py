@@ -259,6 +259,10 @@ def normalize(
 
 @dataclass(frozen=True)
 class CoverageReport:
+    """ok: every sample point lies in [0, domain_end]. max_required: the
+    sample point farthest from 0, negative for x < 0. max_feasible_x: the
+    largest x > 0 whose samples all lie in the range."""
+
     ok: bool
     max_required: float
     domain_end: float
@@ -267,14 +271,19 @@ class CoverageReport:
 
 def coverage_check(sig: SampledSignal, cfg: GmpConfig, x: float) -> CoverageReport:
     """Check that every geometric sample point for (cfg, x) lies inside the
-    sampled range; report the largest feasible horizon either way."""
+    sampled range; report the largest feasible horizon either way. Every
+    sample of an x < 0 lies at t < 0, so no x < 0 is covered."""
     domain_end = sig.domain[1]
     if x == 0.0:
         return CoverageReport(True, 0.0, domain_end, math.inf)
-    # Each subset's largest sample is its first: coeff * |x| / r^|S|.
-    max_required = max(plan.coeff * abs(x) / plan.r_pows[0] for plan in cfg.plan)
-    feasible = abs(x) * domain_end / max_required
-    return CoverageReport(max_required <= domain_end, max_required, domain_end, feasible)
+    # Each subset's farthest sample is its first: coeff * |x| / r^|S|.
+    farthest = max(plan.coeff * abs(x) / plan.r_pows[0] for plan in cfg.plan)
+    return CoverageReport(
+        x > 0.0 and farthest <= domain_end,
+        math.copysign(farthest, x),
+        domain_end,
+        abs(x) * domain_end / farthest,
+    )
 
 
 @dataclass(frozen=True)
@@ -289,12 +298,16 @@ def forecast(sig: SampledSignal, x: float, cfg: GmpConfig) -> ForecastResult:
     units through the stored normalization record."""
     report = coverage_check(sig, cfg, x)
     if not report.ok:
+        reason = (
+            "a horizon x < 0 samples t < 0, and the signal covers t >= 0 only"
+            if x < 0.0
+            else f"largest feasible x is {report.max_feasible_x:.6g}"
+        )
         raise DomainCoverageError(
             report.max_required,
             0.0,
             report.domain_end,
-            f"forecast at x={x} infeasible; largest feasible x is "
-            f"{report.max_feasible_x:.6g}",
+            f"forecast at x={x} infeasible; {reason}",
         )
     est = estimate(sig, x, cfg)
     return ForecastResult(

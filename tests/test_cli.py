@@ -190,6 +190,20 @@ class TestForecastCommand:
         assert code == 3
         assert "DomainCoverageError" in err
 
+    def test_negative_horizon_is_a_coverage_error(self, capsys, tmp_path):
+        path = self.write_series(tmp_path)
+        code, out, err = invoke(
+            capsys,
+            "forecast", "--csv", str(path), "--normalize", "none", "--x", "-0.5",
+            "--r", "2", "--n-max", "10", "--base", "1,2", "--format", "csv",
+        )
+        assert (code, out) == (3, "")
+        assert err == (
+            "error: DomainCoverageError: abscissa -0.4330127018922193 outside sampled "
+            "range [0.0, 4.0] (forecast at x=-0.5 infeasible; a horizon x < 0 samples "
+            "t < 0, and the signal covers t >= 0 only)\n"
+        )
+
     def test_json_error_object(self, capsys, tmp_path):
         path = self.write_series(tmp_path)
         code, out, err = invoke(

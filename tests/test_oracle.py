@@ -57,9 +57,14 @@ class TestBuiltins:
                   dataclasses.replace(f)):
             assert g == f and hash(g) == hash(f) and repr(g) == repr(f)
             assert g.signed_log(0.7) == f.signed_log(0.7) and g(0.7) == f(0.7)
+            assert list(g.log_batch([0.7])[0]) == list(f.log_batch([0.7])[0])
         moved = dataclasses.replace(f, c=f.c + 1.0)
         assert moved.c == f.c + 1.0 and moved.signed_log(0.7) == BuiltinFunction(
             f.tag, f.c + 1.0, f.k).signed_log(0.7)
+        # the batch evaluator is rebound to the new c as well
+        logs, negatives = moved.log_batch([0.7, 2.0])
+        assert list(logs) == [moved.signed_log(0.7)[1], moved.signed_log(2.0)[1]]
+        assert list(negatives) == ([1] if f.tag == "cos" else [])
 
     def test_unknown_tag(self):
         with pytest.raises(ValueError):

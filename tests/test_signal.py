@@ -236,8 +236,30 @@ class TestCoverageCheck:
             1.0, rel=1e-12
         )
 
+    def test_negative_horizon_is_not_covered(self):
+        # every sample of x < 0 lies at t < 0, outside [0, 4]
+        sig = normalize(half_sin_series(4.0, 0.25), "none")
+        cfg = GmpConfig(r=2.0, n_max=10, base=IndexSet.of(1, 2))
+        report = coverage_check(sig, cfg, -0.5)
+        assert not report.ok
+        # the farthest sample is {2}'s first: sqrt(2^2 - 1) * -0.5 / 2
+        assert report.max_required == pytest.approx(-(3.0**0.5) / 4.0, rel=1e-12)
+        assert report.max_feasible_x == coverage_check(sig, cfg, 0.5).max_feasible_x
+
 
 class TestForecast:
+    def test_negative_horizon_fails_before_sampling(self):
+        sig = normalize(half_sin_series(4.0, 0.25), "none")
+        cfg = GmpConfig(r=2.0, n_max=10, base=IndexSet.of(1, 2))
+        with pytest.raises(DomainCoverageError) as info:
+            forecast(sig, -0.5, cfg)
+        # the coverage check's message, not a sample's "[subset S, n=...]"
+        assert str(info.value) == (
+            f"abscissa {-(3.0**0.5) * 0.5 / 2.0!r} outside sampled range [0.0, 4.0] "
+            "(forecast at x=-0.5 infeasible; a horizon x < 0 samples t < 0, "
+            "and the signal covers t >= 0 only)"
+        )
+
     def test_constant_signal(self):
         sig = normalize([(t, 1.0) for t in (0.0, 1.0, 2.0, 3.0, 4.0)], "none")
         cfg = GmpConfig(r=2.0, n_max=15, base=IndexSet.of(1, 2))
