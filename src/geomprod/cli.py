@@ -75,16 +75,24 @@ def parse_base(text: str) -> IndexSet:
 
 
 def parse_function(text: str) -> oracle.BuiltinFunction:
-    """'one', 'cos', 'half_sin_shifted', 'exp_scaled:C', 'monomial_exp:C,K'."""
+    """'one', 'cos', 'half_sin_shifted', 'exp_scaled:C' or 'monomial_exp:C,K',
+    with C finite and K a positive integer."""
     name, _, args = text.partition(":")
-    if name in ("one", "cos", "half_sin_shifted"):
-        return oracle.BuiltinFunction(name)
-    if name == "exp_scaled":
-        return oracle.exp_scaled(float(args))
-    if name == "monomial_exp":
-        c_str, k_str = args.split(",")
-        return oracle.monomial_exp(float(c_str), int(k_str))
-    raise ValueError(f"unknown function {text!r}")
+    if text in ("one", "cos", "half_sin_shifted"):
+        return oracle.BuiltinFunction(text)
+    if name not in ("one", "cos", "half_sin_shifted", "exp_scaled", "monomial_exp"):
+        raise ValueError(f"unknown function {text!r}")
+    try:
+        if name == "exp_scaled":
+            return oracle.exp_scaled(float(args))
+        if name == "monomial_exp":
+            c_str, k_str = args.split(",")
+            return oracle.monomial_exp(float(c_str), int(k_str))
+    except ValueError:
+        pass
+    raise argparse.ArgumentTypeError(
+        "must be one, cos, half_sin_shifted, exp_scaled:C or monomial_exp:C,K "
+        f"with C finite and K a positive integer, got {text!r}")
 
 
 def _coupling(args) -> tuple[str, int]:

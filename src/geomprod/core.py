@@ -28,19 +28,18 @@ MAX_SAMPLES = 10**6
 class FunctionSource(Protocol):
     """Anything the estimator can sample.
 
-    signed_log(x) returns (sign, log|f(x)|). Implementations raise
-    ZeroSampleError for f(x) == 0, and signal-backed sources additionally
-    raise NonPositiveSampleError / DomainCoverageError.
+    For each subset the estimator takes (logs, negatives): log|f| at the
+    subset's sample points and the positions of the points where f < 0.
 
-    A source may also define log_batch(points), which the estimator then
-    calls once per subset instead of signed_log once per sample. It takes
-    a lazy iterable of one subset's sample points, in signed_log's order,
-    and returns (logs, negatives): an iterable of log|f| at those points
-    and the positions of the points where f < 0. Its values must equal
-    signed_log's to the bit. Any ValueError or ArithmeticError, raised by
-    log_batch or while its logs are consumed, makes the estimator rerun
-    the subset through signed_log, which raises the typed error; so does a
-    non-finite weighted sum.
+    signed_log(x) returns (sign, log|f(x)|), and the estimator calls it once
+    per sample unless the source defines log_batch(points). That takes a
+    lazy iterable of one subset's sample points, in signed_log's order, and
+    returns the pair in one call; its values must equal signed_log's to the
+    bit. Any ValueError or ArithmeticError, raised by log_batch or while its
+    logs are summed, or a non-finite weighted sum, hands the subset to
+    signed_log. So signed_log raises every typed error: ZeroSampleError for
+    f(x) == 0, and for signal-backed sources NonPositiveSampleError and
+    DomainCoverageError as well.
     """
 
     def __call__(self, x: float) -> float: ...
@@ -172,64 +171,70 @@ def _subset_plans(subsets, r: float, n_max: int) -> tuple[SubsetPlan, ...]:
     return tuple(plans)
 
 
-def _accumulate_batch(f: FunctionSource, plan: SubsetPlan, scaled_x: float) -> LogProduct | None:
-    """_accumulate in one pass through f.log_batch, or None where the scalar
-    loop must rerun: on a ValueError or ArithmeticError, or a non-finite sum."""
+def _signed_logs(f: FunctionSource, plan: SubsetPlan, scaled_x: float) -> tuple[list, list]:
+    """(logs, negatives) through f.signed_log, one call per sample: log|f| at
+    the plan's samples and the positions where f < 0. A GeomprodError or an
+    ArithmeticError keeps its type and gains the sample's [subset S, n=…];
+    an ArithmeticError, which names no sample, gains its abscissa too."""
+    logs = []
+    negatives = []
     try:
-        logs, negatives = f.log_batch(
-            map(operator.truediv, itertools.repeat(scaled_x), plan.r_pows))
-        log_value = math.fsum(map(operator.mul, logs, plan.weights))
-    except (ValueError, ArithmeticError):
-        return None
-    if not math.isfinite(log_value):
-        return None
-    flips = sum(plan.weights[i] & 1 for i in negatives)
-    return LogProduct(
-        log_value=log_value,
-        sign=-1 if flips & 1 else 1,
-        term_count=len(plan.weights),
-        min_point=scaled_x / plan.r_pows[-1],
-    )
+        # A for loop with its own division, not map: Python 3.11 inlines the
+        # signed_log calls made from it, which makes a SampledSignal estimate
+        # about 15 % faster (3.11.7).
+        for r_n in plan.r_pows:
+            point = scaled_x / r_n
+            s, log_f = f.signed_log(point)
+            if s < 0:
+                negatives.append(len(logs))
+            logs.append(log_f)
+    except (GeomprodError, ArithmeticError) as e:
+        n = len(plan.subset) + len(logs)  # one log per sample before the failing one
+        at = "" if isinstance(e, GeomprodError) else f" at sample abscissa {point!r}"
+        e.args = (f"{e.args[-1] if e.args else ''}{at} [subset {plan.subset}, n={n}]",)
+        raise
+    return logs, negatives
 
 
 def _accumulate(f: FunctionSource, plan: SubsetPlan, x: float) -> LogProduct:
     """Sum weight * log f(coeff * x / r**n) over the plan's samples.
 
-    Compensated summation via math.fsum; negative function values flip the
-    tracked sign when their weight is odd. A source with log_batch takes
-    the batch path; the scalar loop below defines the result, and every
-    error, for both.
+    The (logs, negatives) pair comes from one f.log_batch call where f has
+    one, and from _signed_logs where it has none or gives up (see
+    FunctionSource). The sum is compensated (math.fsum); a negative value
+    flips the sign when its weight is odd.
     """
     scaled_x = plan.coeff * x  # coeff * x / r**n, in the formula's own order
     if not math.isfinite(scaled_x):
         raise GeomprodError(
             f"sample point coeff * x overflows for subset {plan.subset} at x={x}"
         )
+    log_value = math.nan
     if hasattr(f, "log_batch"):
-        lp = _accumulate_batch(f, plan, scaled_x)
-        if lp is not None:
-            return lp
-    terms = []
-    sign = 1
-    point = 0.0
-    try:
-        for r_n, w in zip(plan.r_pows, plan.weights):
-            point = scaled_x / r_n
-            s, log_f = f.signed_log(point)
-            if s < 0 and w & 1:
-                sign = -sign
-            terms.append(log_f * w)
-    except GeomprodError as e:
-        n = len(plan.subset) + len(terms)  # one term per sample before the failing one
-        e.args = (f"{e.args[0]} [subset {plan.subset}, n={n}]",)
-        raise
-    log_value = math.fsum(terms)
+        try:
+            logs, negatives = f.log_batch(
+                map(operator.truediv, itertools.repeat(scaled_x), plan.r_pows))
+            log_value = math.fsum(map(operator.mul, logs, plan.weights))
+        except (ValueError, ArithmeticError):
+            pass
     if not math.isfinite(log_value):
-        raise GeomprodError(
-            f"non-finite partial product accumulation for subset {plan.subset} at x={x}"
-        )
+        logs, negatives = _signed_logs(f, plan, scaled_x)
+        try:
+            log_value = math.fsum(map(operator.mul, logs, plan.weights))
+        except ArithmeticError as e:  # fsum's "intermediate overflow"
+            e.args = (f"{e} [subset {plan.subset}]",)
+            raise
+        if not math.isfinite(log_value):
+            raise GeomprodError(
+                f"non-finite partial product accumulation for subset {plan.subset} at x={x}"
+            )
+    # The weights' sum has the parity of the count of odd weights in it.
+    sign = -1 if sum(map(plan.weights.__getitem__, negatives)) & 1 else 1
     return LogProduct(
-        log_value=log_value, sign=sign, term_count=len(terms), min_point=point
+        log_value=log_value,
+        sign=sign,
+        term_count=len(plan.weights),
+        min_point=scaled_x / plan.r_pows[-1],
     )
 
 

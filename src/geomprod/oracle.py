@@ -19,40 +19,30 @@ from .core import coefficient
 from .errors import ZeroSampleError
 
 
-def _cos_signed_log(x: float) -> tuple[int, float]:
+def _cos_signed_log(c: float, k: int, x: float) -> tuple[int, float]:
     v = math.cos(x)
     if v == 0.0:
         raise ZeroSampleError(x)
     return (1 if v > 0 else -1), math.log(abs(v))
 
 
-def _cos_log_batch(points):
+def _cos_log_batch(c: float, k: int, points):
     values = list(map(math.cos, points))
     negatives = ()
     if min(values) < 0.0:
         negatives = list(itertools.compress(
             itertools.count(), map(operator.lt, values, itertools.repeat(0.0))))
-    # log(0.0) raises ValueError, so a zero sample reruns the scalar loop
+    # log(0.0) raises ValueError, so a zero sample hands the subset to
+    # signed_log, which raises ZeroSampleError
     return map(math.log, map(abs, values)), negatives
 
 
-def _half_sin_shifted(x: float) -> float:
-    return 1.0 + 0.5 * math.sin(x)
-
-
-def _half_sin_shifted_signed_log(x: float) -> tuple[int, float]:
-    return 1, math.log1p(0.5 * math.sin(x))
-
-
-def _half_sin_shifted_log_batch(points):
-    return map(math.log1p, map(operator.mul, itertools.repeat(0.5), map(math.sin, points))), ()
-
-
 class _Tag(NamedTuple):
-    """What one builtin tag computes, given the function's c and k."""
+    """What one builtin tag computes, as plain functions of its c and k."""
 
-    evaluators: Callable  # (c, k) -> (f, signed_log), each a function of x alone
-    batch: Callable  # (c, k) -> log_batch, core.FunctionSource's batch form of signed_log
+    value: Callable  # (c, k, x) -> f(x)
+    signed_log: Callable  # (c, k, x) -> (sign, log|f(x)|)
+    log_batch: Callable  # (c, k, points) -> core.FunctionSource's batch form of signed_log
     even: Callable  # k -> whether f is even
     label: Callable  # (c, k) -> str(f)
     taylor: Callable  # (c, k, K_max) -> (n, a_n) pairs of f's Taylor series; other a_n are 0
@@ -60,15 +50,17 @@ class _Tag(NamedTuple):
 
 _TAGS = {
     "one": _Tag(
-        evaluators=lambda c, k: (lambda x: 1.0, lambda x: (1, 0.0)),
-        batch=lambda c, k: lambda points: ((0.0 for _ in points), ()),
+        value=lambda c, k, x: 1.0,
+        signed_log=lambda c, k, x: (1, 0.0),
+        log_batch=lambda c, k, points: ((0.0 for _ in points), ()),
         even=lambda k: True,
         label=lambda c, k: "one",
         taylor=lambda c, k, K_max: (),
     ),
     "cos": _Tag(
-        evaluators=lambda c, k: (math.cos, _cos_signed_log),
-        batch=lambda c, k: _cos_log_batch,
+        value=lambda c, k, x: math.cos(x),
+        signed_log=_cos_signed_log,
+        log_batch=_cos_log_batch,
         even=lambda k: True,
         label=lambda c, k: "cos",
         taylor=lambda c, k, K_max: (
@@ -76,8 +68,9 @@ _TAGS = {
         ),
     ),
     "exp_scaled": _Tag(
-        evaluators=lambda c, k: (lambda x: math.exp(c * x), lambda x: (1, c * x)),
-        batch=lambda c, k: lambda points: (map(operator.mul, itertools.repeat(c), points), ()),
+        value=lambda c, k, x: math.exp(c * x),
+        signed_log=lambda c, k, x: (1, c * x),
+        log_batch=lambda c, k, points: (map(operator.mul, itertools.repeat(c), points), ()),
         even=lambda k: False,
         label=lambda c, k: f"exp_scaled(c={c})",
         taylor=lambda c, k, K_max: (
@@ -85,8 +78,10 @@ _TAGS = {
         ),
     ),
     "half_sin_shifted": _Tag(
-        evaluators=lambda c, k: (_half_sin_shifted, _half_sin_shifted_signed_log),
-        batch=lambda c, k: _half_sin_shifted_log_batch,
+        value=lambda c, k, x: 1.0 + 0.5 * math.sin(x),
+        signed_log=lambda c, k, x: (1, math.log1p(0.5 * math.sin(x))),
+        log_batch=lambda c, k, points: (map(
+            math.log1p, map(operator.mul, itertools.repeat(0.5), map(math.sin, points))), ()),
         even=lambda k: False,
         label=lambda c, k: "half_sin_shifted",
         taylor=lambda c, k, K_max: (
@@ -95,8 +90,9 @@ _TAGS = {
         ),
     ),
     "monomial_exp": _Tag(
-        evaluators=lambda c, k: (lambda x: math.exp(c * x**k), lambda x: (1, c * x**k)),
-        batch=lambda c, k: lambda points: (map(
+        value=lambda c, k, x: math.exp(c * x**k),
+        signed_log=lambda c, k, x: (1, c * x**k),
+        log_batch=lambda c, k, points: (map(
             operator.mul, itertools.repeat(c), map(pow, points, itertools.repeat(k))), ()),
         even=lambda k: k % 2 == 0,
         label=lambda c, k: f"monomial_exp(c={c}, k={k})",
@@ -115,10 +111,9 @@ class BuiltinFunction:
     (1 + sin(x)/2), 'monomial_exp' (exp(c*x^k)).
 
     signed_log(x) returns (sign, log|f(x)|), computed without under/overflow
-    for the exponential tags. It is the tag's evaluator, bound to c and k
-    at construction, so a sample costs one call. log_batch(points) is its
-    batch form (see core.FunctionSource), bound the same way: the estimator
-    evaluates each subset's samples in one pass of C-level maps.
+    for the exponential tags. log_batch(points) is its batch form (see
+    core.FunctionSource): the estimator evaluates each subset's samples in
+    one pass of C-level maps.
     """
 
     tag: str
@@ -132,24 +127,19 @@ class BuiltinFunction:
             raise ValueError(f"function constant must be finite, got {self.c}")
         if self.tag == "monomial_exp" and self.k < 1:
             raise ValueError(f"monomial order must be positive, got {self.k}")
-        tag = _TAGS[self.tag]
-        value, signed_log = tag.evaluators(self.c, self.k)
-        # Plain attributes, not fields: eq, hash, repr and replace see only
-        # tag, c and k.
-        object.__setattr__(self, "_value", value)
-        object.__setattr__(self, "signed_log", signed_log)
-        object.__setattr__(self, "log_batch", tag.batch(self.c, self.k))
-
-    def __reduce__(self):
-        # The evaluators are closures, which pickle cannot store; rebuild them.
-        return BuiltinFunction, (self.tag, self.c, self.k)
 
     @property
     def even(self) -> bool:
         return _TAGS[self.tag].even(self.k)
 
     def __call__(self, x: float) -> float:
-        return self._value(x)
+        return _TAGS[self.tag].value(self.c, self.k, x)
+
+    def signed_log(self, x: float) -> tuple[int, float]:
+        return _TAGS[self.tag].signed_log(self.c, self.k, x)
+
+    def log_batch(self, points):
+        return _TAGS[self.tag].log_batch(self.c, self.k, points)
 
     def __str__(self) -> str:
         return _TAGS[self.tag].label(self.c, self.k)

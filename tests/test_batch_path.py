@@ -1,6 +1,6 @@
-"""The batch path (a source's log_batch) against the scalar loop (its
-signed_log): the same Estimates and LogProducts to the bit, or the same
-error type and message."""
+"""A source's log_batch against its signed_log, one call per sample: the
+same Estimates and LogProducts to the bit, or the same error type and
+message."""
 
 import math
 
@@ -8,38 +8,40 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from geomprod.combinatorics import IndexSet
-from geomprod.core import GmpConfig, coefficient, estimate, log_partial_product
+from geomprod.core import GmpConfig, coefficient, estimate, log_partial_product, plan_samples
 from geomprod.errors import ZeroSampleError
 from geomprod.oracle import COS, HALF_SIN_SHIFTED, ONE, exp_scaled, monomial_exp
 from geomprod.sweeps import DEFAULT_SCHEDULE, SweepSpec, grid_eval
 
 
-class _ScalarOnly:
+class _SignedLogOnly:
     """A builtin seen through __call__ and signed_log alone, so the
-    estimator takes the scalar loop."""
+    estimator calls signed_log once per sample; calls counts those calls."""
 
     def __init__(self, inner):
         self.inner = inner
+        self.calls = 0
 
     def __call__(self, x):
         return self.inner(x)
 
     def signed_log(self, x):
+        self.calls += 1
         return self.inner.signed_log(x)
 
 
 class _BatchOnly:
     """A builtin's log_batch with a signed_log that fails the test, so a
-    result proves the batch path produced it."""
+    result proves log_batch produced it."""
 
     def __init__(self, inner):
         self.log_batch = inner.log_batch
 
     def __call__(self, x):
-        raise AssertionError("scalar loop ran")
+        raise AssertionError("__call__ ran")
 
     def signed_log(self, x):
-        raise AssertionError("scalar loop ran")
+        raise AssertionError("signed_log ran")
 
 
 def _outcome(fn, *args):
@@ -53,7 +55,7 @@ def _outcome(fn, *args):
 
 def _same_through_both(fn, f, *args):
     batch = _outcome(fn, f, *args)
-    assert batch == _outcome(fn, _ScalarOnly(f), *args)
+    assert batch == _outcome(fn, _SignedLogOnly(f), *args)
     return batch
 
 
@@ -77,14 +79,24 @@ class TestBothPathsAgree:
     @settings(max_examples=200, deadline=None)
     def test_every_builtin(self, case):
         f, cfg, x = case
-        _same_through_both(estimate, f, x, cfg)
+        counted = _SignedLogOnly(f)
+        out = _outcome(estimate, counted, x, cfg)
+        assert out == _outcome(estimate, f, x, cfg)
+        if out.startswith("Estimate("):  # one signed_log call per sample, none at x = 0
+            assert counted.calls == (plan_samples(len(cfg.base), cfg.n_max) if x else 0)
         for plan in cfg.plan:
             _same_through_both(log_partial_product, f, plan.subset, cfg.r, x, cfg.n_max)
 
     def test_fig2_grid(self):
         cfg = GmpConfig(r=2.0, n_max=40, base=IndexSet.of(1, 2, 3, 4))
+        assert plan_samples(4, 40) == 583
+        counted = _SignedLogOnly(HALF_SIN_SHIFTED)
         for i in range(81):
-            _same_through_both(estimate, HALF_SIN_SHIFTED, 0.05 * i, cfg)
+            before = counted.calls
+            x = 0.05 * i
+            assert repr(estimate(counted, x, cfg)) == repr(estimate(HALF_SIN_SHIFTED, x, cfg))
+            assert counted.calls - before == (583 if i else 0)
+        assert counted.calls == 46_640
 
     def test_default_sweep(self):
         def rows(f):
@@ -95,7 +107,9 @@ class TestBothPathsAgree:
 
         batch = rows(COS)
         assert len(batch) == 488
-        assert repr(batch) == repr(rows(_ScalarOnly(COS)))
+        counted = _SignedLogOnly(COS)
+        assert repr(batch) == repr(rows(counted))
+        assert counted.calls == 320_820
 
 
 class TestSign:
@@ -110,18 +124,18 @@ class TestSign:
         # n = 2 at 2.5 (cos < 0, weight 1); every later sample is positive
         lp = self._product(_BatchOnly(COS), 2.5)
         assert lp.sign == -1
-        assert repr(lp) == repr(self._product(_ScalarOnly(COS), 2.5))
+        assert repr(lp) == repr(self._product(_SignedLogOnly(COS), 2.5))
 
     def test_negative_sample_at_even_weight_does_not(self):
         # n = 2 at 5.0 (cos > 0), n = 3 at 2.5 (cos < 0, weight 2)
         lp = self._product(_BatchOnly(COS), 5.0)
         assert lp.sign == 1
-        assert repr(lp) == repr(self._product(_ScalarOnly(COS), 5.0))
+        assert repr(lp) == repr(self._product(_SignedLogOnly(COS), 5.0))
 
 
 class TestFallback:
-    """Each case makes the batch path give up, so the scalar loop reruns and
-    raises its own error, unchanged."""
+    """Each case makes log_batch give up, so the subset goes through
+    signed_log, which raises the error."""
 
     def test_exp_accumulation_overflows_to_inf(self):
         # at r = 1e10 the terms are about 1e300 * 1e9 / 1e10^(n-1): the
@@ -129,14 +143,14 @@ class TestFallback:
         f, S = exp_scaled(1e300), IndexSet.of(1)
         out = _same_through_both(log_partial_product, f, S, 1e10, 1e9, 5)
         assert "non-finite partial product accumulation" in out
-        with pytest.raises(AssertionError, match="scalar loop ran"):
+        with pytest.raises(AssertionError, match="signed_log ran"):
             log_partial_product(_BatchOnly(f), S, 1e10, 1e9, 5)
 
     def test_monomial_power_overflows(self):
         f, S = monomial_exp(1.0, 200), IndexSet.of(1)
         out = _same_through_both(log_partial_product, f, S, 2.0, 100.0, 10)
         assert "OverflowError" in out
-        with pytest.raises(AssertionError, match="scalar loop ran"):
+        with pytest.raises(AssertionError, match="signed_log ran"):
             log_partial_product(_BatchOnly(f), S, 2.0, 100.0, 10)
 
     def test_fsum_intermediate_overflow(self):
@@ -144,7 +158,7 @@ class TestFallback:
         f, S = exp_scaled(1e300), IndexSet.of(1)
         out = _same_through_both(log_partial_product, f, S, 2.0, 2e8, 10)
         assert "intermediate overflow in fsum" in out
-        with pytest.raises(AssertionError, match="scalar loop ran"):
+        with pytest.raises(AssertionError, match="signed_log ran"):
             log_partial_product(_BatchOnly(f), S, 2.0, 2e8, 10)
 
     def test_zero_sample_of_a_user_source(self):
@@ -159,7 +173,7 @@ class TestFallback:
                 return (1 if v > 0 else -1), math.log(abs(v))
 
             def log_batch(self, points):
-                # log(0.0) raises ValueError: the scalar loop reruns
+                # log(0.0) raises ValueError: signed_log takes the subset
                 return [math.log(abs(1.0 - p)) for p in points], ()
 
         # S={1}, r=2, x=2 samples the exact zero at 1.0, the first sample

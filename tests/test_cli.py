@@ -38,6 +38,20 @@ class TestFlagParsing:
         with pytest.raises(ValueError):
             parse_function("tan")
 
+    @pytest.mark.parametrize("spec", [
+        "cos:3", "one:junk", "half_sin_shifted:", "exp_scaled", "exp_scaled:abc",
+        "exp_scaled:inf", "monomial_exp:1", "monomial_exp:1,2,3", "monomial_exp:1,2.5",
+        "monomial_exp:1,0",
+    ])
+    def test_function_argument_is_checked(self, capsys, spec):
+        code, _, err = invoke(capsys, "estimate", "--function", spec, "--x", "1", "--r", "2",
+                              "--n-max", "4", "--base", "1")
+        assert code == 2
+        assert err == (
+            "error: UsageError: argument --function: must be one, cos, half_sin_shifted, "
+            "exp_scaled:C or monomial_exp:C,K with C finite and K a positive integer, "
+            f"got {spec!r}\n")
+
 
 class TestEstimateCommand:
     def test_fig1_point(self, capsys):
@@ -381,6 +395,24 @@ def test_overflow_is_domain_error(capsys, argv, error):
     assert code == 3
     assert err.startswith(f"error: {error}:") and err.count("\n") == 1
     assert json.loads(out)["error"]["type"] == error
+
+
+# A sample's overflow names its abscissa, subset and n; fsum's names the subset.
+@pytest.mark.parametrize(
+    "function, x, message",
+    [
+        ("monomial_exp:1,200", "100",
+         "Numerical result out of range at sample abscissa 50.0 [subset {1}, n=1]"),
+        ("exp_scaled:1e300", "2e8", "intermediate overflow in fsum [subset {1}]"),
+    ],
+    ids=["sample", "fsum"],
+)
+def test_overflow_names_its_subset(capsys, function, x, message):
+    code, out, err = invoke(capsys, "estimate", "--function", function, "--x", x, "--r", "2",
+                            "--n-max", "10", "--base", "1")
+    assert code == 3
+    assert err == f"error: OverflowError: {message}\n"
+    assert json.loads(out)["error"] == {"type": "OverflowError", "message": message}
 
 
 @pytest.mark.parametrize("x", ["inf", "nan"])

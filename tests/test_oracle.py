@@ -61,7 +61,7 @@ class TestBuiltins:
         moved = dataclasses.replace(f, c=f.c + 1.0)
         assert moved.c == f.c + 1.0 and moved.signed_log(0.7) == BuiltinFunction(
             f.tag, f.c + 1.0, f.k).signed_log(0.7)
-        # the batch evaluator is rebound to the new c as well
+        # log_batch reads the new c as well
         logs, negatives = moved.log_batch([0.7, 2.0])
         assert list(logs) == [moved.signed_log(0.7)[1], moved.signed_log(2.0)[1]]
         assert list(negatives) == ([1] if f.tag == "cos" else [])
