@@ -33,13 +33,17 @@ class FunctionSource(Protocol):
 
     signed_log(x) returns (sign, log|f(x)|), and the estimator calls it once
     per sample unless the source defines log_batch(points). That takes a
-    lazy iterable of one subset's sample points, in signed_log's order, and
-    returns the pair in one call; its values must equal signed_log's to the
-    bit. Any ValueError or ArithmeticError, raised by log_batch or while its
-    logs are summed, or a non-finite weighted sum, hands the subset to
-    signed_log. So signed_log raises every typed error: ZeroSampleError for
-    f(x) == 0, and for signal-backed sources NonPositiveSampleError and
-    DomainCoverageError as well.
+    lazy iterable of sample points on one geometric sequence, in signed_log's
+    order, and returns the pair in one call; its values must equal
+    signed_log's to the bit. Subsets whose sequences coincide (equal
+    coefficients: at r = 2, S and S + {1}) share one log_batch call per
+    estimate, over the points of the longest run, and each later subset
+    sums a suffix of its logs. Any ValueError or
+    ArithmeticError, raised by log_batch or while its logs are summed, or a
+    non-finite weighted sum, hands the subset to signed_log. So signed_log
+    raises every typed error: ZeroSampleError for f(x) == 0, and for
+    signal-backed sources NonPositiveSampleError and DomainCoverageError as
+    well.
     """
 
     def __call__(self, x: float) -> float: ...
@@ -101,12 +105,25 @@ def check_parity(parity: str, base: IndexSet) -> None:
 class SubsetPlan:
     """The part of one subset's partial product that does not depend on x:
     sample n, for n = |S|..n_max, lies at coeff * x / r**n and carries
-    weight binom(n-1, |S|-1)."""
+    weight binom(n-1, |S|-1). odd is |S| odd (a numerator factor), top the
+    greatest element of S.
+
+    seq is the plan index of the first subset whose coefficient compares
+    equal to this one's: its samples run from n = |S| - skip, so this
+    subset's are the suffix after its first skip. seq is the subset's own
+    index (and skip 0) when no earlier subset samples its sequence; keep
+    marks a subset whose batch logs a later one reuses.
+    """
 
     subset: IndexSet
     coeff: float
     r_pows: tuple[float, ...]  # r**n
     weights: tuple[int, ...]  # binom(n-1, |S|-1)
+    odd: bool
+    top: int
+    seq: int
+    skip: int
+    keep: bool
 
 
 @dataclass(frozen=True)
@@ -153,22 +170,36 @@ def sequence_point(S: IndexSet, r: float, x: float, n: int) -> float:
 
 
 def _subset_plans(subsets, r: float, n_max: int) -> tuple[SubsetPlan, ...]:
-    """Plans for `subsets`. r**n is computed once for n = 1..n_max and the
-    weights once per cardinality; the records share them."""
+    """Plans for `subsets`, given cardinality-major as enumerate_subsets
+    orders them. r**n is computed once for n = 1..n_max and the weights once
+    per cardinality; the records share them. A subset whose coefficient
+    compares equal to an earlier one's reuses that subset's sequence: the
+    earlier is no larger, so its run is no shorter."""
     r_pows = tuple(map(pow, itertools.repeat(r), range(1, n_max + 1)))
     weights: dict[int, tuple[int, ...]] = {}
-    plans = []
-    for S in subsets:
+    firsts: dict[float, int] = {}  # coefficient -> first plan index with it
+    rows = []
+    for i, S in enumerate(subsets):
         m = len(S)
         if m not in weights:
             weights[m] = tuple(map(multiplicity, range(m, n_max + 1), itertools.repeat(m)))
-        plans.append(SubsetPlan(
+        coeff = coefficient(S, r)
+        rows.append((S, m, coeff, firsts.setdefault(coeff, i)))
+    reused = {seq for i, (*_, seq) in enumerate(rows) if seq != i}
+    return tuple(
+        SubsetPlan(
             subset=S,
-            coeff=coefficient(S, r),
+            coeff=coeff,
             r_pows=r_pows[m - 1:],
             weights=weights[m],
-        ))
-    return tuple(plans)
+            odd=m % 2 == 1,
+            top=S.max_element,
+            seq=seq,
+            skip=m - rows[seq][1],
+            keep=i in reused,
+        )
+        for i, (S, m, coeff, seq) in enumerate(rows)
+    )
 
 
 def _signed_logs(f: FunctionSource, plan: SubsetPlan, scaled_x: float) -> tuple[list, list]:
@@ -196,13 +227,15 @@ def _signed_logs(f: FunctionSource, plan: SubsetPlan, scaled_x: float) -> tuple[
     return logs, negatives
 
 
-def _accumulate(f: FunctionSource, plan: SubsetPlan, x: float) -> LogProduct:
-    """Sum weight * log f(coeff * x / r**n) over the plan's samples.
+def _log_sum(f: FunctionSource, plan: SubsetPlan, x: float, seqs: dict) -> tuple[float, int]:
+    """(log|P|, sign of P) for the subset's partial product P: the sum of
+    weight * log|f(coeff * x / r**n)| over the plan's samples, compensated
+    (math.fsum), and -1 when the weights of the negative values sum to odd.
 
-    The (logs, negatives) pair comes from one f.log_batch call where f has
-    one, and from _signed_logs where it has none or gives up (see
-    FunctionSource). The sum is compensated (math.fsum); a negative value
-    flips the sign when its weight is odd.
+    Where f has log_batch, the (logs, negatives) pair is the suffix of an
+    earlier subset's in `seqs` (plan.seq, see SubsetPlan), or comes from one
+    f.log_batch call, stored in `seqs` when plan.keep. Where f has none or
+    gives up, it comes from _signed_logs (see FunctionSource).
     """
     scaled_x = plan.coeff * x  # coeff * x / r**n, in the formula's own order
     if not math.isfinite(scaled_x):
@@ -212,8 +245,16 @@ def _accumulate(f: FunctionSource, plan: SubsetPlan, x: float) -> LogProduct:
     log_value = math.nan
     if hasattr(f, "log_batch"):
         try:
-            logs, negatives = f.log_batch(
-                map(operator.truediv, itertools.repeat(scaled_x), plan.r_pows))
+            if plan.seq in seqs:
+                logs, negatives = seqs[plan.seq]
+                skip = plan.skip
+                logs = logs[skip:]
+                negatives = [i - skip for i in negatives if i >= skip]
+            else:
+                logs, negatives = f.log_batch(
+                    map(operator.truediv, itertools.repeat(scaled_x), plan.r_pows))
+                if plan.keep:
+                    logs, negatives = seqs[plan.seq] = list(logs), list(negatives)
             log_value = math.fsum(map(operator.mul, logs, plan.weights))
         except (ValueError, ArithmeticError):
             pass
@@ -229,13 +270,7 @@ def _accumulate(f: FunctionSource, plan: SubsetPlan, x: float) -> LogProduct:
                 f"non-finite partial product accumulation for subset {plan.subset} at x={x}"
             )
     # The weights' sum has the parity of the count of odd weights in it.
-    sign = -1 if sum(map(plan.weights.__getitem__, negatives)) & 1 else 1
-    return LogProduct(
-        log_value=log_value,
-        sign=sign,
-        term_count=len(plan.weights),
-        min_point=scaled_x / plan.r_pows[-1],
-    )
+    return log_value, -1 if sum(map(plan.weights.__getitem__, negatives)) & 1 else 1
 
 
 def log_partial_product(
@@ -244,7 +279,13 @@ def log_partial_product(
     """Accumulate sum_{n=|S|}^{n_max} binom(n-1, |S|-1) * log f(x_n)."""
     _check_plan(n_max, "S", len(S), n_max - len(S) + 1)
     (plan,) = _subset_plans([S], r, n_max)
-    return _accumulate(f, plan, x)
+    log_value, sign = _log_sum(f, plan, x, {})
+    return LogProduct(
+        log_value=log_value,
+        sign=sign,
+        term_count=len(plan.weights),
+        min_point=plan.coeff * x / plan.r_pows[-1],
+    )
 
 
 def _combine(logs: list[float], sign: int, x: float, cfg: GmpConfig, count: int) -> Estimate:
@@ -265,14 +306,15 @@ def _quotient(f: FunctionSource, x: float, cfg: GmpConfig, k: int | None = None)
     count = factor_count(cfg.base, cfg.n_max, k)
     logs = []
     sign = 1
+    seqs: dict = {}  # plan index -> (logs, negatives) that later subsets reuse
     # x = 0 takes no sample, so the plan is left unbuilt: its r**n can
     # overflow for a huge r that x = 0 never needs.
     for plan in cfg.plan if x != 0.0 else ():
-        if k not in (None, plan.subset.max_element):
+        if k not in (None, plan.top):
             continue
-        lp = _accumulate(f, plan, x)
-        logs.append(lp.log_value if len(plan.subset) % 2 else -lp.log_value)
-        sign *= lp.sign
+        log_value, s = _log_sum(f, plan, x, seqs)
+        logs.append(log_value if plan.odd else -log_value)
+        sign *= s
     return _combine(logs, sign, x, cfg, count)
 
 

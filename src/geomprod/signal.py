@@ -43,34 +43,41 @@ class Normalization:
 
 
 def load_csv(path) -> list[tuple[float, float]]:
-    """Parse a two-column CSV of (t, value) pairs.
+    """Parse a two-column UTF-8 CSV of (t, value) pairs.
 
     An unparseable first row is treated as a header. Rows are sorted by t;
     non-finite numbers, duplicate abscissas and series shorter than
-    MIN_POINTS are rejected.
+    MIN_POINTS are rejected, and so is a file that is not UTF-8 or that the
+    csv module cannot read: each as a SignalFormatError.
     """
     rows: list[tuple[float, float]] = []
     with open(path, newline="", encoding="utf-8") as fh:
-        for lineno, record in enumerate(csv.reader(fh), start=1):
-            if not record or (len(record) == 1 and not record[0].strip()):
-                continue
-            if len(record) != 2:
-                raise SignalFormatError(
-                    f"{path}:{lineno}: expected two columns, got {len(record)}"
-                )
-            try:
-                t, v = float(record[0]), float(record[1])
-            except ValueError:
-                if lineno == 1:
-                    continue  # header
-                raise SignalFormatError(
-                    f"{path}:{lineno}: could not parse {record!r} as numbers"
-                ) from None
-            if not (math.isfinite(t) and math.isfinite(v)):
-                raise SignalFormatError(
-                    f"{path}:{lineno}: non-finite number in {record!r}"
-                )
-            rows.append((t, v))
+        reader = csv.reader(fh)
+        try:
+            for lineno, record in enumerate(reader, start=1):
+                if not record or (len(record) == 1 and not record[0].strip()):
+                    continue
+                if len(record) != 2:
+                    raise SignalFormatError(
+                        f"{path}:{lineno}: expected two columns, got {len(record)}"
+                    )
+                try:
+                    t, v = float(record[0]), float(record[1])
+                except ValueError:
+                    if lineno == 1:
+                        continue  # header
+                    raise SignalFormatError(
+                        f"{path}:{lineno}: could not parse {record!r} as numbers"
+                    ) from None
+                if not (math.isfinite(t) and math.isfinite(v)):
+                    raise SignalFormatError(
+                        f"{path}:{lineno}: non-finite number in {record!r}"
+                    )
+                rows.append((t, v))
+        except csv.Error as e:  # e.g. a field over csv.field_size_limit()
+            raise SignalFormatError(f"{path}:{reader.line_num}: {e}") from None
+        except UnicodeDecodeError as e:
+            raise SignalFormatError(f"{path}: not UTF-8 text ({e.reason})") from None
     rows.sort(key=operator.itemgetter(0))
     for (t0, _), (t1, _) in zip(rows, rows[1:]):
         if t0 == t1:
@@ -215,6 +222,20 @@ class SampledSignal:
         if v < 0.0:
             raise NonPositiveSampleError(x, v, "interpolated signal value")
         return 1, math.log(v)
+
+    def log_batch(self, points):
+        """signed_log's batch form (see core.FunctionSource): log v at each
+        point, and no negatives. The points lie on one geometric sequence, so
+        its two end points bound it and are checked against [0, t_last] once.
+        An out-of-range block, or a value v <= 0 (math.log's domain), raises
+        ValueError, and the estimator's signed_log calls raise the typed
+        error."""
+        points = tuple(points)
+        first, last = points[0], points[-1]
+        t_last = self._t_last
+        if not (0.0 <= first <= t_last and 0.0 <= last <= t_last):
+            raise ValueError(f"sample points {first!r}..{last!r} leave [0, {t_last!r}]")
+        return map(math.log, map(self._interp, points)), ()
 
 
 def normalize(

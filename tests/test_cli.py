@@ -1,4 +1,6 @@
+import argparse
 import contextlib
+import csv
 import io
 import json
 import math
@@ -35,11 +37,11 @@ class TestFlagParsing:
         assert f.tag == "exp_scaled" and f.c == -1.5
         g = parse_function("monomial_exp:0.5,3")
         assert g.c == 0.5 and g.k == 3
-        with pytest.raises(ValueError):
+        with pytest.raises(argparse.ArgumentTypeError, match="must be one, cos, "):
             parse_function("tan")
 
     @pytest.mark.parametrize("spec", [
-        "cos:3", "one:junk", "half_sin_shifted:", "exp_scaled", "exp_scaled:abc",
+        "tan", "cos:3", "one:junk", "half_sin_shifted:", "exp_scaled", "exp_scaled:abc",
         "exp_scaled:inf", "monomial_exp:1", "monomial_exp:1,2,3", "monomial_exp:1,2.5",
         "monomial_exp:1,0",
     ])
@@ -275,6 +277,30 @@ class TestForecastCommand:
         )
         assert code == 4
         assert "SignalFormatError" in err and ":3:" in err
+
+    def test_oversized_field_is_io_error(self, capsys, tmp_path):
+        path = tmp_path / "wide.csv"
+        wide = "1" * (csv.field_size_limit() + 1)
+        path.write_text(f"t,value\n0,1\n0.5,{wide}\n1,1.2\n1.5,1.3\n", encoding="utf-8")
+        code, _, err = invoke(
+            capsys,
+            "forecast", "--csv", str(path), "--x", "1",
+            "--r", "2", "--n-max", "10", "--base", "1",
+        )
+        assert code == 4
+        assert err == (f"error: SignalFormatError: {path}:3: field larger than field limit "
+                       f"({csv.field_size_limit()})\n")
+
+    def test_non_utf8_file_is_io_error(self, capsys, tmp_path):
+        path = tmp_path / "latin1.csv"
+        path.write_bytes("t,caf\xe9\n0,1\n0.5,1.1\n1,1.2\n1.5,1.3\n".encode("latin-1"))
+        code, _, err = invoke(
+            capsys,
+            "forecast", "--csv", str(path), "--x", "1",
+            "--r", "2", "--n-max", "10", "--base", "1",
+        )
+        assert code == 4
+        assert err.startswith(f"error: SignalFormatError: {path}: not UTF-8 text (")
 
     def test_non_positive_value_message(self, capsys, tmp_path):
         path = tmp_path / "negative.csv"

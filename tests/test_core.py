@@ -196,6 +196,33 @@ class TestEstimate:
         assert cfg.plan is cfg.plan
         assert [p.subset for p in cfg.plan] == list(enumerate_subsets(cfg.base))
 
+    @given(
+        r=st.just(2.0) | st.floats(1.0, 4.0, exclude_min=True),
+        base=st.sets(st.integers(1, 6), min_size=1, max_size=4),
+    )
+    @settings(max_examples=50, deadline=None)
+    def test_plan_shares_sequences_of_equal_coefficients(self, r, base):
+        # A subset reuses the first earlier subset with an equal coefficient
+        # float, and samples a suffix of its sequence.
+        cfg = GmpConfig(r=r, n_max=8, base=IndexSet(tuple(sorted(base))))
+        plans = cfg.plan
+        for i, p in enumerate(plans):
+            same = [j for j, q in enumerate(plans) if q.coeff == p.coeff]
+            assert p.seq == same[0]
+            assert p.keep == (i == same[0] and len(same) > 1)
+            first = plans[p.seq]
+            assert p.skip == len(p.subset) - len(first.subset) >= 0
+            assert p.r_pows == first.r_pows[p.skip:]
+            assert (p.odd, p.top) == (len(p.subset) % 2 == 1, p.subset.max_element)
+
+    def test_fig2_plan_has_315_distinct_points(self):
+        # S and S + {1} share a sequence at r = 2, because (2 - 1)^1 is 1.0
+        cfg = GmpConfig(r=2.0, n_max=40, base=IndexSet.of(1, 2, 3, 4))
+        firsts = [p for i, p in enumerate(cfg.plan) if p.seq == i]
+        assert len(firsts) == 8
+        assert sum(len(p.r_pows) for p in firsts) == 315
+        assert all(1 in p.subset for i, p in enumerate(cfg.plan) if p.seq != i)
+
     def test_fig2_bit_identical_to_direct_loop(self):
         # The paper's formula written out independently of the plan: every
         # estimate must match it to the last bit on the whole Fig-2 grid.

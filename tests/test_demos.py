@@ -3,7 +3,7 @@
 Each demo runs in-process with `runpy.run_path`; its stdout is compared
 with tests/data/golden/demo_<name>.txt. The forecast demo writes its CSV
 under a fresh temporary directory and prints that path, so that directory
-is masked as `<tmp>`.
+is masked as `<tmp>`; the directory must be gone when the demo ends.
 
 The files were captured once, from the code before `component_estimate`
 took a config. Regenerate them only for an intended output change:
@@ -50,6 +50,7 @@ def test_all_demos_covered():
 def test_demo_matches_golden(name, tmp_path):
     want = (GOLDEN / f"demo_{name}.txt").read_text(encoding="utf-8")
     assert render(name, tmp_path) == want
+    assert list(tmp_path.iterdir()) == []  # a demo removes what it writes
 
 
 if __name__ == "__main__":

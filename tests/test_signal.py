@@ -1,3 +1,4 @@
+import csv
 import math
 import random
 
@@ -61,6 +62,18 @@ class TestLoadCsv:
     def test_parse_error_carries_line_number(self, tmp_path):
         path = write_csv(tmp_path, "0,1\n1,2\nbad,row\n3,4\n")
         with pytest.raises(SignalFormatError, match=":3:"):
+            load_csv(path)
+
+    def test_oversized_field_carries_line_number(self, tmp_path):
+        wide = "1" * (csv.field_size_limit() + 1)
+        path = write_csv(tmp_path, f"0,1\n1,2\n2,{wide}\n3,4\n")
+        with pytest.raises(SignalFormatError, match=r":3: field larger than field limit"):
+            load_csv(path)
+
+    def test_non_utf8_file(self, tmp_path):
+        path = tmp_path / "latin1.csv"
+        path.write_bytes("t,caf\xe9\n0,1\n1,2\n2,3\n3,4\n".encode("latin-1"))
+        with pytest.raises(SignalFormatError, match="not UTF-8 text"):
             load_csv(path)
 
     def test_unsorted_input_sorted(self, tmp_path):
