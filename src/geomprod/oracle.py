@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
 from .combinatorics import IndexSet
-from .core import coefficient
+from .core import MAX_SAMPLES, _logs, coefficient
 from .errors import ZeroSampleError
 
 
@@ -26,15 +26,21 @@ def _cos_signed_log(c: float, k: int, x: float) -> tuple[int, float]:
     return (1 if v > 0 else -1), math.log(abs(v))
 
 
+def _log_abs_batch(values: list[float]):
+    """(log|v| for each value, the positions of the negative values): the
+    batch form of signed_log over values of either sign. A block with every
+    value positive takes its logs directly. log(0.0) raises ValueError, so
+    a zero sample hands the subset to signed_log, which raises
+    ZeroSampleError."""
+    if min(values) > 0.0:
+        return _logs(values), ()
+    negatives = list(itertools.compress(
+        itertools.count(), map(operator.lt, values, itertools.repeat(0.0))))
+    return _logs(map(abs, values)), negatives
+
+
 def _cos_log_batch(c: float, k: int, points):
-    values = list(map(math.cos, points))
-    negatives = ()
-    if min(values) < 0.0:
-        negatives = list(itertools.compress(
-            itertools.count(), map(operator.lt, values, itertools.repeat(0.0))))
-    # log(0.0) raises ValueError, so a zero sample hands the subset to
-    # signed_log, which raises ZeroSampleError
-    return map(math.log, map(abs, values)), negatives
+    return _log_abs_batch(list(map(math.cos, points)))
 
 
 class _Tag(NamedTuple):
@@ -159,10 +165,13 @@ def monomial_exp(c: float, k: int) -> BuiltinFunction:
 
 
 def euler_partial_product(x: float, N: int) -> float:
-    """prod_{n=1}^{N} cos(x / 2^n): the bisection product for sin(x)/x."""
-    if N < 1:
-        raise ValueError(f"N must be >= 1, got {N}")
-    return math.prod(math.cos(x / 2**n) for n in range(1, N + 1))
+    """prod_{n=1}^{N} cos(x / 2^n): the bisection product for sin(x)/x,
+    for N from 1 to core.MAX_SAMPLES."""
+    if not 1 <= N <= MAX_SAMPLES:
+        raise ValueError(f"N must be from 1 to {MAX_SAMPLES}, got {N}")
+    # ldexp(x, -n) rounds as x / 2**n does, and takes n past 1023, where
+    # 2**n has no float
+    return math.prod(math.cos(math.ldexp(x, -n)) for n in range(1, N + 1))
 
 
 def sinc(x: float) -> float:

@@ -16,7 +16,7 @@ import operator
 from bisect import bisect_right
 from dataclasses import dataclass
 
-from .core import Estimate, GmpConfig, estimate
+from .core import Estimate, GmpConfig, _logs, estimate
 from .errors import (
     DomainCoverageError,
     NonPositiveSampleError,
@@ -235,7 +235,7 @@ class SampledSignal:
         t_last = self._t_last
         if not (0.0 <= first <= t_last and 0.0 <= last <= t_last):
             raise ValueError(f"sample points {first!r}..{last!r} leave [0, {t_last!r}]")
-        return map(math.log, map(self._interp, points)), ()
+        return _logs(map(self._interp, points)), ()
 
 
 def normalize(

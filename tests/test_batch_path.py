@@ -5,7 +5,7 @@ message; and the batch path's sharing of sequences between subsets."""
 import math
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from geomprod.combinatorics import IndexSet, enumerate_subsets
 from geomprod.core import (
@@ -18,7 +18,7 @@ from geomprod.core import (
     sequence_point,
 )
 from geomprod.errors import ZeroSampleError
-from geomprod.oracle import COS, HALF_SIN_SHIFTED, ONE, exp_scaled, monomial_exp
+from geomprod.oracle import COS, HALF_SIN_SHIFTED, ONE, _log_abs_batch, exp_scaled, monomial_exp
 from geomprod.signal import _Pchip, normalize
 from geomprod.sweeps import DEFAULT_SCHEDULE, SweepSpec, grid_eval
 
@@ -89,7 +89,8 @@ class _CountingBatch:
 
 class _CosMinus:
     """cos(t) - cos(a): exactly 0 at t = a and negative where cos(t) <
-    cos(a), with a log_batch."""
+    cos(a), with the cos builtin's log_batch over its values (cos itself is
+    never exactly 0 at a float)."""
 
     def __init__(self, a):
         self.level = math.cos(a)
@@ -104,9 +105,7 @@ class _CosMinus:
         return (1 if v > 0 else -1), math.log(abs(v))
 
     def log_batch(self, points):
-        values = [math.cos(t) - self.level for t in points]
-        # log(0.0) raises ValueError: signed_log takes the subset
-        return map(math.log, map(abs, values)), [i for i, v in enumerate(values) if v < 0.0]
+        return _log_abs_batch([math.cos(t) - self.level for t in points])
 
 
 _CONSTANTS = st.floats(-1e3, 1e3) | st.floats(-1e300, 1e300)
@@ -133,9 +132,17 @@ def _cases(draw):
     return f, cfg, x
 
 
+_FIG2 = GmpConfig(r=2.0, n_max=40, base=IndexSet.of(1, 2, 3, 4))
+
+
 class TestBothPathsAgree:
     @given(_cases())
     @settings(max_examples=200, deadline=None)
+    # cos blocks with every value positive, with negative values, and with
+    # an exact zero (at n = 3 of {2, 4})
+    @example((COS, _FIG2, 0.5))
+    @example((COS, _FIG2, 3.0))
+    @example((_CosMinus(sequence_point(IndexSet.of(2, 4), 2.0, 3.0, 3)), _FIG2, 3.0))
     def test_every_builtin(self, case):
         f, cfg, x = case
         counted = _SignedLogOnly(f)
@@ -230,6 +237,85 @@ class TestSampledSignalBatch:
             list(sig.log_batch([x / 2.0, x / 4.0])[0])
         out = _same_through_both(estimate, sig, x, GmpConfig(r=2.0, n_max=12, base=IndexSet.of(1, 2)))
         assert out.startswith(f"(<class 'geomprod.errors.{error}'>")
+
+
+class _NoMultiply(float):
+    """A log that fails the test when multiplied."""
+
+    def __mul__(self, other):
+        raise AssertionError("a log was multiplied by a unit weight")
+
+    __rmul__ = __mul__
+
+
+class _UnitLogs:
+    """1 + sin(t)/2 whose logs refuse multiplication."""
+
+    def __call__(self, t):
+        return HALF_SIN_SHIFTED(t)
+
+    def signed_log(self, t):
+        return 1, _NoMultiply(HALF_SIN_SHIFTED.signed_log(t)[1])
+
+    def log_batch(self, points):
+        return [self.signed_log(p)[1] for p in points], ()
+
+
+class TestUnitWeights:
+    """Where every weight is binom(n-1, 0) = 1, or the subset has a single
+    sample, its logs are summed as they are: v * 1.0 == v."""
+
+    @pytest.mark.parametrize("path", [_BatchOnly, _SignedLogOnly], ids=["log_batch", "signed_log"])
+    @pytest.mark.parametrize("S, n_max", [(IndexSet.of(3), 30), (IndexSet.of(1, 2), 2)])
+    def test_no_multiply(self, path, S, n_max):
+        lp = log_partial_product(path(_UnitLogs()), S, 1.5, 2.0, n_max)
+        assert repr(lp) == repr(log_partial_product(HALF_SIN_SHIFTED, S, 1.5, 2.0, n_max))
+        coeff = coefficient(S, 1.5)
+        logs = [HALF_SIN_SHIFTED.signed_log(coeff * 2.0 / 1.5**n)[1]
+                for n in range(len(S), n_max + 1)]
+        assert repr(lp.log_value) == repr(math.fsum(logs))
+
+
+class _Marked:
+    """1 + sin(t)/2 through log_batch, with the values at the given
+    positions of each block reported negative."""
+
+    def __init__(self, negatives):
+        self.negatives = negatives
+
+    def log_batch(self, points):
+        return [HALF_SIN_SHIFTED.signed_log(p)[1] for p in points], self.negatives
+
+
+# A 10-element S at n_max 300 has 291 samples with weights C(n-1, 9) up to
+# C(299, 9), about 1.6e16: past 2**53, where a float weight has lost its low
+# bits, so an odd weight is stored even.
+_BIG_WEIGHTS = [math.comb(n - 1, 9) for n in range(10, 301)]
+_ODD = [i for i, w in enumerate(_BIG_WEIGHTS) if w > 2**53 and w % 2]
+_EVEN = [i for i, w in enumerate(_BIG_WEIGHTS) if w > 2**53 and w % 2 == 0]
+
+
+class TestWeightsPast2To53:
+    S, R, X = IndexSet(tuple(range(1, 11))), 1.2, 1.5
+
+    @pytest.mark.parametrize("negatives", [
+        [], _ODD[:1], _EVEN[:1], _ODD[:1] + _EVEN[:1], _ODD[:2], _ODD[-3:] + _EVEN[-2:]])
+    def test_sum_and_sign_match_integer_weights(self, negatives):
+        assert len(_BIG_WEIGHTS) == 291
+        assert all(float(_BIG_WEIGHTS[i]) % 2 == 0 for i in _ODD[:2])
+        lp = log_partial_product(_BatchOnly(_Marked(negatives)), self.S, self.R, self.X, 300)
+        coeff = coefficient(self.S, self.R)
+        direct = math.fsum(
+            HALF_SIN_SHIFTED.signed_log(coeff * self.X / self.R**n)[1] * w
+            for n, w in zip(range(10, 301), _BIG_WEIGHTS))
+        assert repr(lp.log_value) == repr(direct)
+        assert lp.sign == (-1 if sum(_BIG_WEIGHTS[i] for i in negatives) % 2 else 1)
+
+    def test_weight_past_the_float_range(self):
+        # C(2999, 199) exceeds 2**1024, the float range
+        S = IndexSet(tuple(range(1, 201)))
+        with pytest.raises(OverflowError, match=r"^int too large to convert to float \[subset \{1,2,3,"):
+            log_partial_product(ONE, S, 1.001, 1.0, 3000)
 
 
 class TestSign:

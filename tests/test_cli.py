@@ -131,6 +131,22 @@ class TestEulerCommand:
         assert record["product"] == pytest.approx(2 / math.pi, abs=1e-6)
         assert record["abs_error"] < 1e-10
 
+    @pytest.mark.parametrize("n", ["1024", "5000"])
+    def test_n_past_the_float_range_of_2_to_the_n(self, capsys, n):
+        # 2**1024 has no float; the factors past it are cos(0) = 1
+        code, out, _ = invoke(capsys, "euler", "--x", "1.5707963", "--n", n)
+        assert code == 0
+        assert json.loads(out)["product"] == pytest.approx(2 / math.pi, abs=1e-6)
+
+    def test_n_over_the_cap_is_usage_error(self, capsys):
+        t0 = time.perf_counter()
+        code, out, err = invoke(capsys, "euler", "--x", "1", "--n", "100000000000")
+        assert time.perf_counter() - t0 < 1.0
+        message = "N must be from 1 to 1000000, got 100000000000"
+        assert code == 2
+        assert err == f"error: ValueError: {message}\n"
+        assert json.loads(out)["error"] == {"type": "ValueError", "message": message}
+
 
 class TestCountFactorsCommand:
     def test_fig2_count(self, capsys):
@@ -410,7 +426,8 @@ def test_library_forecast_imports_neither_numpy_nor_scipy(tmp_path):
           "--base", "1"), "OverflowError"),
         (("estimate", "--function", "exp_scaled:1e300", "--x", "1e10", "--r", "2",
           "--n-max", "10", "--base", "1"), "OverflowError"),
-        (("euler", "--x", "1", "--n", "2000"), "OverflowError"),
+        (("component", "--function", "cos", "--k", "1", "--x", "1", "--r", "1e200",
+          "--n-max", "2", "--base", "1"), "OverflowError"),
         (("estimate", "--function", "cos", "--x=1e308", "--r", "1e6", "--n-max", "1",
           "--base", "1"), "GeomprodError"),
     ],
@@ -436,6 +453,25 @@ def test_overflow_is_domain_error(capsys, argv, error):
 def test_overflow_names_its_subset(capsys, function, x, message):
     code, out, err = invoke(capsys, "estimate", "--function", function, "--x", x, "--r", "2",
                             "--n-max", "10", "--base", "1")
+    assert code == 3
+    assert err == f"error: OverflowError: {message}\n"
+    assert json.loads(out)["error"] == {"type": "OverflowError", "message": message}
+
+
+# r**n overflows while the plan is built, in r**n for the scales or in the
+# coefficient's r**k; the message names r and the power.
+@pytest.mark.parametrize(
+    "r, n_max, base, message",
+    [
+        ("1e200", "2", "1", "Numerical result out of range for r**2 at r=1e+200"),
+        ("2", "1100", "1", "Numerical result out of range for r**1024 at r=2.0"),
+        ("2", "10", "2,2000", "Numerical result out of range for r**2000 at r=2.0"),
+    ],
+    ids=["scale", "long", "coefficient"],
+)
+def test_plan_overflow_names_r_and_the_power(capsys, r, n_max, base, message):
+    code, out, err = invoke(capsys, "estimate", "--function", "cos", "--x", "1", "--r", r,
+                            "--n-max", n_max, "--base", base)
     assert code == 3
     assert err == f"error: OverflowError: {message}\n"
     assert json.loads(out)["error"] == {"type": "OverflowError", "message": message}
