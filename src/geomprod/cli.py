@@ -40,10 +40,28 @@ class _Parser(argparse.ArgumentParser):
 
 def parse_ratio(text: str) -> float:
     """A decimal ratio, or 'sqrt:N' for an exact-intent square root."""
-    if text.startswith("sqrt:"):
-        arg = float(text[len("sqrt:"):])
-        return math.sqrt(arg)
-    return float(text)
+    try:
+        if text.startswith("sqrt:"):
+            return math.sqrt(float(text[len("sqrt:"):]))
+        return float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"must be a decimal or sqrt:N with N >= 0, got {text!r}") from None
+
+
+def parse_schedule(text: str) -> tuple[float, ...]:
+    """Comma-separated ratios; parse_ratio's error names the one it rejects."""
+    return tuple(map(parse_ratio, text.split(",")))
+
+
+def parse_grid(text: str) -> tuple[float, float, float]:
+    """START:STOP:STEP, three decimals."""
+    try:
+        start, stop, step = map(float, text.split(":"))
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"must be START:STOP:STEP, three decimals, got {text!r}") from None
+    return start, stop, step
 
 
 def parse_finite(text: str) -> float:
@@ -67,11 +85,12 @@ def parse_normalize(text: str) -> tuple[str, float | None, float | None]:
 
 
 def parse_base(text: str) -> IndexSet:
+    """Comma-separated distinct positive integers, in any order."""
     try:
-        elements = tuple(int(tok) for tok in text.split(","))
+        return IndexSet(tuple(sorted(int(tok) for tok in text.split(","))))
     except ValueError:
-        raise ValueError(f"base must be comma-separated integers, got {text!r}") from None
-    return IndexSet(tuple(sorted(elements)))
+        raise argparse.ArgumentTypeError(
+            f"must be comma-separated distinct positive integers, got {text!r}") from None
 
 
 def parse_function(text: str) -> oracle.BuiltinFunction:
@@ -98,9 +117,7 @@ def _coupling(args) -> tuple[str, int]:
     """The truncation flag given: ('fixed_n_max', N) or ('fixed_cutoff', K)."""
     if args.n_max is not None:
         return "fixed_n_max", args.n_max
-    if args.cutoff is not None:
-        return "fixed_cutoff", args.cutoff
-    raise ValueError("one of --n-max or --cutoff is required")
+    return "fixed_cutoff", args.cutoff
 
 
 def _config(args) -> core.GmpConfig:
@@ -171,9 +188,10 @@ def _flatten(record: dict, prefix: str = ""):
 
 
 def _add_config_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--n-max", type=int, default=None)
-    p.add_argument("--cutoff", type=int, default=None,
-                   help="set n_max = ceil(ln K / ln r) instead of --n-max")
+    truncation = p.add_mutually_exclusive_group(required=True)
+    truncation.add_argument("--n-max", type=int, default=None)
+    truncation.add_argument("--cutoff", type=int, default=None,
+                            help="set n_max = ceil(ln K / ln r) instead of --n-max")
     p.add_argument("--base", required=True, type=parse_base)
     p.add_argument("--parity", choices=("all", "even"), default="all")
 
@@ -216,9 +234,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("sweep", help="error table over an x grid and r schedule")
     p.add_argument("--function", required=True, type=parse_function)
-    p.add_argument("--grid", required=True,
+    p.add_argument("--grid", required=True, type=parse_grid,
                    help="START:STOP:STEP for the x grid")
-    p.add_argument("--schedule", default=None,
+    p.add_argument("--schedule", default=sweeps.DEFAULT_SCHEDULE, type=parse_schedule,
                    help="comma-separated ratios; default 1+2^-t, t=1..8")
     _add_config_flags(p)
     _add_output_flags(p, default_format="csv")
@@ -271,23 +289,12 @@ def _cmd_euler(args) -> int:
     return 0
 
 
-def _parse_grid(text: str) -> tuple[float, float, float]:
-    parts = text.split(":")
-    if len(parts) != 3:
-        raise ValueError(f"grid must be START:STOP:STEP, got {text!r}")
-    return float(parts[0]), float(parts[1]), float(parts[2])
-
-
 def _cmd_sweep(args) -> int:
-    if args.schedule is not None:
-        schedule = tuple(parse_ratio(tok) for tok in args.schedule.split(","))
-    else:
-        schedule = sweeps.DEFAULT_SCHEDULE
     coupling, value = _coupling(args)
     spec = sweeps.SweepSpec(
         function=args.function,
-        grid=_parse_grid(args.grid),
-        schedule=schedule,
+        grid=args.grid,
+        schedule=args.schedule,
         coupling=coupling,
         coupling_value=value,
         base=args.base,

@@ -12,6 +12,7 @@ from __future__ import annotations
 import itertools
 import math
 import operator
+from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Protocol
@@ -113,11 +114,10 @@ class SubsetPlan:
     Above 2**53 a float weight has lost its low bits, so the sign rule reads
     the exact parity of each binomial from parities instead.
 
-    seq is the plan index of the first subset whose coefficient compares
-    equal to this one's: its samples run from n = |S| - skip, so this
-    subset's are the suffix after its first skip. seq is the subset's own
-    index (and skip 0) when no earlier subset samples its sequence; keep
-    marks a subset whose batch logs a later one reuses.
+    shared marks a subset whose coefficient compares equal to another's in
+    the same plan (at r = 2, S and S + {1}): both sample one geometric
+    sequence. The smaller subset's run is the longer, and the larger
+    subset's samples are the last len(weights) points of it.
     """
 
     subset: IndexSet
@@ -127,9 +127,7 @@ class SubsetPlan:
     parities: tuple[int, ...]  # binom(n-1, |S|-1) % 2
     odd: bool
     top: int
-    seq: int
-    skip: int
-    keep: bool
+    shared: bool
 
 
 @dataclass(frozen=True)
@@ -183,46 +181,31 @@ def sequence_point(S: IndexSet, r: float, x: float, n: int) -> float:
     """The n-th point of the geometric sequence for index set S."""
     if n < 1:
         raise ValueError(f"sequence index must be >= 1, got {n}")
-    return coefficient(S, r) * x / r**n
+    return coefficient(S, r) * x / _powers(r, (n,))[0]
 
 
 def _subset_plans(subsets, r: float, n_max: int) -> tuple[SubsetPlan, ...]:
     """Plans for `subsets`, given cardinality-major as enumerate_subsets
     orders them. r**n is computed once for n = 1..n_max and the weights and
-    their parities once per cardinality; the records share them. A subset
-    whose coefficient compares equal to an earlier one's reuses that
-    subset's sequence: the earlier is no larger, so its run is no shorter."""
+    their parities once per cardinality; the records share them. Each
+    subset's weights are checked before its coefficient."""
     r_pows = tuple(_powers(r, range(1, n_max + 1)))
-    weights: dict[int, tuple[float, ...]] = {}
-    parities: dict[int, tuple[int, ...]] = {}
-    firsts: dict[float, int] = {}  # coefficient -> first plan index with it
-    rows = []
-    for i, S in enumerate(subsets):
+    columns: dict[int, tuple] = {}  # |S| -> (r_pows, weights, parities)
+    coeffs = {}
+    for S in subsets:
         m = len(S)
-        if m not in weights:
+        if m not in columns:
             exact = tuple(map(multiplicity, range(m, n_max + 1), itertools.repeat(m)))
             try:
-                weights[m] = tuple(map(float, exact))
+                columns[m] = r_pows[m - 1:], tuple(map(float, exact)), tuple(w & 1 for w in exact)
             except OverflowError as e:  # a weight past 2**1024
                 raise OverflowError(f"{e} [subset {S}]") from None
-            parities[m] = tuple(w & 1 for w in exact)
-        coeff = coefficient(S, r)
-        rows.append((S, m, coeff, firsts.setdefault(coeff, i)))
-    reused = {seq for i, (*_, seq) in enumerate(rows) if seq != i}
+        coeffs[S] = coefficient(S, r)
+    counts = Counter(coeffs.values())
     return tuple(
-        SubsetPlan(
-            subset=S,
-            coeff=coeff,
-            r_pows=r_pows[m - 1:],
-            weights=weights[m],
-            parities=parities[m],
-            odd=m % 2 == 1,
-            top=S.max_element,
-            seq=seq,
-            skip=m - rows[seq][1],
-            keep=i in reused,
-        )
-        for i, (S, m, coeff, seq) in enumerate(rows)
+        SubsetPlan(S, coeff, *columns[len(S)], odd=len(S) % 2 == 1, top=S.max_element,
+                   shared=counts[coeff] > 1)
+        for S, coeff in coeffs.items()
     )
 
 
@@ -245,9 +228,8 @@ def _signed_logs(f: FunctionSource, plan: SubsetPlan, scaled_x: float) -> tuple[
     logs = []
     negatives = []
     try:
-        # A for loop with its own division, not map: Python 3.11 inlines the
-        # signed_log calls made from it, which makes a SampledSignal estimate
-        # about 15 % faster (3.11.7).
+        # A for loop, not map: the note below needs the failing sample's
+        # index and abscissa.
         for r_n in plan.r_pows:
             point = scaled_x / r_n
             s, log_f = f.signed_log(point)
@@ -268,10 +250,10 @@ def _log_sum(f: FunctionSource, plan: SubsetPlan, x: float, seqs: dict) -> tuple
     (math.fsum), and -1 when the weights of the negative values sum to odd.
     Where every weight is 1 the logs are summed as they are: v * 1.0 == v.
 
-    Where f has log_batch, the (logs, negatives) pair is the suffix of an
-    earlier subset's in `seqs` (plan.seq, see SubsetPlan), or comes from one
-    f.log_batch call, stored in `seqs` when plan.keep. Where f has none or
-    gives up, it comes from _signed_logs (see FunctionSource).
+    Where f has log_batch, the (logs, negatives) pair is the suffix of the
+    block that `seqs` holds for plan.coeff (see SubsetPlan), or comes from
+    one f.log_batch call, stored in `seqs` when plan.shared. Where f has
+    none or gives up, it comes from _signed_logs (see FunctionSource).
     """
     scaled_x = plan.coeff * x  # coeff * x / r**n, in the formula's own order
     if not math.isfinite(scaled_x):
@@ -285,16 +267,16 @@ def _log_sum(f: FunctionSource, plan: SubsetPlan, x: float, seqs: dict) -> tuple
     log_value = math.nan
     if hasattr(f, "log_batch"):
         try:
-            if plan.seq in seqs:
-                logs, negatives = seqs[plan.seq]
-                skip = plan.skip
+            if plan.coeff in seqs:
+                logs, negatives = seqs[plan.coeff]
+                skip = len(logs) - len(weights)
                 logs = logs[skip:]
                 negatives = [i - skip for i in negatives if i >= skip]
             else:
                 logs, negatives = f.log_batch(
                     map(operator.truediv, itertools.repeat(scaled_x), plan.r_pows))
-                if plan.keep:
-                    logs, negatives = seqs[plan.seq] = list(logs), list(negatives)
+                if plan.shared:
+                    logs, negatives = seqs[plan.coeff] = list(logs), list(negatives)
             log_value = math.fsum(logs if unit else map(operator.mul, logs, weights))
         except (ValueError, ArithmeticError):
             pass
@@ -346,7 +328,7 @@ def _quotient(f: FunctionSource, x: float, cfg: GmpConfig, k: int | None = None)
     count = factor_count(cfg.base, cfg.n_max, k)
     logs = []
     sign = 1
-    seqs: dict = {}  # plan index -> (logs, negatives) that later subsets reuse
+    seqs: dict = {}  # coefficient -> (logs, negatives) that later subsets reuse
     # x = 0 takes no sample, so the plan is left unbuilt: its r**n can
     # overflow for a huge r that x = 0 never needs.
     for plan in cfg.plan if x != 0.0 else ():
@@ -394,7 +376,12 @@ def pollution_exponent(j: int, k: int, r: float) -> float:
         raise ValueError(f"orders must be positive, got j={j}, k={k}")
     if j == k:
         return 1.0
-    return (r**k - 1.0) ** (j / k) / (r**j - 1.0)
+    try:
+        return (r**k - 1.0) ** (j / k) / (r**j - 1.0)
+    except OverflowError as e:
+        raise OverflowError(
+            f"{e.args[-1]} for (r**{k} - 1)**({j}/{k}) / (r**{j} - 1) at r={r!r}"
+        ) from None
 
 
 def cutoff_n_max(K: float, r: float) -> int:

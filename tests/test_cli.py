@@ -595,6 +595,59 @@ def test_n_max_below_base_has_one_wording(capsys, tmp_path, command):
     assert (code, err) == (2, "error: ValueError: n_max=1 must be at least |base|=2\n")
 
 
+@pytest.mark.parametrize("command", [
+    ["estimate", "--function", "cos", "--x", "1", "--r", "2"],
+    ["component", "--function", "cos", "--k", "2", "--x", "1", "--r", "2"],
+    ["sweep", "--function", "cos", "--grid", "0:1:0.5", "--schedule", "2"],
+    ["forecast", "--csv", "{csv}", "--x", "1", "--r", "2"],
+], ids=lambda command: command[0])
+@pytest.mark.parametrize("truncation, reason", [
+    (("--n-max", "10", "--cutoff", "32"), "argument --cutoff: not allowed with argument --n-max"),
+    ((), "one of the arguments --n-max --cutoff is required"),
+], ids=["both", "neither"])
+def test_truncation_takes_exactly_one_flag(capsys, tmp_path, command, truncation, reason):
+    path = tmp_path / "series.csv"
+    path.write_text(_csv(_RAMP), encoding="utf-8")
+    argv = [str(path) if arg == "{csv}" else arg for arg in command]
+    code, out, err = invoke(capsys, *argv, *truncation, "--base", "2,4")
+    assert (code, out, err) == (2, "", f"error: UsageError: {reason}\n")
+
+
+_ESTIMATE = ("estimate", "--function", "cos", "--x", "1", "--r", "2", "--n-max", "10")
+_SWEEP = ("sweep", "--function", "cos", "--n-max", "4", "--base", "2")
+
+
+@pytest.mark.parametrize("argv, flag", [
+    ((*_ESTIMATE, "--base", "0,1"), "--base"),
+    ((*_ESTIMATE, "--base", "1,1"), "--base"),
+    ((*_ESTIMATE, "--base", "a,b"), "--base"),
+    ((*_SWEEP, "--grid", "0:1"), "--grid"),
+    ((*_SWEEP, "--grid", "a:b:c"), "--grid"),
+    ((*_SWEEP, "--grid", "0:1:0.5", "--schedule", "2,x"), "--schedule"),
+    (("estimate", "--function", "cos", "--x", "1", "--r", "sqrt:-2", "--n-max", "4",
+      "--base", "1"), "--r"),
+])
+def test_usage_error_names_its_flag(capsys, argv, flag):
+    code, out, err = invoke(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error: UsageError: argument {flag}: must be ")
+
+
+def test_module_entry_point():
+    # main() as the console script runs it: exit status from sys.exit(run())
+    env = dict(os.environ, PYTHONPATH=str(Path(geomprod.__file__).parents[1]))
+    golden = Path(__file__).parent / "data" / "golden" / "readme_count_factors.csv"
+    for argv, expected in [
+        (["--n-max", "40"], (0, golden.read_text(encoding="utf-8"), "")),
+        (["--n-max", "x"], (2, "", "error: UsageError: argument --n-max: "
+                                   "invalid int value: 'x'\n")),
+    ]:
+        proc = subprocess.run(
+            [sys.executable, "-m", "geomprod.cli", "count-factors", "--base", "1,2,3,4", *argv],
+            env=env, capture_output=True, text=True, timeout=60)
+        assert (proc.returncode, proc.stdout, proc.stderr) == expected
+
+
 def test_count_factors_has_no_sample_cap(capsys):
     # count-factors samples nothing, so a plan far over MAX_SAMPLES still counts
     code, out, _ = invoke(capsys, "count-factors", "--base", "1,2", "--n-max", str(10**8))

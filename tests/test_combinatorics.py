@@ -75,6 +75,12 @@ class TestMultiplicity:
                 total = sum(multiplicity(n, m) for n in range(m, N + 1))
                 assert total == math.comb(N, m)
 
+    @pytest.mark.parametrize("n, m", [(0, 1), (1, 0), (-2, 3), (3, -1)])
+    def test_non_positive_arguments(self, n, m):
+        for count in (multiplicity, compositions_bruteforce):
+            with pytest.raises(ValueError, match="n and m must be positive"):
+                count(n, m)
+
     def test_bruteforce_scale_bound(self):
         with pytest.raises(ValueError):
             compositions_bruteforce(31, 2)

@@ -1,4 +1,5 @@
 import math
+import re
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -41,6 +42,10 @@ class TestGmpConfig:
         with pytest.raises(ValueError):
             GmpConfig(r=2.0, n_max=10, base=IndexSet.of(1, 2), parity="even")
         GmpConfig(r=2.0, n_max=10, base=IndexSet.of(2, 4), parity="even")
+
+    def test_unknown_parity_mode(self):
+        with pytest.raises(ValueError, match="parity must be 'all' or 'even', got 'odd'"):
+            GmpConfig(r=2.0, n_max=10, base=IndexSet.of(2, 4), parity="odd")
 
     @pytest.mark.parametrize("base, n_max", [
         ((1,), 1), ((1,), 7), ((2, 5), 2), ((1, 2, 3, 4), 40), ((1, 3, 4, 6, 7), 9),
@@ -98,6 +103,17 @@ class TestSequencePoint:
         pts = [sequence_point(IndexSet.of(3), 1.3, 2.0, n) for n in range(1, 10)]
         assert all(a > b > 0 for a, b in zip(pts, pts[1:]))
 
+    def test_index_must_be_positive(self):
+        with pytest.raises(ValueError, match="sequence index must be >= 1, got 0"):
+            sequence_point(IndexSet.of(1), 2.0, 1.0, 0)
+
+    @pytest.mark.parametrize("r, n, power", [(1e200, 2, "r**2 at r=1e+200"),
+                                             (2.0, 1100, "r**1100 at r=2.0")])
+    def test_overflow_names_r_and_the_power(self, r, n, power):
+        message = f"Numerical result out of range for {power}"
+        with pytest.raises(OverflowError, match=f"^{re.escape(message)}$"):
+            sequence_point(IndexSet.of(1), r, 1.0, n)
+
 
 class TestLogPartialProduct:
     def test_constant_one(self):
@@ -130,11 +146,12 @@ class TestLogPartialProduct:
             def signed_log(self, x):
                 v = 1.0 - x
                 if v == 0.0:
-                    raise ZeroSampleError(x)
+                    raise ZeroSampleError(x, "hinge")
                 return (1 if v > 0 else -1), math.log(abs(v))
 
         # S={1}, r=2, x=2 samples the exact zero at 1.0
-        with pytest.raises(ZeroSampleError):
+        with pytest.raises(ZeroSampleError, match=re.escape(
+                "function value is zero at sample abscissa 1.0 (hinge) [subset {1}, n=1]")):
             log_partial_product(Hinge(), IndexSet.of(1), 2.0, 2.0, 5)
 
     def test_n_max_below_cardinality(self):
@@ -202,26 +219,29 @@ class TestEstimate:
     )
     @settings(max_examples=50, deadline=None)
     def test_plan_shares_sequences_of_equal_coefficients(self, r, base):
-        # A subset reuses the first earlier subset with an equal coefficient
-        # float, and samples a suffix of its sequence.
+        # shared marks a subset whose coefficient float another subset has;
+        # the first with it has the longest run, and the others its suffixes.
         cfg = GmpConfig(r=r, n_max=8, base=IndexSet(tuple(sorted(base))))
         plans = cfg.plan
-        for i, p in enumerate(plans):
-            same = [j for j, q in enumerate(plans) if q.coeff == p.coeff]
-            assert p.seq == same[0]
-            assert p.keep == (i == same[0] and len(same) > 1)
-            first = plans[p.seq]
-            assert p.skip == len(p.subset) - len(first.subset) >= 0
-            assert p.r_pows == first.r_pows[p.skip:]
+        for p in plans:
+            same = [q for q in plans if q.coeff == p.coeff]
+            assert p.shared == (len(same) > 1)
+            first = same[0]
+            skip = len(first.r_pows) - len(p.weights)
+            assert skip == len(p.subset) - len(first.subset) >= 0
+            assert p.r_pows == first.r_pows[skip:]
             assert (p.odd, p.top) == (len(p.subset) % 2 == 1, p.subset.max_element)
 
     def test_fig2_plan_has_315_distinct_points(self):
         # S and S + {1} share a sequence at r = 2, because (2 - 1)^1 is 1.0
         cfg = GmpConfig(r=2.0, n_max=40, base=IndexSet.of(1, 2, 3, 4))
-        firsts = [p for i, p in enumerate(cfg.plan) if p.seq == i]
+        firsts = {}
+        for p in cfg.plan:
+            firsts.setdefault(p.coeff, p)
         assert len(firsts) == 8
-        assert sum(len(p.r_pows) for p in firsts) == 315
-        assert all(1 in p.subset for i, p in enumerate(cfg.plan) if p.seq != i)
+        assert sum(len(p.r_pows) for p in firsts.values()) == 315
+        assert all(1 in p.subset for p in cfg.plan if p is not firsts[p.coeff])
+        assert [p.subset for p in cfg.plan if not p.shared] == [IndexSet.of(1)]
 
     def test_fig2_bit_identical_to_direct_loop(self):
         # The paper's formula written out independently of the plan: every
@@ -365,6 +385,18 @@ class TestPollutionExponent:
     def test_r_validation(self):
         with pytest.raises(ValueError):
             pollution_exponent(1, 2, 1.0)
+
+    @pytest.mark.parametrize("j, k", [(0, 2), (2, 0), (-1, 1)])
+    def test_orders_must_be_positive(self, j, k):
+        with pytest.raises(ValueError, match="orders must be positive"):
+            pollution_exponent(j, k, 2.0)
+
+    @pytest.mark.parametrize("j, k, formula", [(400, 1, "(r**1 - 1)**(400/1) / (r**400 - 1)"),
+                                               (1, 400, "(r**400 - 1)**(1/400) / (r**1 - 1)")])
+    def test_overflow_names_r_and_the_powers(self, j, k, formula):
+        message = f"Numerical result out of range for {formula} at r=10.0"
+        with pytest.raises(OverflowError, match=f"^{re.escape(message)}$"):
+            pollution_exponent(j, k, 10.0)
 
 
 class TestCutoff:

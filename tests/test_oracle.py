@@ -66,6 +66,12 @@ class TestBuiltins:
         assert list(logs) == [moved.signed_log(0.7)[1], moved.signed_log(2.0)[1]]
         assert list(negatives) == ([1] if f.tag == "cos" else [])
 
+    def test_labels(self):
+        labels = [str(f) for f in
+                  (ONE, COS, HALF_SIN_SHIFTED, exp_scaled(-2.0), monomial_exp(0.3, 4))]
+        assert labels == ["one", "cos", "half_sin_shifted", "exp_scaled(c=-2.0)",
+                          "monomial_exp(c=0.3, k=4)"]
+
     def test_unknown_tag(self):
         with pytest.raises(ValueError):
             BuiltinFunction("sinh")
@@ -195,6 +201,11 @@ class TestTruncatedInvariance:
 
     def test_zero_coefficient(self):
         assert truncated_invariance_closed_form(0.0, 4, 1.3, 2.0, 7) == 0.0
+
+    @pytest.mark.parametrize("r", [1.0, 0.5, -2.0, math.nan])
+    def test_ratio_must_exceed_one(self, r):
+        with pytest.raises(ValueError, match="ratio r must exceed 1"):
+            truncated_invariance_closed_form(1.0, 2, r, 1.0, 5)
 
     def test_matches_partial_product(self):
         for c in (-1.0, 0.3):

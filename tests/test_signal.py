@@ -114,6 +114,10 @@ class TestNormalize:
         with pytest.raises(NormalizationError, match="finite"):
             normalize(raw, "divide_by_first")
 
+    def test_unknown_mode(self):
+        with pytest.raises(ValueError, match="unknown normalization mode 'bogus'"):
+            normalize(half_sin_series(), mode="bogus")
+
     def test_too_few_samples(self):
         with pytest.raises(ValueError, match="two or more"):
             normalize([(0, 1.0)], "divide_by_first")
@@ -161,6 +165,17 @@ class TestSampledSignal:
         sig = normalize(half_sin_series(4.0, 0.05), "none")
         probes = np.linspace(0.0, 4.0, 4001)
         assert all(sig(float(t)) > 0.0 for t in probes)
+
+    @pytest.mark.parametrize("ts, vs, message", [
+        ([0.5, 1.0], [1.0, 2.0], "first abscissa must be 0"),
+        ([0.0, math.inf], [1.0, 2.0], "abscissas and values must be finite"),
+        ([0.0, 2.0, 1.0], [1.0, 2.0, 3.0], "abscissas must be strictly increasing"),
+        ([0.0, 1.0], [2.0, 1.0], "normalized value at t=0 must be exactly 1"),
+        ([0.0, 1.0], [1.0, math.nan], "abscissas and values must be finite"),
+    ])
+    def test_direct_construction_checks(self, ts, vs, message):
+        with pytest.raises(ValueError, match=message):
+            SampledSignal(ts, vs, Normalization(0.0, 1.0))
 
     def test_out_of_domain(self):
         sig = normalize(half_sin_series(2.0, 0.25), "none")
