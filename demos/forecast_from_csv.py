@@ -9,7 +9,7 @@ import math
 import tempfile
 from pathlib import Path
 
-from geomprod import GmpConfig, IndexSet, coverage_check, forecast, load_csv, normalize
+from geomprod import GmpConfig, IndexSet, coverage_check, forecast, read_signal
 
 lines = ["t,value"] + [
     f"{0.05 * i},{1 + 0.5 * math.sin(0.05 * i)}" for i in range(81)
@@ -18,7 +18,7 @@ with tempfile.TemporaryDirectory() as tmp:
     csv_path = Path(tmp) / "signal.csv"
     csv_path.write_text("\n".join(lines), encoding="utf-8")
     print("wrote", csv_path)
-    sig = normalize(load_csv(csv_path), mode="none")
+    sig = read_signal(csv_path, mode="none")
 
 cfg = GmpConfig(r=2.0, n_max=40, base=IndexSet.of(1, 2, 3, 4))
 

@@ -51,6 +51,7 @@ from .signal import (
     forecast,
     load_csv,
     normalize,
+    read_signal,
 )
 from .sweeps import (
     DEFAULT_SCHEDULE,

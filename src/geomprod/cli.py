@@ -321,8 +321,7 @@ def _cmd_count_factors(args) -> int:
 
 def _cmd_forecast(args) -> int:
     mode, a, b = args.normalize
-    raw = signal.load_csv(args.csv_path)
-    sig = signal.normalize(raw, mode=mode, a=a, b=b)
+    sig = signal.read_signal(args.csv_path, mode=mode, a=a, b=b)
     result = signal.forecast(sig, args.x, _config(args))
     _emit_record(
         {

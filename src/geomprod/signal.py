@@ -10,6 +10,7 @@ forecast runs.
 from __future__ import annotations
 
 import csv
+import io
 import itertools
 import math
 import operator
@@ -50,43 +51,102 @@ def load_csv(path) -> list[tuple[float, float]]:
     MIN_POINTS are rejected, and so is a file that is not UTF-8 or that the
     csv module cannot read: each as a SignalFormatError.
     """
-    rows: list[tuple[float, float]] = []
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        try:
-            for lineno, record in enumerate(reader, start=1):
-                if not record or (len(record) == 1 and not record[0].strip()):
-                    continue
-                if len(record) != 2:
-                    raise SignalFormatError(
-                        f"{path}:{lineno}: expected two columns, got {len(record)}"
-                    )
-                try:
-                    t, v = float(record[0]), float(record[1])
-                except ValueError:
-                    if lineno == 1:
-                        continue  # header
-                    raise SignalFormatError(
-                        f"{path}:{lineno}: could not parse {record!r} as numbers"
-                    ) from None
-                if not (math.isfinite(t) and math.isfinite(v)):
-                    raise SignalFormatError(
-                        f"{path}:{lineno}: non-finite number in {record!r}"
-                    )
-                rows.append((t, v))
-        except csv.Error as e:  # e.g. a field over csv.field_size_limit()
-            raise SignalFormatError(f"{path}:{reader.line_num}: {e}") from None
-        except UnicodeDecodeError as e:
-            raise SignalFormatError(f"{path}: not UTF-8 text ({e.reason})") from None
-    rows.sort(key=operator.itemgetter(0))
-    for (t0, _), (t1, _) in zip(rows, rows[1:]):
-        if t0 == t1:
-            raise SignalFormatError(f"{path}: duplicate abscissa {t0!r}")
-    if len(rows) < MIN_POINTS:
+    return list(zip(*_read_columns(path)))
+
+
+def _read_columns(path) -> tuple[list[float], list[float]]:
+    """load_csv's series as (ts, vs), sorted by t and checked."""
+    try:
+        with open(path, newline="", encoding="utf-8") as fh:
+            text = fh.read()
+    except UnicodeDecodeError as e:
+        raise SignalFormatError(f"{path}: not UTF-8 text ({e.reason})") from None
+    ts, vs = _plain_columns(text) or _csv_columns(path, text)
+    if not all(map(operator.lt, ts, ts[1:])):
+        order = sorted(range(len(ts)), key=ts.__getitem__)
+        ts = [ts[i] for i in order]
+        vs = [vs[i] for i in order]
+        for t0, t1 in zip(ts, ts[1:]):
+            if t0 == t1:
+                raise SignalFormatError(f"{path}: duplicate abscissa {t0!r}")
+    if len(ts) < MIN_POINTS:
         raise SignalFormatError(
-            f"{path}: need at least {MIN_POINTS} points, got {len(rows)}"
+            f"{path}: need at least {MIN_POINTS} points, got {len(ts)}"
         )
-    return rows
+    return ts, vs
+
+
+# Every byte but the two separators, which _plain_columns keeps in order.
+_NOT_SEPARATOR = bytes(c for c in range(256) if c not in b",\n")
+
+
+def _plain_columns(text: str) -> tuple[list[float], list[float]] | None:
+    """The (ts, vs) columns of a plain text in one pass of float, or None
+    for any other text, which only the csv module reads.
+
+    Plain means no quote, carriage return or NUL (csv gives these meaning,
+    and Python 3.10's csv rejects NUL), exactly one comma on every line, no
+    cell longer than csv.field_size_limit() (a process-wide setting, so it
+    is read on each call), and every cell below an optional header a finite
+    float. csv.reader splits such a text into the same cells, so both
+    readers give the same floats.
+    """
+    if '"' in text or "\r" in text or "\0" in text:
+        return None
+    if not text.endswith("\n"):
+        text += "\n"
+    # one comma on every line: the separators read ",\n" once per line
+    separators = text.encode().translate(None, _NOT_SEPARATOR)
+    if separators != b",\n" * (len(separators) // 2):
+        return None
+    cells = text.replace("\n", ",").split(",")
+    cells.pop()  # the empty cell after the last newline
+    if max(map(len, cells)) > csv.field_size_limit():
+        return None
+    try:
+        float(cells[0]), float(cells[1])
+    except ValueError:
+        del cells[:2]  # header
+    try:
+        values = list(map(float, cells))
+    except ValueError:
+        return None
+    if not all(map(math.isfinite, values)):
+        return None
+    return values[0::2], values[1::2]
+
+
+def _csv_columns(path, text: str) -> tuple[list[float], list[float]]:
+    """The (ts, vs) columns, in file order, of any text the csv module reads,
+    with a `path:line:` SignalFormatError for a row it cannot use."""
+    ts: list[float] = []
+    vs: list[float] = []
+    reader = csv.reader(io.StringIO(text, newline=""))
+    try:
+        for lineno, record in enumerate(reader, start=1):
+            if not record or (len(record) == 1 and not record[0].strip()):
+                continue
+            if len(record) != 2:
+                raise SignalFormatError(
+                    f"{path}:{lineno}: expected two columns, got {len(record)}"
+                )
+            try:
+                t, v = float(record[0]), float(record[1])
+            except ValueError:
+                if lineno == 1:
+                    continue  # header
+                raise SignalFormatError(
+                    f"{path}:{lineno}: could not parse {record!r} as numbers"
+                ) from None
+            if not (math.isfinite(t) and math.isfinite(v)):
+                raise SignalFormatError(
+                    f"{path}:{lineno}: non-finite number in {record!r}"
+                )
+            ts.append(t)
+            vs.append(v)
+    except csv.Error as e:  # e.g. a field over csv.field_size_limit()
+        raise SignalFormatError(f"{path}:{reader.line_num}: {e}") from None
+    return ts, vs
 
 
 def _sign(v: float) -> int:
@@ -250,8 +310,26 @@ def normalize(
     (stored = a + b*raw; must map the first value to 1), 'none' (raw values
     must already start at 1).
     """
-    t0, v0 = raw[0]
-    ts = [t - t0 for t, _ in raw]
+    return _normalized([t for t, _ in raw], [v for _, v in raw], mode, a, b)
+
+
+def read_signal(
+    path,
+    mode: str = "divide_by_first",
+    a: float | None = None,
+    b: float | None = None,
+) -> SampledSignal:
+    """normalize(load_csv(path), mode, a, b), with the same values and
+    errors, carried as two float columns with no per-row tuples."""
+    return _normalized(*_read_columns(path), mode, a, b)
+
+
+def _normalized(ts, vs, mode, a, b) -> SampledSignal:
+    """normalize on the series' two columns."""
+    if not ts:
+        raise ValueError("need two or more abscissas and one value for each")
+    t0, v0 = ts[0], vs[0]
+    ts = [t - t0 for t in ts]
     if mode == "divide_by_first":
         if v0 == 0.0:
             raise NormalizationError("first value is zero; cannot divide by it")
@@ -265,7 +343,7 @@ def normalize(
     else:
         raise ValueError(f"unknown normalization mode {mode!r}")
     offset, scale = norm.offset, norm.scale
-    stored = [offset + scale * v for _, v in raw]
+    stored = [offset + scale * v for v in vs]
     if abs(stored[0] - 1.0) > 1e-9:
         raise NormalizationError(
             f"normalized value at t=0 is {stored[0]!r}, must be 1"

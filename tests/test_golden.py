@@ -59,13 +59,31 @@ CASES = {
 }
 
 
-def write_signal(path: Path) -> None:
-    """81 rows of 2 + sin(t) on [0, 4]; divide_by_first scales them to 1 at t = 0."""
+def signal_lines() -> list[str]:
+    """A `t,value` header and 81 rows of 2 + sin(t) on [0, 4];
+    divide_by_first scales them to 1 at t = 0."""
     lines = ["t,value"]
     for i in range(81):
         t = 0.05 * i
         lines.append(f"{t!r},{2.0 + math.sin(t)!r}")
-    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    return lines
+
+
+def write_signal(path: Path) -> None:
+    """The forecast input: signal_lines, one per line."""
+    path.write_text("\n".join(signal_lines()) + "\n", encoding="utf-8")
+
+
+# The same series in the other shapes a CSV file takes. The first three are
+# read by the csv module, the last two by the plain parse; every one must
+# give the forecast golden.
+CSV_FORMS = {
+    "crlf": lambda lines: "\r\n".join(lines) + "\r\n",
+    "quoted": lambda lines: "".join('"' + line.replace(",", '","') + '"\n' for line in lines),
+    "blank_line": lambda lines: "\n".join(lines[:41] + [""] + lines[41:]) + "\n",
+    "no_header": lambda lines: "\n".join(lines[1:]) + "\n",
+    "unsorted": lambda lines: "\n".join(lines[:1] + lines[:0:-1]) + "\n",
+}
 
 
 def render(name: str, workdir: Path) -> str:
@@ -88,6 +106,17 @@ def render(name: str, workdir: Path) -> str:
 def test_output_matches_golden(name, tmp_path):
     want = (GOLDEN / name).read_text(encoding="utf-8")
     assert render(name, tmp_path) == want
+
+
+@pytest.mark.parametrize("form", sorted(CSV_FORMS))
+def test_forecast_csv_forms_match_golden(form, tmp_path):
+    csv_path = tmp_path / "signal.csv"
+    csv_path.write_bytes(CSV_FORMS[form](signal_lines()).encode("utf-8"))
+    argv = [a.format(csv=csv_path) for a in CASES["readme_forecast.json"]]
+    stdout = io.StringIO()
+    with contextlib.redirect_stdout(stdout):
+        assert run(argv) == 0
+    assert stdout.getvalue() == (GOLDEN / "readme_forecast.json").read_text(encoding="utf-8")
 
 
 if __name__ == "__main__":

@@ -1,11 +1,14 @@
 import csv
 import math
 import random
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 from scipy.interpolate import PchipInterpolator
 
+from geomprod import signal
 from geomprod.combinatorics import IndexSet
 from geomprod.core import GmpConfig, estimate
 from geomprod.errors import (
@@ -82,6 +85,89 @@ class TestLoadCsv:
         assert [t for t, _ in rows] == [0.0, 1.0, 2.0, 3.0]
 
 
+# csv.field_size_limit() while the property below runs: a float's repr
+# fits, and the padded cells of PAST_LIMIT do not.
+FIELD_LIMIT = 32
+
+# Cells float() reads, in the forms a CSV may hold them; the small integers
+# give duplicate times.
+NUMBER = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False).map(repr),
+    st.floats(-1e3, 1e3).map("{:e}".format),
+    st.integers(0, 99).map(lambda k: f"{k // 10}_{k % 10}"),
+    st.sampled_from(["0", "1", "2", "-0", ".5", "5.", "+3", "1E2", "007"]),
+)
+PAST_LIMIT = st.integers(FIELD_LIMIT - 2, FIELD_LIMIT + 2).map(lambda k: "0" * k + "1")
+# Cells float() rejects, cells that are not finite, and cells too long for csv.
+ODD_NUMBER = st.one_of(
+    st.sampled_from(["nan", "inf", "-Infinity", "1e999", "x", "", "1 2", "1__0"]), PAST_LIMIT
+)
+SPACE = st.sampled_from(["", " ", "\t", "\x0c", "\xa0", "\u2028"])
+# Lines csv.reader splits or joins differently from one comma per line.
+ODD_LINE = st.sampled_from(
+    ["", " ", "1", "1,2,3", '"1",2', '1,"2\n3"', "1,2\r", "\r", "1,\x00"]
+)
+
+
+def row(pad, t, v):
+    return f"{pad}{t}{pad},{pad}{v}{pad}"
+
+
+@st.composite
+def csv_texts(draw):
+    """A two-column CSV text: mostly rows of numbers, sometimes under a
+    header or a BOM, sometimes with one odd cell or one odd line."""
+    rows = draw(st.lists(st.tuples(SPACE, NUMBER, NUMBER), min_size=4, max_size=6))
+    lines = [row(*parts) for parts in rows]
+    odd = draw(st.sampled_from([None, None, "cell", "line"]))
+    if odd == "cell":
+        cells = draw(st.permutations([draw(st.one_of(NUMBER, ODD_NUMBER)), draw(ODD_NUMBER)]))
+        lines.insert(draw(st.integers(0, len(lines))), row(draw(SPACE), *cells))
+    elif odd == "line":
+        lines.insert(draw(st.integers(0, len(lines))), draw(ODD_LINE))
+    header = draw(st.sampled_from([None, "t,value", "t,1", "\ufefft,value"]))
+    text = "\n".join(([header] if header else []) + lines) + draw(st.sampled_from(["", "\n"]))
+    return "\ufeff" + text if draw(st.booleans()) else text
+
+
+def load_outcome(path):
+    """load_csv's rows as exact float hex, or its error message."""
+    try:
+        return [(t.hex(), v.hex()) for t, v in load_csv(path)]
+    except SignalFormatError as e:
+        return str(e)
+
+
+class TestPlainParse:
+    @pytest.fixture(scope="class")
+    def path(self, tmp_path_factory):
+        return tmp_path_factory.mktemp("plain") / "series.csv"
+
+    @settings(max_examples=100, deadline=None)
+    @given(text=csv_texts())
+    @example(text='"0","1"\n1,2\n2,3\n3,4\n')  # csv reads a quoted first row as data
+    def test_matches_csv_module(self, path, text):
+        """load_csv gives the same rows, or the same error, as the csv.reader
+        loop on the same file."""
+        path.write_bytes(text.encode("utf-8"))
+        saved = csv.field_size_limit(FIELD_LIMIT)
+        try:
+            got = load_outcome(path)
+            with mock.patch.object(signal, "_plain_columns", return_value=None):
+                want = load_outcome(path)
+        finally:
+            csv.field_size_limit(saved)
+        assert got == want
+
+    def test_plain_text_skips_csv_module(self, tmp_path):
+        plain = write_csv(tmp_path, "t,value\n0,1\n1,2\n2,3\n3,4\n", "plain.csv")
+        crlf = write_csv(tmp_path, "t,value\r\n0,1\r\n1,2\r\n2,3\r\n3,4\r\n", "crlf.csv")
+        with mock.patch.object(signal.csv, "reader", side_effect=AssertionError("csv.reader")):
+            assert signal.read_signal(plain).values == (1.0, 2.0, 3.0, 4.0)
+            with pytest.raises(AssertionError, match="csv.reader"):
+                load_csv(crlf)
+
+
 class TestNormalize:
     def test_divide_by_first(self):
         sig = normalize([(0, 2.0), (1, 2.2), (2, 2.6), (3, 2.9)], "divide_by_first")
@@ -121,6 +207,8 @@ class TestNormalize:
     def test_too_few_samples(self):
         with pytest.raises(ValueError, match="two or more"):
             normalize([(0, 1.0)], "divide_by_first")
+        with pytest.raises(ValueError, match="need two or more abscissas and one value for each"):
+            normalize([], "divide_by_first")
         with pytest.raises(ValueError, match="one value for each"):
             SampledSignal(np.array([0.0, 1.0]), np.array([1.0]), Normalization(0.0, 1.0))
 
