@@ -45,6 +45,9 @@ class FunctionSource(Protocol):
     raises every typed error: ZeroSampleError for f(x) == 0, and for
     signal-backed sources NonPositiveSampleError and DomainCoverageError as
     well.
+
+    The estimator never calls __call__(x), f(x) itself: the sweep's
+    reference column does, and so does a signal's own signed_log.
     """
 
     def __call__(self, x: float) -> float: ...

@@ -1,8 +1,16 @@
-"""Typed error hierarchy shared across the package."""
+"""Typed error hierarchy shared across the package.
+
+Each typed error is its message: str(e) and e.args say where and why it
+failed, and nothing else is stored.
+"""
 
 
 class GeomprodError(Exception):
     """Base class for all errors raised by this package."""
+
+
+def _with_context(msg: str, context: str) -> str:
+    return f"{msg} ({context})" if context else msg
 
 
 class ZeroSampleError(GeomprodError):
@@ -12,39 +20,24 @@ class ZeroSampleError(GeomprodError):
     """
 
     def __init__(self, abscissa: float, context: str = ""):
-        self.abscissa = abscissa
-        self.context = context
-        msg = f"function value is zero at sample abscissa {abscissa!r}"
-        if context:
-            msg += f" ({context})"
-        super().__init__(msg)
+        super().__init__(_with_context(
+            f"function value is zero at sample abscissa {abscissa!r}", context))
 
 
 class NonPositiveSampleError(GeomprodError):
     """A source that must stay positive returned a value <= 0."""
 
     def __init__(self, abscissa: float, value: float, context: str = ""):
-        self.abscissa = abscissa
-        self.value = value
-        self.context = context
-        msg = f"non-positive sample {value!r} at abscissa {abscissa!r}"
-        if context:
-            msg += f" ({context})"
-        super().__init__(msg)
+        super().__init__(_with_context(
+            f"non-positive sample {value!r} at abscissa {abscissa!r}", context))
 
 
 class DomainCoverageError(GeomprodError):
     """A signal-backed source was queried outside its sampled range."""
 
     def __init__(self, abscissa: float, lo: float, hi: float, context: str = ""):
-        self.abscissa = abscissa
-        self.lo = lo
-        self.hi = hi
-        self.context = context
-        msg = f"abscissa {abscissa!r} outside sampled range [{lo!r}, {hi!r}]"
-        if context:
-            msg += f" ({context})"
-        super().__init__(msg)
+        super().__init__(_with_context(
+            f"abscissa {abscissa!r} outside sampled range [{lo!r}, {hi!r}]", context))
 
 
 class SignalFormatError(GeomprodError):

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
 from .combinatorics import IndexSet
-from .core import MAX_SAMPLES, _logs, coefficient
+from .core import MAX_SAMPLES, _check_r, _logs, coefficient
 from .errors import ZeroSampleError
 
 
@@ -258,6 +258,5 @@ def truncated_invariance_closed_form(
 ) -> float:
     """Exact log of the N-truncated order-k product of exp(c x^k):
     c * x^k * (1 - r^(-k*N))."""
-    if not r > 1.0:
-        raise ValueError(f"ratio r must exceed 1, got {r}")
+    _check_r(r)
     return c * x**k * (1.0 - r ** (-k * N))

@@ -518,6 +518,33 @@ def test_usage_error_returns_two(capsys, argv):
     assert err.startswith("error: UsageError:") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize(
+    "argv, name",
+    [
+        (("estimate", "--function", "half_sin_shifted", "--x", "1", "--r", "2"),
+         "half_sin_shifted"),
+        (("component", "--function", "half_sin_shifted", "--k", "2", "--x", "1", "--r", "2"),
+         "half_sin_shifted"),
+        (("sweep", "--function", "exp_scaled:1", "--grid", "1:1:1", "--schedule", "2"),
+         "exp_scaled(c=1.0)"),
+    ],
+)
+def test_even_parity_rejects_a_function_that_is_not_even(capsys, argv, name):
+    code, _, err = invoke(capsys, *argv, "--n-max", "40", "--base", "2,4", "--parity", "even")
+    assert code == 2
+    assert err == (
+        f"error: ValueError: even parity mode requires an even function, got {name}\n")
+
+
+@pytest.mark.parametrize("function", ["cos", "one", "monomial_exp:1,2"])
+@pytest.mark.parametrize("command", ["estimate", "sweep"])
+def test_even_parity_accepts_an_even_function(capsys, command, function):
+    x = ("--grid", "1:1:1", "--schedule", "2") if command == "sweep" else ("--x", "1", "--r", "2")
+    code, _, _ = invoke(capsys, command, "--function", function, *x, "--n-max", "40",
+                        "--base", "2,4", "--parity", "even")
+    assert code == 0
+
+
 @pytest.mark.parametrize("fmt", [("--format", "json"), ("--format=json",)])
 def test_usage_error_json_record(capsys, fmt):
     code, out, _ = invoke(

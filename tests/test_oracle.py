@@ -202,7 +202,7 @@ class TestTruncatedInvariance:
     def test_zero_coefficient(self):
         assert truncated_invariance_closed_form(0.0, 4, 1.3, 2.0, 7) == 0.0
 
-    @pytest.mark.parametrize("r", [1.0, 0.5, -2.0, math.nan])
+    @pytest.mark.parametrize("r", [1.0, 0.5, -2.0, math.nan, math.inf])
     def test_ratio_must_exceed_one(self, r):
         with pytest.raises(ValueError, match="ratio r must exceed 1"):
             truncated_invariance_closed_form(1.0, 2, r, 1.0, 5)
