@@ -4,9 +4,17 @@ Each typed error is its message: str(e) and e.args say where and why it
 failed, and nothing else is stored.
 """
 
+import copyreg
+
 
 class GeomprodError(Exception):
     """Base class for all errors raised by this package."""
+
+    def __reduce__(self):
+        # Exception's reduce calls the class with e.args, which a subclass
+        # constructor reads as the parts of a new message; a copy or an
+        # unpickled error is the class's bare instance with the same args.
+        return copyreg.__newobj__, (type(self), *self.args), self.__dict__ or None
 
 
 def _with_context(msg: str, context: str) -> str:

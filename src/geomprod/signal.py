@@ -101,7 +101,8 @@ def _plain_columns(text: str) -> tuple[list[float], list[float]] | None:
         return None
     cells = text.replace("\n", ",").split(",")
     cells.pop()  # the empty cell after the last newline
-    if max(map(len, cells)) > csv.field_size_limit():
+    limit = csv.field_size_limit()
+    if not _lines_within(text, limit) and max(map(len, cells)) > limit:
         return None
     try:
         float(cells[0]), float(cells[1])
@@ -111,9 +112,33 @@ def _plain_columns(text: str) -> tuple[list[float], list[float]] | None:
         values = list(map(float, cells))
     except ValueError:
         return None
-    if not all(map(math.isfinite, values)):
+    if not _all_finite(values):
         return None
     return values[0::2], values[1::2]
+
+
+def _lines_within(text: str, limit: int) -> bool:
+    """True only if no line of text is longer than limit characters, found
+    with one search per w = limit // 2 + 1 characters: a newline-free run of
+    2w - 1 or more characters holds a whole w-character span that starts at
+    a multiple of w, so when every such span holds a newline, every line is
+    at most 2w - 2 <= limit long. False means the lines must be measured."""
+    w = limit // 2 + 1  # csv takes any int as its limit, so w may be < 1
+    return w > 0 and all(text.find("\n", k, k + w) >= 0 for k in range(0, len(text), w))
+
+
+def _all_finite(xs) -> bool:
+    """all(map(math.isfinite, xs)), mostly in one C pass: hypot is inf or
+    nan when any term is, so a finite hypot proves every term finite, and
+    only one that overflowed pays for the scan. hypot reads each term as
+    isfinite does; sum would add ints exactly and numpy scalars in numpy,
+    which warns when the sum overflows."""
+    try:
+        if math.isfinite(math.hypot(*xs)):
+            return True
+    except OverflowError:  # an int past the float range; the scan decides if it gets there
+        pass
+    return all(map(math.isfinite, xs))
 
 
 def _csv_columns(path, text: str) -> tuple[list[float], list[float]]:
@@ -233,6 +258,12 @@ class SampledSignal:
     range raise DomainCoverageError. `abscissas` (the shifted times) and
     `values` (the normalized values) are tuples of floats, and the
     interpolant reads the same tuples.
+
+    The constructor converts both columns with float() and checks, in this
+    order: two or more abscissas and one value for each, a first abscissa
+    of 0, finite abscissas, strictly increasing abscissas, positive values
+    (a NormalizationError), a first value of exactly 1 and finite values.
+    Every other failure is a ValueError.
     """
 
     def __init__(self, abscissas, values, normalization: Normalization):
@@ -247,18 +278,36 @@ class SampledSignal:
             raise ValueError("first abscissa must be 0 after time shift")
         # inf < inf is False, so an overflowed time must fail here, before
         # the order check could call it out of order.
-        if not all(map(math.isfinite, ts)):
+        if not _all_finite(ts):
             raise ValueError("abscissas and values must be finite")
+        self._init(ts, vs, normalization)
+        # checked after _init's two checks, so that a series failing several
+        # gets the message of the first in the order above
+        if vs[0] != 1.0:
+            raise ValueError("normalized value at t=0 must be exactly 1")
+        if not _all_finite(vs):
+            raise ValueError("abscissas and values must be finite")
+
+    @classmethod
+    def _of_normalized(cls, ts: tuple[float, ...], vs: tuple[float, ...],
+                       normalization: Normalization) -> SampledSignal:
+        """A SampledSignal of float tuples that _normalized built from
+        _read_columns' floats, with two or more of each, ts[0] == 0,
+        vs[0] == 1 and every number finite. It runs only the two checks
+        left open."""
+        self = cls.__new__(cls)
+        self._init(ts, vs, normalization)
+        return self
+
+    def _init(self, ts, vs, normalization: Normalization) -> None:
+        """Keep the float tuples ts and vs once ts strictly increase and
+        every value is positive."""
         if not all(map(operator.lt, ts, ts[1:])):
             raise ValueError("abscissas must be strictly increasing")
-        # nan <= 0 is False: a nan value fails the last check, not this one
+        # nan <= 0 is False: a nan value is left to the finiteness check
         if any(map(operator.le, vs, itertools.repeat(0.0))):
             bad = next(i for i, v in enumerate(vs) if v <= 0.0)
             raise NormalizationError(f"non-positive value {vs[bad]!r} at t={ts[bad]!r}")
-        if vs[0] != 1.0:
-            raise ValueError("normalized value at t=0 must be exactly 1")
-        if not all(map(math.isfinite, vs)):
-            raise ValueError("abscissas and values must be finite")
         self.abscissas = ts
         self.values = vs
         self.normalization = normalization
@@ -310,7 +359,7 @@ def normalize(
     (stored = a + b*raw; must map the first value to 1), 'none' (raw values
     must already start at 1).
     """
-    return _normalized([t for t, _ in raw], [v for _, v in raw], mode, a, b)
+    return _normalized([t for t, _ in raw], [v for _, v in raw], mode, a, b, SampledSignal)
 
 
 def read_signal(
@@ -321,15 +370,17 @@ def read_signal(
 ) -> SampledSignal:
     """normalize(load_csv(path), mode, a, b), with the same values and
     errors, carried as two float columns with no per-row tuples."""
-    return _normalized(*_read_columns(path), mode, a, b)
+    return _normalized(*_read_columns(path), mode, a, b, SampledSignal._of_normalized)
 
 
-def _normalized(ts, vs, mode, a, b) -> SampledSignal:
-    """normalize on the series' two columns."""
+def _normalized(ts, vs, mode, a, b, make) -> SampledSignal:
+    """normalize on the series' two columns. make(shifted, stored, record)
+    builds the signal: SampledSignal for columns of any numbers, or
+    SampledSignal._of_normalized for _read_columns' floats."""
     if not ts:
         raise ValueError("need two or more abscissas and one value for each")
     t0, v0 = ts[0], vs[0]
-    ts = [t - t0 for t in ts]
+    shifted = tuple([t - t0 for t in ts])
     if mode == "divide_by_first":
         if v0 == 0.0:
             raise NormalizationError("first value is zero; cannot divide by it")
@@ -351,9 +402,22 @@ def _normalized(ts, vs, mode, a, b) -> SampledSignal:
     stored[0] = 1.0
     # A raw series of finite numbers can still overflow here, and that is a
     # normalization failure, not a bad argument.
-    if not (all(map(math.isfinite, ts)) and all(map(math.isfinite, stored))):
+    if not (_all_finite(shifted) and _all_finite(stored)):
         raise NormalizationError("shifted times and normalized values must be finite")
-    return SampledSignal(ts, stored, norm)  # rejects a non-positive stored value
+    try:
+        return make(shifted, tuple(stored), norm)  # rejects a non-positive stored value
+    except ValueError:
+        # Increasing times can meet once shifted, since t - t0 rounds; like
+        # an overflow, that is a failure of normalization.
+        for i, (s0, s1) in enumerate(zip(shifted, shifted[1:])):
+            if not s0 < s1:
+                if ts[i] < ts[i + 1]:
+                    raise NormalizationError(
+                        f"times {ts[i]!r} and {ts[i + 1]!r} both shift to {s1!r} "
+                        f"with t0={t0!r}"
+                    ) from None
+                break
+        raise
 
 
 @dataclass(frozen=True)

@@ -263,6 +263,19 @@ class TestForecastCommand:
         assert (code, out) == (2, "")
         assert err == f"error: UsageError: argument --normalize: {reason}\n"
 
+    def test_shifted_times_that_collide(self, capsys, tmp_path):
+        path = tmp_path / "wide_span.csv"
+        path.write_text("t,v\n-1e16,1\n0.5,1\n1.0,1\n2,1\n3,1\n", encoding="utf-8")
+        code, out, err = invoke(
+            capsys,
+            "forecast", "--csv", str(path), "--x", "0.1",
+            "--r", "2", "--n-max", "5", "--base", "1",
+        )
+        message = "times 0.5 and 1.0 both shift to 1e+16 with t0=-1e+16"
+        assert code == 3
+        assert json.loads(out) == {"error": {"type": "NormalizationError", "message": message}}
+        assert err == f"error: NormalizationError: {message}\n"
+
     def test_missing_file_is_io_error(self, capsys, tmp_path):
         code, _, err = invoke(
             capsys,

@@ -1,3 +1,6 @@
+import copy
+import pickle
+
 import pytest
 
 from geomprod.errors import (
@@ -26,3 +29,7 @@ def test_typed_error_is_its_message(error, message):
     assert isinstance(error, GeomprodError)
     assert str(error) == message
     assert error.args == (message,)
+    for twin in (pickle.loads(pickle.dumps(error)), copy.copy(error)):
+        assert type(twin) is type(error)
+        assert str(twin) == message
+        assert twin.args == (message,)

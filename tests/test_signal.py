@@ -146,6 +146,11 @@ class TestPlainParse:
     @settings(max_examples=100, deadline=None)
     @given(text=csv_texts())
     @example(text='"0","1"\n1,2\n2,3\n3,4\n')  # csv reads a quoted first row as data
+    # a 63-character line of two cells that fit, then cells of FIELD_LIMIT
+    # and of FIELD_LIMIT + 1 characters
+    @example(text="0,1\n1,2\n" + "0" * 30 + "3," + "0" * 30 + "4\n5,6\n")
+    @example(text="0,1\n1,2\n" + "0" * 31 + "3,4\n5,6\n")
+    @example(text="0,1\n1,2\n" + "0" * 32 + "3,4\n5,6\n")
     def test_matches_csv_module(self, path, text):
         """load_csv gives the same rows, or the same error, as the csv.reader
         loop on the same file."""
@@ -166,6 +171,23 @@ class TestPlainParse:
             assert signal.read_signal(plain).values == (1.0, 2.0, 3.0, 4.0)
             with pytest.raises(AssertionError, match="csv.reader"):
                 load_csv(crlf)
+
+
+@given(text=st.text(alphabet="0,\n", max_size=40), limit=st.integers(-3, 12))
+def test_lines_within_bounds_every_line(text, limit):
+    """True only when no line is longer than limit, for any limit csv takes."""
+    assert not signal._lines_within(text, limit) or max(map(len, text.split("\n"))) <= limit
+
+
+@pytest.mark.parametrize("xs", [
+    [], [math.inf], [math.nan], [math.inf, -math.inf], [1e308, 1e308],
+    [1.7e308] * 4,  # finite terms whose hypot overflows
+    [np.float64(1.7e308)] * 4,  # a sum of these would warn in numpy
+    [10**308, 10**308],
+    [math.nan, 10**400],  # the scan stops before the int past the float range
+])
+def test_all_finite_is_the_scan(xs):
+    assert signal._all_finite(xs) == all(map(math.isfinite, xs))
 
 
 class TestNormalize:
@@ -199,6 +221,16 @@ class TestNormalize:
     def test_non_finite_after_normalization(self, raw):
         with pytest.raises(NormalizationError, match="finite"):
             normalize(raw, "divide_by_first")
+
+    def test_shifted_times_that_collide(self):
+        # strictly increasing, but 0.5 + 1e16 and 1.0 + 1e16 round to 1e16
+        raw = [(-1e16, 1.0), (0.5, 1.0), (1.0, 1.0), (2.0, 1.0), (3.0, 1.0)]
+        with pytest.raises(NormalizationError, match=(
+            r"^times 0\.5 and 1\.0 both shift to 1e\+16 with t0=-1e\+16$"
+        )):
+            normalize(raw, "none")
+        with pytest.raises(ValueError, match="abscissas must be strictly increasing"):
+            normalize(raw[::-1], "none")
 
     def test_unknown_mode(self):
         with pytest.raises(ValueError, match="unknown normalization mode 'bogus'"):
@@ -241,6 +273,61 @@ class TestNormalize:
         for (t, v), stored in zip(raw, sig.values):
             assert sig.normalization.invert(stored) == pytest.approx(v, abs=1e-14)
             assert sig.normalization.apply(v) == pytest.approx(stored, abs=1e-14)
+
+
+# The forecast golden's series, 2 + sin(t) in 81 rows on [0, 4], with its
+# times moved to start at T0; mode "none" reads the values minus 1, which
+# start at exactly 1.
+T0 = 1234.5
+GOLDEN_TS = [T0 + 0.05 * i for i in range(81)]
+GOLDEN_VS = [2.0 + math.sin(0.05 * i) for i in range(81)]
+# Integer times past 2**53, where t - t0 differs from float(t) - float(t0).
+INT_TS = [10**17 + 3 * i for i in range(81)]
+INT_VS = [2 + i % 5 for i in range(81)]
+MODES = [("divide_by_first", None, None), ("affine", 0.25, 0.375), ("none", None, None)]
+
+
+def shift_and_scale(ts, vs, mode, a, b):
+    """The normalized columns, one term at a time: t - t0, and 1 followed by
+    offset + scale * v."""
+    offset, scale = {"divide_by_first": (0.0, 1.0 / vs[0]), "affine": (a, b),
+                     "none": (0.0, 1.0)}[mode]
+    return tuple(t - ts[0] for t in ts), (1.0,) + tuple(offset + scale * v for v in vs[1:])
+
+
+def bits(xs):
+    return [float(x).hex() for x in xs]
+
+
+class TestShiftAndScale:
+    """Every way in builds the oracle's columns as tuples of Python floats,
+    equal to the bit."""
+
+    def check(self, sig, ts, vs, mode, a, b):
+        want_ts, want_vs = shift_and_scale(ts, vs, mode, a, b)
+        assert type(sig.abscissas) is tuple and type(sig.values) is tuple
+        assert all(type(x) is float for x in sig.abscissas + sig.values)
+        assert bits(sig.abscissas) == bits(want_ts)
+        assert bits(sig.values) == bits(want_vs)
+
+    @pytest.mark.parametrize("mode, a, b", MODES)
+    def test_read_signal(self, tmp_path, mode, a, b):
+        vs = [v - 1.0 for v in GOLDEN_VS] if mode == "none" else GOLDEN_VS
+        text = "t,value\n" + "".join(f"{t!r},{v!r}\n" for t, v in zip(GOLDEN_TS, vs))
+        sig = signal.read_signal(write_csv(tmp_path, text), mode, a, b)
+        self.check(sig, GOLDEN_TS, vs, mode, a, b)
+
+    @pytest.mark.parametrize("mode, a, b", MODES)
+    @pytest.mark.parametrize("kind", ["float", "int", "numpy"])
+    def test_normalize(self, kind, mode, a, b):
+        ts, vs = (INT_TS, INT_VS) if kind == "int" else (GOLDEN_TS, GOLDEN_VS)
+        if mode == "none":
+            vs = [v - 1 for v in vs]
+        rows = list(zip(ts, vs))
+        if kind == "numpy":
+            rows = np.array(rows)
+            ts, vs = list(rows[:, 0]), list(rows[:, 1])
+        self.check(normalize(rows, mode, a, b), ts, vs, mode, a, b)
 
 
 class TestSampledSignal:
