@@ -16,22 +16,14 @@ from typing import Callable, NamedTuple
 
 from .combinatorics import IndexSet
 from .core import MAX_SAMPLES, _check_r, _logs, coefficient
-from .errors import ZeroSampleError
-
-
-def _cos_signed_log(c: float, k: int, x: float) -> tuple[int, float]:
-    v = math.cos(x)
-    if v == 0.0:
-        raise ZeroSampleError(x)
-    return (1 if v > 0 else -1), math.log(abs(v))
 
 
 def _log_abs_batch(values: list[float]):
-    """(log|v| for each value, the positions of the negative values): the
-    batch form of signed_log over values of either sign. A block with every
-    value positive takes its logs directly. log(0.0) raises ValueError, so
-    a zero sample hands the subset to signed_log, which raises
-    ZeroSampleError."""
+    """(log|v| for each value, the positions of the negative values), for
+    values of either sign. A block with every value positive takes its logs
+    directly. log(0.0) raises ValueError, so a zero from a user source that
+    uses this hands the subset to that source's own signed_log; cos, the
+    builtin that uses it, has no zero at any float."""
     if min(values) > 0.0:
         return _logs(values), ()
     negatives = list(itertools.compress(
@@ -44,11 +36,11 @@ def _cos_log_batch(c: float, k: int, points):
 
 
 class _Tag(NamedTuple):
-    """What one builtin tag computes, as plain functions of its c and k."""
+    """What one builtin tag computes, as plain functions of its c and k.
+    Its log is written once, as log_batch; signed_log reads it at one point."""
 
     value: Callable  # (c, k, x) -> f(x)
-    signed_log: Callable  # (c, k, x) -> (sign, log|f(x)|)
-    log_batch: Callable  # (c, k, points) -> core.FunctionSource's batch form of signed_log
+    log_batch: Callable  # (c, k, points) -> (log|f| at each point, positions where f < 0)
     even: Callable  # k -> whether f is even
     label: Callable  # (c, k) -> str(f)
     taylor: Callable  # (c, k, K_max) -> (n, a_n) pairs of f's Taylor series; other a_n are 0
@@ -57,7 +49,6 @@ class _Tag(NamedTuple):
 _TAGS = {
     "one": _Tag(
         value=lambda c, k, x: 1.0,
-        signed_log=lambda c, k, x: (1, 0.0),
         log_batch=lambda c, k, points: ((0.0 for _ in points), ()),
         even=lambda k: True,
         label=lambda c, k: "one",
@@ -65,7 +56,6 @@ _TAGS = {
     ),
     "cos": _Tag(
         value=lambda c, k, x: math.cos(x),
-        signed_log=_cos_signed_log,
         log_batch=_cos_log_batch,
         even=lambda k: True,
         label=lambda c, k: "cos",
@@ -75,7 +65,6 @@ _TAGS = {
     ),
     "exp_scaled": _Tag(
         value=lambda c, k, x: math.exp(c * x),
-        signed_log=lambda c, k, x: (1, c * x),
         log_batch=lambda c, k, points: (map(operator.mul, itertools.repeat(c), points), ()),
         even=lambda k: False,
         label=lambda c, k: f"exp_scaled(c={c})",
@@ -85,7 +74,6 @@ _TAGS = {
     ),
     "half_sin_shifted": _Tag(
         value=lambda c, k, x: 1.0 + 0.5 * math.sin(x),
-        signed_log=lambda c, k, x: (1, math.log1p(0.5 * math.sin(x))),
         log_batch=lambda c, k, points: (map(
             math.log1p, map(operator.mul, itertools.repeat(0.5), map(math.sin, points))), ()),
         even=lambda k: False,
@@ -97,7 +85,6 @@ _TAGS = {
     ),
     "monomial_exp": _Tag(
         value=lambda c, k, x: math.exp(c * x**k),
-        signed_log=lambda c, k, x: (1, c * x**k),
         log_batch=lambda c, k, points: (map(
             operator.mul, itertools.repeat(c), map(pow, points, itertools.repeat(k))), ()),
         even=lambda k: k % 2 == 0,
@@ -116,10 +103,11 @@ class BuiltinFunction:
     Tags: 'one', 'cos', 'exp_scaled' (exp(c*x)), 'half_sin_shifted'
     (1 + sin(x)/2), 'monomial_exp' (exp(c*x^k)).
 
-    signed_log(x) returns (sign, log|f(x)|), computed without under/overflow
-    for the exponential tags. log_batch(points) is its batch form (see
-    core.FunctionSource): the estimator evaluates each subset's samples in
-    one pass of C-level maps.
+    log_batch(points) returns log|f| at each point and the positions where
+    f < 0 (see core.FunctionSource), computed without under/overflow for the
+    exponential tags: the estimator evaluates each subset's samples in one
+    pass of C-level maps. signed_log(x) is its value at one point, so the
+    two agree by construction.
     """
 
     tag: str
@@ -142,7 +130,9 @@ class BuiltinFunction:
         return _TAGS[self.tag].value(self.c, self.k, x)
 
     def signed_log(self, x: float) -> tuple[int, float]:
-        return _TAGS[self.tag].signed_log(self.c, self.k, x)
+        logs, negatives = self.log_batch((x,))
+        (log_f,) = logs
+        return (-1 if negatives else 1), log_f
 
     def log_batch(self, points):
         return _TAGS[self.tag].log_batch(self.c, self.k, points)

@@ -46,7 +46,8 @@ class Normalization:
 def load_csv(path) -> list[tuple[float, float]]:
     """Parse a two-column UTF-8 CSV of (t, value) pairs.
 
-    An unparseable first row is treated as a header. Rows are sorted by t;
+    One leading byte order mark is ignored, and an unparseable first row
+    is treated as a header. Rows are sorted by t;
     non-finite numbers, duplicate abscissas and series shorter than
     MIN_POINTS are rejected, and so is a file that is not UTF-8 or that the
     csv module cannot read: each as a SignalFormatError.
@@ -58,7 +59,7 @@ def _read_columns(path) -> tuple[list[float], list[float]]:
     """load_csv's series as (ts, vs), sorted by t and checked."""
     try:
         with open(path, newline="", encoding="utf-8") as fh:
-            text = fh.read()
+            text = fh.read().removeprefix("\ufeff")  # Excel's "CSV UTF-8" writes one
     except UnicodeDecodeError as e:
         raise SignalFormatError(f"{path}: not UTF-8 text ({e.reason})") from None
     ts, vs = _plain_columns(text) or _csv_columns(path, text)
@@ -384,7 +385,7 @@ def _normalized(ts, vs, mode, a, b, make) -> SampledSignal:
     if mode == "divide_by_first":
         if v0 == 0.0:
             raise NormalizationError("first value is zero; cannot divide by it")
-        norm = Normalization(offset=0.0, scale=1.0 / v0)
+        norm = Normalization(offset=0.0, scale=1.0 / float(v0))
     elif mode == "affine":
         if a is None or b is None or b == 0.0:
             raise ValueError("affine mode needs offset a and nonzero scale b")
@@ -408,8 +409,10 @@ def _normalized(ts, vs, mode, a, b, make) -> SampledSignal:
         return make(shifted, tuple(stored), norm)  # rejects a non-positive stored value
     except ValueError:
         # Increasing times can meet once shifted, since t - t0 rounds; like
-        # an overflow, that is a failure of normalization.
-        for i, (s0, s1) in enumerate(zip(shifted, shifted[1:])):
+        # an overflow, that is a failure of normalization. The scan reads
+        # the floats the constructor saw: exact int shifts can still differ.
+        seen = tuple(map(float, shifted))
+        for i, (s0, s1) in enumerate(zip(seen, seen[1:])):
             if not s0 < s1:
                 if ts[i] < ts[i + 1]:
                     raise NormalizationError(

@@ -75,13 +75,14 @@ def write_signal(path: Path) -> None:
 
 
 # The same series in the other shapes a CSV file takes. The first three are
-# read by the csv module, the last two by the plain parse; every one must
-# give the forecast golden.
+# read by the csv module, the last three by the plain parse (after the one
+# leading byte order mark is dropped); every one must give the forecast golden.
 CSV_FORMS = {
     "crlf": lambda lines: "\r\n".join(lines) + "\r\n",
     "quoted": lambda lines: "".join('"' + line.replace(",", '","') + '"\n' for line in lines),
     "blank_line": lambda lines: "\n".join(lines[:41] + [""] + lines[41:]) + "\n",
     "no_header": lambda lines: "\n".join(lines[1:]) + "\n",
+    "bom_no_header": lambda lines: "\ufeff" + "\n".join(lines[1:]) + "\n",
     "unsorted": lambda lines: "\n".join(lines[:1] + lines[:0:-1]) + "\n",
 }
 

@@ -223,14 +223,19 @@ class TestNormalize:
             normalize(raw, "divide_by_first")
 
     def test_shifted_times_that_collide(self):
-        # strictly increasing, but 0.5 + 1e16 and 1.0 + 1e16 round to 1e16
-        raw = [(-1e16, 1.0), (0.5, 1.0), (1.0, 1.0), (2.0, 1.0), (3.0, 1.0)]
-        with pytest.raises(NormalizationError, match=(
-            r"^times 0\.5 and 1\.0 both shift to 1e\+16 with t0=-1e\+16$"
-        )):
-            normalize(raw, "none")
-        with pytest.raises(ValueError, match="abscissas must be strictly increasing"):
-            normalize(raw[::-1], "none")
+        for raw, message in [
+            # strictly increasing, but 0.5 + 1e16 and 1.0 + 1e16 round to 1e16
+            ([(-1e16, 1.0), (0.5, 1.0), (1.0, 1.0), (2.0, 1.0), (3.0, 1.0)],
+             r"^times 0\.5 and 1\.0 both shift to 1e\+16 with t0=-1e\+16$"),
+            # int shifts stay exact, but 2**53 + 1 has no float of its own
+            ([(0, 1.0), (2**53, 1.0), (2**53 + 1, 1.0), (2**54, 1.0)],
+             r"^times 9007199254740992 and 9007199254740993 both shift to "
+             r"9007199254740992\.0 with t0=0$"),
+        ]:
+            with pytest.raises(NormalizationError, match=message):
+                normalize(raw, "none")
+            with pytest.raises(ValueError, match="abscissas must be strictly increasing"):
+                normalize(raw[::-1], "none")
 
     def test_unknown_mode(self):
         with pytest.raises(ValueError, match="unknown normalization mode 'bogus'"):
@@ -258,9 +263,12 @@ class TestNormalize:
         assert all(type(v) is float for v in sig.abscissas + sig.values)
 
     def test_scale_is_python_float(self):
-        sig = normalize([(0, 2.0), (1, 2.2), (2, 2.6), (3, 2.9)], "divide_by_first")
-        assert type(sig.normalization.scale) is float
-        assert repr(sig.normalization) == "Normalization(offset=0.0, scale=0.5)"
+        raw = [(0, 2.0), (1, 2.2), (2, 2.6), (3, 2.9)]
+        for rows in (raw, np.array(raw)):
+            sig = normalize(rows, "divide_by_first")
+            assert type(sig.normalization.scale) is float
+            assert repr(sig.normalization) == "Normalization(offset=0.0, scale=0.5)"
+            assert type(sig.normalization.invert(1.0)) is float
 
     def test_time_shift(self):
         sig = normalize([(5, 2.0), (6, 2.2), (7, 2.4), (8, 2.6)], "divide_by_first")
