@@ -36,15 +36,14 @@ class FunctionSource(Protocol):
     per sample unless the source defines log_batch(points). That takes a
     lazy iterable of sample points on one geometric sequence, in signed_log's
     order, and returns the pair in one call; its values must equal
-    signed_log's to the bit. Subsets whose sequences coincide (equal
-    coefficients: at r = 2, S and S + {1}) share one log_batch call per
-    estimate, over the points of the longest run, and each later subset
-    sums a suffix of its logs. Any ValueError or
-    ArithmeticError, raised by log_batch or while its logs are summed, or a
-    non-finite weighted sum, hands the subset to signed_log. So signed_log
-    raises every typed error: ZeroSampleError for f(x) == 0, and for
-    signal-backed sources NonPositiveSampleError and DomainCoverageError as
-    well.
+    signed_log's to the bit. An estimate calls log_batch at most once per
+    distinct sequence (see SubsetPlan): subsets whose sequences coincide
+    (equal coefficients: at r = 2, S and S + {1}) share one call over the
+    points of the longest run, and each sums its own suffix. A ValueError or
+    ArithmeticError, from log_batch or from summing its logs, or a
+    non-finite weighted sum, hands the subset to signed_log, which raises
+    every typed error: ZeroSampleError for f(x) == 0, and for a signal
+    NonPositiveSampleError and DomainCoverageError as well.
 
     The estimator never calls __call__(x), f(x) itself: the sweep's
     reference column does, and so does a signal's own signed_log.
@@ -117,10 +116,10 @@ class SubsetPlan:
     Above 2**53 a float weight has lost its low bits, so the sign rule reads
     the exact parity of each binomial from parities instead.
 
-    shared marks a subset whose coefficient compares equal to another's in
-    the same plan (at r = 2, S and S + {1}): both sample one geometric
-    sequence. The smaller subset's run is the longer, and the larger
-    subset's samples are the last len(weights) points of it.
+    seq numbers the geometric sequence of a subset whose coefficient equals
+    another's in the plan (at r = 2, S and S + {1}); it is None for a subset
+    alone on its sequence. The first subset on a sequence has the longest
+    run, and skip = |S| - |first S| of its points precede this subset's.
     """
 
     subset: IndexSet
@@ -130,7 +129,8 @@ class SubsetPlan:
     parities: tuple[int, ...]  # binom(n-1, |S|-1) % 2
     odd: bool
     top: int
-    shared: bool
+    seq: int | None
+    skip: int
 
 
 @dataclass(frozen=True)
@@ -205,11 +205,14 @@ def _subset_plans(subsets, r: float, n_max: int) -> tuple[SubsetPlan, ...]:
                 raise OverflowError(f"{e} [subset {S}]") from None
         coeffs[S] = coefficient(S, r)
     counts = Counter(coeffs.values())
-    return tuple(
-        SubsetPlan(S, coeff, *columns[len(S)], odd=len(S) % 2 == 1, top=S.max_element,
-                   shared=counts[coeff] > 1)
-        for S, coeff in coeffs.items()
-    )
+    firsts: dict = {}  # shared coefficient -> (its seq, the |S| of its first subset)
+    plans = []
+    for S, coeff in coeffs.items():
+        m = len(S)
+        seq, first = firsts.setdefault(coeff, (len(firsts), m)) if counts[coeff] > 1 else (None, m)
+        plans.append(SubsetPlan(S, coeff, *columns[m], odd=m % 2 == 1, top=S.max_element,
+                                seq=seq, skip=m - first))
+    return tuple(plans)
 
 
 def _logs(values):
@@ -247,55 +250,67 @@ def _signed_logs(f: FunctionSource, plan: SubsetPlan, scaled_x: float) -> tuple[
     return logs, negatives
 
 
-def _log_sum(f: FunctionSource, plan: SubsetPlan, x: float, seqs: dict) -> tuple[float, int]:
-    """(log|P|, sign of P) for the subset's partial product P: the sum of
-    weight * log|f(coeff * x / r**n)| over the plan's samples, compensated
-    (math.fsum), and -1 when the weights of the negative values sum to odd.
-    Where every weight is 1 the logs are summed as they are: v * 1.0 == v.
-
-    Where f has log_batch, the (logs, negatives) pair is the suffix of the
-    block that `seqs` holds for plan.coeff (see SubsetPlan), or comes from
-    one f.log_batch call, stored in `seqs` when plan.shared. Where f has
-    none or gives up, it comes from _signed_logs (see FunctionSource).
+def _quotient(f: FunctionSource, x: float, plans, k: int | None = None) -> tuple[list, int]:
+    """One pass over `plans`, or over those whose greatest element is k:
+    each subset's log|P|, negated where |S| is even, and the product of the
+    signs of the P. log|P| sums weight * log|f(coeff * x / r**n)| over the
+    samples with math.fsum (the logs as they are where every weight is 1),
+    and P < 0 when the weights of the negative values sum to odd. With
+    log_batch, a subset alone on its sequence sums one lazy call; a shared
+    sequence (see SubsetPlan) is listed once, at its first subset here, and
+    each subset sums it from its own first sample on. Without log_batch, or
+    when it gives up, the pair comes from _signed_logs (see FunctionSource).
     """
-    scaled_x = plan.coeff * x  # coeff * x / r**n, in the formula's own order
-    if not math.isfinite(scaled_x):
-        raise GeomprodError(
-            f"sample point coeff * x overflows for subset {plan.subset} at x={x}"
-        )
-    weights = plan.weights
-    # The weights rise from binom(|S|-1, |S|-1) = 1, so the last is 1 only
-    # when all are: |S| = 1, or a single sample.
-    unit = weights[-1] == 1.0
-    log_value = math.nan
-    if hasattr(f, "log_batch"):
-        try:
-            if plan.coeff in seqs:
-                logs, negatives = seqs[plan.coeff]
-                skip = len(logs) - len(weights)
-                logs = logs[skip:]
-                negatives = [i - skip for i in negatives if i >= skip]
-            else:
-                logs, negatives = f.log_batch(
-                    map(operator.truediv, itertools.repeat(scaled_x), plan.r_pows))
-                if plan.shared:
-                    logs, negatives = seqs[plan.coeff] = list(logs), list(negatives)
-            log_value = math.fsum(logs if unit else map(operator.mul, logs, weights))
-        except (ValueError, ArithmeticError):
-            pass
-    if not math.isfinite(log_value):
-        logs, negatives = _signed_logs(f, plan, scaled_x)
-        try:
-            log_value = math.fsum(logs if unit else map(operator.mul, logs, weights))
-        except ArithmeticError as e:  # fsum's "intermediate overflow"
-            e.args = (f"{e} [subset {plan.subset}]",)
-            raise
-        if not math.isfinite(log_value):
+    batch = getattr(f, "log_batch", None)
+    blocks = [None] * len(plans)  # seq -> (skip, logs, negatives) of its first subset here
+    out = []
+    sign = 1
+    for plan in plans:
+        if k is not None and k != plan.top:
+            continue
+        scaled_x = plan.coeff * x  # coeff * x / r**n, in the formula's own order
+        if not math.isfinite(scaled_x):
             raise GeomprodError(
-                f"non-finite partial product accumulation for subset {plan.subset} at x={x}"
+                f"sample point coeff * x overflows for subset {plan.subset} at x={x}"
             )
-    # The weights' sum has the parity of the count of odd weights in it.
-    return log_value, -1 if sum(map(plan.parities.__getitem__, negatives)) & 1 else 1
+        weights, seq = plan.weights, plan.seq
+        # The weights rise from binom(|S|-1, |S|-1) = 1, so the last is 1
+        # only when all are: |S| = 1, or a single sample.
+        unit = weights[-1] == 1.0
+        log_value = math.nan
+        if batch is not None:
+            try:
+                block = None if seq is None else blocks[seq]
+                if block is None:
+                    logs, negatives = batch(
+                        map(operator.truediv, itertools.repeat(scaled_x), plan.r_pows))
+                    if seq is not None:
+                        block = blocks[seq] = plan.skip, list(logs), list(negatives)
+                if block is not None:
+                    first, logs, negatives = block
+                    skip = plan.skip - first
+                    if skip:
+                        logs = itertools.islice(logs, skip, None)
+                        negatives = [i - skip for i in negatives if i >= skip]
+                log_value = math.fsum(logs if unit else map(operator.mul, logs, weights))
+            except (ValueError, ArithmeticError):
+                pass
+        if not math.isfinite(log_value):
+            logs, negatives = _signed_logs(f, plan, scaled_x)
+            try:
+                log_value = math.fsum(logs if unit else map(operator.mul, logs, weights))
+            except ArithmeticError as e:  # fsum's "intermediate overflow"
+                e.args = (f"{e} [subset {plan.subset}]",)
+                raise
+            if not math.isfinite(log_value):
+                raise GeomprodError(
+                    f"non-finite partial product accumulation for subset {plan.subset} at x={x}"
+                )
+        out.append(log_value if plan.odd else -log_value)
+        # The weights' sum has the parity of the count of odd weights in it.
+        if negatives and sum(map(plan.parities.__getitem__, negatives)) & 1:
+            sign = -sign
+    return out, sign
 
 
 def log_partial_product(
@@ -304,55 +319,46 @@ def log_partial_product(
     """Accumulate sum_{n=|S|}^{n_max} binom(n-1, |S|-1) * log f(x_n)."""
     _check_plan(n_max, "S", len(S), n_max - len(S) + 1)
     (plan,) = _subset_plans([S], r, n_max)
-    log_value, sign = _log_sum(f, plan, x, {})
+    (log_value,), sign = _quotient(f, x, (plan,))
     return LogProduct(
-        log_value=log_value,
+        log_value=log_value if plan.odd else -log_value,
         sign=sign,
         term_count=len(plan.weights),
         min_point=plan.coeff * x / plan.r_pows[-1],
     )
 
 
-def _combine(logs: list[float], sign: int, x: float, cfg: GmpConfig, count: int) -> Estimate:
-    """The Estimate whose log value is the compensated sum of `logs`."""
+def _combine(logs: list, sign: int, x: float, cfg: GmpConfig, k: int | None = None) -> Estimate:
+    """The Estimate whose log value is the compensated sum of `logs`, over the
+    factors of the subsets of cfg.base whose greatest element is k (or all)."""
     log_value = math.fsum(logs)
     try:
         value = sign * math.exp(log_value)
     except OverflowError:
         raise GeomprodError(f"estimate overflows: log value {log_value}") from None
     return Estimate(
-        value=value, log_value=log_value, sign=sign, x=x, config=cfg, factor_count=count
+        value=value, log_value=log_value, sign=sign, x=x, config=cfg,
+        factor_count=factor_count(cfg.base, cfg.n_max, k),
     )
 
 
-def _quotient(f: FunctionSource, x: float, cfg: GmpConfig, k: int | None = None) -> Estimate:
+def _estimate(f: FunctionSource, x: float, cfg: GmpConfig, k: int | None = None) -> Estimate:
     """The odd/even quotient over the subsets of cfg.base, or over those
-    whose greatest element is k."""
-    count = factor_count(cfg.base, cfg.n_max, k)
-    logs = []
-    sign = 1
-    seqs: dict = {}  # coefficient -> (logs, negatives) that later subsets reuse
-    # x = 0 takes no sample, so the plan is left unbuilt: its r**n can
-    # overflow for a huge r that x = 0 never needs.
-    for plan in cfg.plan if x != 0.0 else ():
-        if k not in (None, plan.top):
-            continue
-        log_value, s = _log_sum(f, plan, x, seqs)
-        logs.append(log_value if plan.odd else -log_value)
-        sign *= s
-    return _combine(logs, sign, x, cfg, count)
+    whose greatest element is k. x = 0 takes no sample and leaves the plan
+    unbuilt: its r**n can overflow for a huge r that x = 0 never needs."""
+    return _combine(*_quotient(f, x, cfg.plan if x != 0.0 else (), k), x, cfg, k)
 
 
 def estimate(f: FunctionSource, x: float, cfg: GmpConfig) -> Estimate:
     """Full multiproduct estimate of f(x) under cfg."""
-    return _quotient(f, x, cfg)
+    return _estimate(f, x, cfg)
 
 
 def component_estimate(f: FunctionSource, k: int, x: float, cfg: GmpConfig) -> Estimate:
     """Estimate of the order-k component exp(c_k x^k): the quotient
     restricted to the subsets of cfg.base whose greatest element is k.
     A k outside cfg.base raises ValueError."""
-    return _quotient(f, x, cfg, k)
+    return _estimate(f, x, cfg, k)
 
 
 def reconstruct_from_components(f: FunctionSource, x: float, cfg: GmpConfig) -> Estimate:
@@ -361,14 +367,8 @@ def reconstruct_from_components(f: FunctionSource, x: float, cfg: GmpConfig) -> 
     The subset family partitions by greatest element, so this regroups the
     exact factors of estimate() and must agree with it in log space.
     """
-    comps = [_quotient(f, x, cfg, k) for k in cfg.base]
-    return _combine(
-        [c.log_value for c in comps],
-        math.prod(c.sign for c in comps),
-        x,
-        cfg,
-        factor_count(cfg.base, cfg.n_max),
-    )
+    comps = [_estimate(f, x, cfg, k) for k in cfg.base]
+    return _combine([c.log_value for c in comps], math.prod(c.sign for c in comps), x, cfg)
 
 
 def pollution_exponent(j: int, k: int, r: float) -> float:

@@ -415,9 +415,11 @@ def _normalized(ts, vs, mode, a, b, make) -> SampledSignal:
         for i, (s0, s1) in enumerate(zip(seen, seen[1:])):
             if not s0 < s1:
                 if ts[i] < ts[i + 1]:
+                    # .item() names a numpy scalar as the Python int or float it equals
+                    t, t_next, t0 = (v.item() if hasattr(v, "item") else v
+                                     for v in (ts[i], ts[i + 1], t0))
                     raise NormalizationError(
-                        f"times {ts[i]!r} and {ts[i + 1]!r} both shift to {s1!r} "
-                        f"with t0={t0!r}"
+                        f"times {t!r} and {t_next!r} both shift to {s1!r} with t0={t0!r}"
                     ) from None
                 break
         raise
@@ -448,7 +450,10 @@ def coverage_check(sig: SampledSignal, cfg: GmpConfig, x: float) -> CoverageRepo
         x > 0.0 and farthest <= domain_end,
         math.copysign(farthest, x),
         domain_end,
-        abs(x) * domain_end / farthest,
+        # A subnormal x can round every sample to 0.0; the horizon is then
+        # the one of x = 1, whose farthest sample is max coeff / r^|S|.
+        abs(x) * domain_end / farthest if farthest
+        else domain_end / max(plan.coeff / plan.r_pows[0] for plan in cfg.plan),
     )
 
 

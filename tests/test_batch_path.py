@@ -205,6 +205,40 @@ class TestSharedSequences:
         assert repr(estimate(counted, 1.0, cfg)) == repr(estimate(_SignedLogOnly(sig), 1.0, cfg))
         assert counted.points == points
 
+    def test_suffix_drops_a_negative_sample(self):
+        # {2} and {1,2} sample sqrt(3) x / 2^n: {2} from n = 1, {1,2} from
+        # n = 2. At x = 3 the one negative sample, cos(2.598...), is {2}'s
+        # first, so it flips the sign of {2}'s product and not of {1,2}'s.
+        cfg = GmpConfig(r=2.0, n_max=12, base=IndexSet.of(1, 2))
+        counted = _CountingBatch(COS)
+        est = estimate(counted, 3.0, cfg)
+        assert repr(est) == repr(estimate(_SignedLogOnly(COS), 3.0, cfg))
+        assert est.sign == -1
+        assert counted.points == 24  # 12 for {1}, 12 for the shared sequence
+
+    @pytest.mark.parametrize("k, points", [(1, 40), (2, 40), (3, 79), (4, 156)])
+    def test_component_evaluates_only_kept_sequences(self, k, points):
+        # k = 3 keeps {3}, {1,3}, {2,3} and {1,2,3}: the sequences of {3}
+        # (n = 1..40) and of {2,3} (n = 2..40)
+        counted = _CountingBatch(HALF_SIN_SHIFTED)
+        out = _same_through_both(component_estimate, counted, k, 3.0, _FIG2)
+        assert out.startswith("Estimate(")
+        assert counted.points == points
+
+    def test_component_without_the_first_subset_of_a_sequence(self):
+        # At this r the coefficients of {2} and {1,3} are one float, so
+        # {1,3}'s run is {2}'s from n = 2. The order-3 component keeps
+        # {1,3} and not {2}, and evaluates {1,3}'s own 11 points.
+        cfg = GmpConfig(r=1.895715910705717, n_max=12, base=IndexSet.of(1, 2, 3))
+        seqs = {p.subset: (p.seq, p.skip) for p in cfg.plan if p.seq is not None}
+        assert seqs == {IndexSet.of(2): (0, 0), IndexSet.of(1, 3): (0, 1)}
+        counted = _CountingBatch(HALF_SIN_SHIFTED)
+        assert _same_through_both(component_estimate, counted, 3, 1.0, cfg).startswith("Estimate(")
+        assert counted.points == 12 + 11 + 11 + 10  # {3}, {1,3}, {2,3}, {1,2,3}
+        counted = _CountingBatch(HALF_SIN_SHIFTED)
+        _same_through_both(estimate, counted, 1.0, cfg)
+        assert counted.points == 68  # 79 samples, 11 of them shared
+
 
 class TestSampledSignalBatch:
     SIG = normalize([(0.05 * i, 1.0 + 0.5 * math.sin(0.05 * i)) for i in range(81)])

@@ -914,6 +914,9 @@ def _series_csv(draw):
                "--base", "1"], fmt="json", series=_csv(_RAMP))
 @example(argv=["forecast", "--csv", "{csv}", "--x", "-0.0", "--r", "2", "--n-max", "4",
                "--base", "1"], fmt="csv", series=_csv(_RAMP))
+# a subnormal horizon whose every sample rounds to 0.0
+@example(argv=["forecast", "--csv", "{csv}", "--x", "5e-324", "--r", "2", "--n-max", "10",
+               "--base", "1"], fmt="json", series=_csv(_RAMP))
 @example(argv=["component", "--function", "cos", "--k", "1", "--x", "1e308", "--r", "1e6",
                "--n-max", "1", "--base", "1"], fmt="json", series="")
 # the longest series, with every layout option

@@ -219,17 +219,21 @@ class TestEstimate:
     )
     @settings(max_examples=50, deadline=None)
     def test_plan_shares_sequences_of_equal_coefficients(self, r, base):
-        # shared marks a subset whose coefficient float another subset has;
-        # the first with it has the longest run, and the others its suffixes.
+        # seq numbers each coefficient float that two or more subsets have,
+        # in order of first appearance, and is None for the others; the
+        # first subset with a coefficient has the longest run, and skip
+        # places each other subset's run in it.
         cfg = GmpConfig(r=r, n_max=8, base=IndexSet(tuple(sorted(base))))
         plans = cfg.plan
+        shared = []
         for p in plans:
             same = [q for q in plans if q.coeff == p.coeff]
-            assert p.shared == (len(same) > 1)
             first = same[0]
-            skip = len(first.r_pows) - len(p.weights)
-            assert skip == len(p.subset) - len(first.subset) >= 0
-            assert p.r_pows == first.r_pows[skip:]
+            if len(same) > 1 and p is first:
+                shared.append(p.coeff)
+            assert p.seq == (shared.index(p.coeff) if len(same) > 1 else None)
+            assert p.skip == len(p.subset) - len(first.subset) >= 0
+            assert p.r_pows == first.r_pows[p.skip:]
             assert (p.odd, p.top) == (len(p.subset) % 2 == 1, p.subset.max_element)
 
     def test_fig2_plan_has_315_distinct_points(self):
@@ -241,7 +245,8 @@ class TestEstimate:
         assert len(firsts) == 8
         assert sum(len(p.r_pows) for p in firsts.values()) == 315
         assert all(1 in p.subset for p in cfg.plan if p is not firsts[p.coeff])
-        assert [p.subset for p in cfg.plan if not p.shared] == [IndexSet.of(1)]
+        assert [p.subset for p in cfg.plan if p.seq is None] == [IndexSet.of(1)]
+        assert sorted({p.seq for p in cfg.plan} - {None}) == list(range(7))
 
     def test_fig2_bit_identical_to_direct_loop(self):
         # The paper's formula written out independently of the plan: every

@@ -3,12 +3,15 @@
 Each case runs one argv through `cli.run` and compares what it writes
 (stdout, or the `--output` file) with a file under tests/data/golden/.
 The cases are the six README examples, the default-schedule sweep the
-benchmark runs, and a sweep whose schedule reaches r = 1e300, where x = 0
-must still give an `ok` row. A speed change must leave all of them
-identical.
+benchmark runs, a sweep whose schedule reaches r = 1e300, where x = 0
+must still give an `ok` row, and the Fig-2 grid as a sweep: a builtin at
+r = 2 with 1 in the base, where subsets share sample sequences. A speed
+change must leave all of them identical.
 
 The files were captured once, from the code before the per-configuration
-sampling plan existed. Regenerate them only for an intended output change:
+sampling plan existed; fig2_sweep.csv from the code before an estimate
+became one pass over its plan. Regenerate them only for an intended output
+change:
 
     PYTHONPATH=src python tests/test_golden.py
 """
@@ -51,6 +54,10 @@ CASES = {
     "sweep_default_schedule.csv": (
         "sweep", "--function", "cos", "--grid", "0:3:0.05", "--cutoff", "32",
         "--base", "2,4", "--parity", "even", "--output", "{out}",
+    ),
+    "fig2_sweep.csv": (
+        "sweep", "--function", "half_sin_shifted", "--grid", "0:4:0.05", "--schedule", "2",
+        "--n-max", "40", "--base", "1,2,3,4",
     ),
     "sweep_huge_ratio.csv": (
         "sweep", "--function", "exp_scaled:800", "--grid", "0:1:0.5",

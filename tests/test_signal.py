@@ -237,6 +237,18 @@ class TestNormalize:
             with pytest.raises(ValueError, match="abscissas must be strictly increasing"):
                 normalize(raw[::-1], "none")
 
+    @pytest.mark.parametrize("dtype", [np.float64, np.int64])
+    def test_collision_of_numpy_rows_names_python_numbers(self, dtype):
+        # the message Python rows give, not np.float64(0.5) or np.int64(0)
+        raw = [(-1e16, 1.0), (0.5, 1.0), (1.0, 1.0), (2.0, 1.0), (3.0, 1.0)]
+        if dtype is np.int64:
+            raw = [(0, 1), (2**53, 1), (2**53 + 1, 1), (2**54, 1)]
+        with pytest.raises(NormalizationError) as want:
+            normalize(raw, "none")
+        with pytest.raises(NormalizationError) as got:
+            normalize(np.array(raw, dtype=dtype), "none")
+        assert str(got.value) == str(want.value)
+
     def test_unknown_mode(self):
         with pytest.raises(ValueError, match="unknown normalization mode 'bogus'"):
             normalize(half_sin_series(), mode="bogus")
@@ -456,6 +468,17 @@ class TestCoverageCheck:
         # the farthest sample is {2}'s first: sqrt(2^2 - 1) * -0.5 / 2
         assert report.max_required == pytest.approx(-(3.0**0.5) / 4.0, rel=1e-12)
         assert report.max_feasible_x == coverage_check(sig, cfg, 0.5).max_feasible_x
+
+    @pytest.mark.parametrize("x", [5e-324, -5e-324])
+    def test_subnormal_horizon(self, x):
+        # x / 2, the first sample of {1} at r = 2, rounds to 0.0; the horizon
+        # is that of a normal x, 4.0 / (1 / 2)
+        sig = normalize(half_sin_series(4.0, 0.25), "none")
+        cfg = GmpConfig(r=2.0, n_max=10, base=IndexSet.of(1))
+        report = coverage_check(sig, cfg, x)
+        assert report.ok == (x > 0.0)
+        assert repr(report.max_required) == repr(math.copysign(0.0, x))
+        assert report.max_feasible_x == coverage_check(sig, cfg, 1.0).max_feasible_x == 8.0
 
 
 class TestForecast:
