@@ -14,7 +14,6 @@ import json
 import math
 import re
 import sys
-from dataclasses import asdict
 
 from . import combinatorics, core, oracle, signal, sweeps
 from .combinatorics import IndexSet
@@ -136,14 +135,7 @@ def _config_dict(cfg: core.GmpConfig) -> dict:
 
 
 def _estimate_dict(est: core.Estimate) -> dict:
-    return {
-        "value": est.value,
-        "log_value": est.log_value,
-        "sign": est.sign,
-        "x": est.x,
-        "factor_count": est.factor_count,
-        "config": _config_dict(est.config),
-    }
+    return dict(est._asdict(), config=_config_dict(est.config))
 
 
 def _emit(text: str, args) -> None:
@@ -302,7 +294,7 @@ def _cmd_sweep(args) -> int:
     )
     rows = sweeps.grid_eval(spec)
     if args.format == "json":
-        _emit(_dumps([asdict(row) for row in rows], indent=2) + "\n", args)
+        _emit(_dumps([row._asdict() for row in rows], indent=2) + "\n", args)
     else:
         _emit(sweeps.rows_to_csv(rows), args)
     return 0
@@ -327,7 +319,7 @@ def _cmd_forecast(args) -> int:
         {
             "normalized": _estimate_dict(result.normalized),
             "raw_value": result.raw_value,
-            "coverage": asdict(result.coverage),
+            "coverage": result.coverage._asdict(),
         },
         args,
     )

@@ -15,7 +15,7 @@ import operator
 from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Protocol
+from typing import NamedTuple, Protocol
 
 from .combinatorics import IndexSet, check_n_max, enumerate_subsets, factor_count, multiplicity
 from .errors import GeomprodError
@@ -104,8 +104,7 @@ def check_parity(parity: str, base: IndexSet) -> None:
         raise ValueError(f"even parity mode requires an all-even base, got {base}")
 
 
-@dataclass(frozen=True)
-class SubsetPlan:
+class SubsetPlan(NamedTuple):
     """The part of one subset's partial product that does not depend on x:
     sample n, for n = |S|..n_max, lies at coeff * x / r**n and carries
     weight binom(n-1, |S|-1). odd is |S| odd (a numerator factor), top the
@@ -133,8 +132,7 @@ class SubsetPlan:
     skip: int
 
 
-@dataclass(frozen=True)
-class LogProduct:
+class LogProduct(NamedTuple):
     """One truncated partial product, held as log|value| plus its sign.
 
     min_point is the last sample, coeff * x / r**n_max, the one nearest 0.
@@ -147,8 +145,7 @@ class LogProduct:
     min_point: float
 
 
-@dataclass(frozen=True)
-class Estimate:
+class Estimate(NamedTuple):
     value: float
     log_value: float
     sign: int

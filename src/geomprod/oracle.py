@@ -199,8 +199,7 @@ def multiindex_bruteforce(f, S: IndexSet, r: float, x: float, N: int) -> float:
     return math.fsum(terms)
 
 
-@dataclass(frozen=True)
-class ComponentSeries:
+class ComponentSeries(NamedTuple):
     """Power-series coefficients c_1..c_K of log f for a builtin."""
 
     function: BuiltinFunction

@@ -15,7 +15,7 @@ import itertools
 import math
 import operator
 from bisect import bisect_right
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .core import Estimate, GmpConfig, _logs, estimate
 from .errors import (
@@ -29,8 +29,7 @@ from .errors import (
 MIN_POINTS = 4
 
 
-@dataclass(frozen=True)
-class Normalization:
+class Normalization(NamedTuple):
     """Affine record: stored = offset + scale * raw."""
 
     offset: float
@@ -425,8 +424,7 @@ def _normalized(ts, vs, mode, a, b, make) -> SampledSignal:
         raise
 
 
-@dataclass(frozen=True)
-class CoverageReport:
+class CoverageReport(NamedTuple):
     """ok: every sample point lies in [0, domain_end]. max_required: the
     sample point farthest from 0, negative for x < 0. max_feasible_x: the
     largest x > 0 whose samples all lie in the range."""
@@ -450,15 +448,13 @@ def coverage_check(sig: SampledSignal, cfg: GmpConfig, x: float) -> CoverageRepo
         x > 0.0 and farthest <= domain_end,
         math.copysign(farthest, x),
         domain_end,
-        # A subnormal x can round every sample to 0.0; the horizon is then
-        # the one of x = 1, whose farthest sample is max coeff / r^|S|.
-        abs(x) * domain_end / farthest if farthest
-        else domain_end / max(plan.coeff / plan.r_pows[0] for plan in cfg.plan),
+        # Samples scale with x, so the horizon is that of x = 1, whose farthest
+        # sample is max coeff / r^|S|; x's own farthest sample rounds through x.
+        domain_end / max(plan.coeff / plan.r_pows[0] for plan in cfg.plan),
     )
 
 
-@dataclass(frozen=True)
-class ForecastResult:
+class ForecastResult(NamedTuple):
     normalized: Estimate
     raw_value: float
     coverage: CoverageReport

@@ -9,8 +9,9 @@ than aborting the study. Output CSV is byte-reproducible: fixed row order,
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from functools import cached_property
+from typing import NamedTuple
 
 from .combinatorics import IndexSet, factor_count
 from .core import GmpConfig, coupled_n_max, estimate
@@ -77,8 +78,7 @@ class SweepSpec:
         return [start + i * step for i in range(count)]
 
 
-@dataclass(frozen=True)
-class SweepRow:
+class SweepRow(NamedTuple):
     x: float
     r: float
     n_max: int
@@ -89,7 +89,7 @@ class SweepRow:
     status: str = "ok"
 
 
-CSV_HEADER = ",".join(field.name for field in fields(SweepRow))
+CSV_HEADER = ",".join(SweepRow._fields)
 
 
 def _eval_row(function: BuiltinFunction, x: float, cfg: GmpConfig) -> SweepRow:
@@ -159,5 +159,5 @@ def _fmt(v) -> str:
 def rows_to_csv(rows: list[SweepRow]) -> str:
     """CSV_HEADER, then one line per row with its fields in declaration order."""
     lines = [CSV_HEADER]
-    lines.extend(",".join(map(_fmt, vars(row).values())) for row in rows)
+    lines.extend(",".join(map(_fmt, row)) for row in rows)
     return "\n".join(lines) + "\n"

@@ -263,6 +263,18 @@ class TestForecastCommand:
         assert (code, out) == (2, "")
         assert err == f"error: UsageError: argument --normalize: {reason}\n"
 
+    def test_affine_zero_scale_is_usage_error(self, capsys, tmp_path):
+        path = self.write_series(tmp_path)
+        code, out, err = invoke(
+            capsys,
+            "forecast", "--csv", str(path), "--normalize", "affine:1,0", "--x", "1",
+            "--r", "2", "--n-max", "4", "--base", "1",
+        )
+        message = "affine mode needs offset a and nonzero scale b"
+        assert code == 2
+        assert json.loads(out) == {"error": {"type": "ValueError", "message": message}}
+        assert err == f"error: ValueError: {message}\n"
+
     def test_shifted_times_that_collide(self, capsys, tmp_path):
         path = tmp_path / "wide_span.csv"
         path.write_text("t,v\n-1e16,1\n0.5,1\n1.0,1\n2,1\n3,1\n", encoding="utf-8")

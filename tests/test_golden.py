@@ -5,13 +5,16 @@ Each case runs one argv through `cli.run` and compares what it writes
 The cases are the six README examples, the default-schedule sweep the
 benchmark runs, a sweep whose schedule reaches r = 1e300, where x = 0
 must still give an `ok` row, and the Fig-2 grid as a sweep: a builtin at
-r = 2 with 1 in the base, where subsets share sample sequences. A speed
+r = 2 with 1 in the base, where subsets share sample sequences. The
+huge-ratio sweep as JSON (null cells, error statuses) and the forecast as
+CSV pin the two outputs built from a record's fields by name. A speed
 change must leave all of them identical.
 
 The files were captured once, from the code before the per-configuration
 sampling plan existed; fig2_sweep.csv from the code before an estimate
-became one pass over its plan. Regenerate them only for an intended output
-change:
+became one pass over its plan; sweep_huge_ratio.json and
+readme_forecast.csv from the code before the records became named tuples.
+Regenerate them only for an intended output change:
 
     PYTHONPATH=src python tests/test_golden.py
 """
@@ -62,6 +65,14 @@ CASES = {
     "sweep_huge_ratio.csv": (
         "sweep", "--function", "exp_scaled:800", "--grid", "0:1:0.5",
         "--schedule", "1.5,2,1e300", "--n-max", "10", "--base", "1,2",
+    ),
+    "sweep_huge_ratio.json": (
+        "sweep", "--function", "exp_scaled:800", "--grid", "0:1:0.5",
+        "--schedule", "1.5,2,1e300", "--n-max", "10", "--base", "1,2", "--format", "json",
+    ),
+    "readme_forecast.csv": (
+        "forecast", "--csv", "{csv}", "--normalize", "divide_by_first", "--x", "3.0",
+        "--r", "2", "--n-max", "40", "--base", "1,2,3,4", "--format", "csv",
     ),
 }
 

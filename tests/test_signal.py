@@ -249,6 +249,11 @@ class TestNormalize:
             normalize(np.array(raw, dtype=dtype), "none")
         assert str(got.value) == str(want.value)
 
+    @pytest.mark.parametrize("ab", [{}, {"a": 1.0, "b": 0.0}])
+    def test_affine_needs_offset_and_nonzero_scale(self, ab):
+        with pytest.raises(ValueError, match="^affine mode needs offset a and nonzero scale b$"):
+            normalize(half_sin_series(), "affine", **ab)
+
     def test_unknown_mode(self):
         with pytest.raises(ValueError, match="unknown normalization mode 'bogus'"):
             normalize(half_sin_series(), mode="bogus")
@@ -469,16 +474,23 @@ class TestCoverageCheck:
         assert report.max_required == pytest.approx(-(3.0**0.5) / 4.0, rel=1e-12)
         assert report.max_feasible_x == coverage_check(sig, cfg, 0.5).max_feasible_x
 
-    @pytest.mark.parametrize("x", [5e-324, -5e-324])
-    def test_subnormal_horizon(self, x):
-        # x / 2, the first sample of {1} at r = 2, rounds to 0.0; the horizon
-        # is that of a normal x, 4.0 / (1 / 2)
+    @pytest.mark.parametrize("cfg, x, required, horizon", [
+        # x / 2, the first sample of {1} at r = 2, rounds to 0.0
+        pytest.param(GmpConfig(r=2.0, n_max=10, base=IndexSet.of(1)), x,
+                     math.copysign(0.0, x), 8.0, id=repr(x))
+        for x in (5e-324, -5e-324)
+    ] + [
+        # {4}'s first sample, 15^(1/4) x / 2, rounds to a few subnormal ulps
+        pytest.param(FIG2_CFG, x, required, 4.0 / (15.0**0.25 / 2.0), id=f"fig2-{x!r}")
+        for x, required in ((5e-324, 5e-324), (1e-320, 9.8417876651576312e-321))
+    ])
+    def test_subnormal_horizon(self, cfg, x, required, horizon):
+        # the horizon is that of a normal x, domain_end / max_S(coeff / r^|S|)
         sig = normalize(half_sin_series(4.0, 0.25), "none")
-        cfg = GmpConfig(r=2.0, n_max=10, base=IndexSet.of(1))
         report = coverage_check(sig, cfg, x)
         assert report.ok == (x > 0.0)
-        assert repr(report.max_required) == repr(math.copysign(0.0, x))
-        assert report.max_feasible_x == coverage_check(sig, cfg, 1.0).max_feasible_x == 8.0
+        assert repr(report.max_required) == repr(required)
+        assert report.max_feasible_x == coverage_check(sig, cfg, 1.0).max_feasible_x == horizon
 
 
 class TestForecast:
