@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 from dataclasses import dataclass
 
 
@@ -113,8 +114,13 @@ def compositions_bruteforce(n: int, m: int) -> int:
 
 
 def check_n_max(n_max: int, name: str, size: int) -> None:
-    """Reject an n_max below `size`, the largest subset of the set `name`,
-    which would leave that subset without a term."""
+    """Reject an n_max that operator.index refuses (an int, a bool or a
+    numpy integer passes), or one below `size`, the largest subset of the set
+    `name`, which would leave that subset without a term."""
+    try:
+        operator.index(n_max)
+    except TypeError:
+        raise ValueError(f"n_max={n_max!r} must be an integer") from None
     if n_max < size:
         raise ValueError(f"n_max={n_max} must be at least |{name}|={size}")
 

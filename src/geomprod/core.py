@@ -112,8 +112,8 @@ class SubsetPlan(NamedTuple):
 
     weights holds each binomial as a float, the factor the weighted sum
     multiplies by: float(w) * v rounds exactly as w * v does for an int w.
-    Above 2**53 a float weight has lost its low bits, so the sign rule reads
-    the exact parity of each binomial from parities instead.
+    Above 2**53 a float weight has lost its low bits, so the sign rule takes
+    each binomial's parity from Lucas's theorem instead (see _quotient).
 
     seq numbers the geometric sequence of a subset whose coefficient equals
     another's in the plan (at r = 2, S and S + {1}); it is None for a subset
@@ -125,7 +125,6 @@ class SubsetPlan(NamedTuple):
     coeff: float
     r_pows: tuple[float, ...]  # r**n
     weights: tuple[float, ...]  # float(binom(n-1, |S|-1))
-    parities: tuple[int, ...]  # binom(n-1, |S|-1) % 2
     odd: bool
     top: int
     seq: int | None
@@ -186,18 +185,18 @@ def sequence_point(S: IndexSet, r: float, x: float, n: int) -> float:
 
 def _subset_plans(subsets, r: float, n_max: int) -> tuple[SubsetPlan, ...]:
     """Plans for `subsets`, given cardinality-major as enumerate_subsets
-    orders them. r**n is computed once for n = 1..n_max and the weights and
-    their parities once per cardinality; the records share them. Each
-    subset's weights are checked before its coefficient."""
+    orders them. r**n is computed once for n = 1..n_max and the float
+    weights once per cardinality; the records share them. Each subset's
+    weights are checked before its coefficient."""
     r_pows = tuple(_powers(r, range(1, n_max + 1)))
-    columns: dict[int, tuple] = {}  # |S| -> (r_pows, weights, parities)
+    columns: dict[int, tuple] = {}  # |S| -> (r_pows, weights)
     coeffs = {}
     for S in subsets:
         m = len(S)
         if m not in columns:
-            exact = tuple(map(multiplicity, range(m, n_max + 1), itertools.repeat(m)))
             try:
-                columns[m] = r_pows[m - 1:], tuple(map(float, exact)), tuple(w & 1 for w in exact)
+                columns[m] = r_pows[m - 1:], tuple(
+                    map(float, map(multiplicity, range(m, n_max + 1), itertools.repeat(m))))
             except OverflowError as e:  # a weight past 2**1024
                 raise OverflowError(f"{e} [subset {S}]") from None
         coeffs[S] = coefficient(S, r)
@@ -252,7 +251,10 @@ def _quotient(f: FunctionSource, x: float, plans, k: int | None = None) -> tuple
     each subset's log|P|, negated where |S| is even, and the product of the
     signs of the P. log|P| sums weight * log|f(coeff * x / r**n)| over the
     samples with math.fsum (the logs as they are where every weight is 1),
-    and P < 0 when the weights of the negative values sum to odd. With
+    and P < 0 when the weights of the negative values sum to odd. By Lucas's
+    theorem the weight of a subset's i-th sample, counted from 0 at its
+    first, binom(|S|-1+i, |S|-1), is odd exactly when i & (|S|-1) == 0, so
+    the sign reads only |S| and the negatives' positions. With
     log_batch, a subset alone on its sequence sums one lazy call; a shared
     sequence (see SubsetPlan) is listed once, at its first subset here, and
     each subset sums it from its own first sample on. Without log_batch, or
@@ -304,8 +306,9 @@ def _quotient(f: FunctionSource, x: float, plans, k: int | None = None) -> tuple
                     f"non-finite partial product accumulation for subset {plan.subset} at x={x}"
                 )
         out.append(log_value if plan.odd else -log_value)
-        # The weights' sum has the parity of the count of odd weights in it.
-        if negatives and sum(map(plan.parities.__getitem__, negatives)) & 1:
+        # The weights' sum has the parity of the count of odd weights in it,
+        # and weight i is odd exactly where i & (|S| - 1) == 0 (Lucas).
+        if negatives and sum(not i & (len(plan.subset) - 1) for i in negatives) & 1:
             sign = -sign
     return out, sign
 
@@ -387,8 +390,10 @@ def pollution_exponent(j: int, k: int, r: float) -> float:
 def cutoff_n_max(K: float, r: float) -> int:
     """Truncation index with r^n_max ~ K held fixed: ceil(ln K / ln r)."""
     _check_r(r)
-    if K < 2:
+    if not K >= 2:  # nan too
         raise ValueError(f"cutoff must be >= 2, got {K}")
+    if K == math.inf:
+        raise ValueError(f"cutoff must be finite, got {K}")
     return math.ceil(math.log(K) / math.log(r))
 
 

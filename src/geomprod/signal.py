@@ -320,7 +320,7 @@ class SampledSignal:
 
     def __call__(self, x: float) -> float:
         x = float(x)
-        if x < 0.0 or x > self._t_last:
+        if not 0.0 <= x <= self._t_last:  # nan too
             raise DomainCoverageError(x, 0.0, self._t_last)
         return self._interp(x)
 

@@ -345,6 +345,18 @@ class TestWeightsPast2To53:
         assert repr(lp.log_value) == repr(direct)
         assert lp.sign == (-1 if sum(_BIG_WEIGHTS[i] for i in negatives) % 2 else 1)
 
+    @pytest.mark.parametrize("m", [1, 2, 3, 4, 7, 8])
+    def test_sign_matches_exact_parity_at_each_cardinality(self, m):
+        # sample i of S carries C(m-1+i, m-1): odd exactly where i & (m-1) == 0
+        S = IndexSet(tuple(range(1, m + 1)))
+        odd = [i for i in range(41) if not i & (m - 1)]
+        even = [i for i in range(41) if i & (m - 1)]
+        for negatives in ([], odd[:1], odd[1:2], odd[:2], odd[-3:], even[:1], even[:3],
+                          odd[:1] + even[:2], odd[-3:] + even[-2:]):
+            lp = log_partial_product(_BatchOnly(_Marked(negatives)), S, self.R, self.X, m + 40)
+            assert lp.sign == (
+                -1 if sum(math.comb(len(S) - 1 + i, len(S) - 1) for i in negatives) % 2 else 1)
+
     def test_weight_past_the_float_range(self):
         # C(2999, 199) exceeds 2**1024, the float range
         S = IndexSet(tuple(range(1, 201)))

@@ -109,6 +109,9 @@ class TestFactorCount:
     def test_n_max_too_small(self):
         with pytest.raises(ValueError):
             factor_count(IndexSet.of(1, 2, 3), 2)
+        for n_max in (2.5, 40.0):
+            with pytest.raises(ValueError, match=rf"^n_max={n_max} must be an integer$"):
+                factor_count(IndexSet.of(1, 2), n_max)
 
     @given(
         elements=st.lists(st.integers(1, 40), min_size=1, max_size=6, unique=True),

@@ -37,6 +37,9 @@ class TestGmpConfig:
     def test_n_max_vs_base(self):
         with pytest.raises(ValueError):
             GmpConfig(r=2.0, n_max=2, base=IndexSet.of(1, 2, 3))
+        for n_max in (2.5, 40.0):
+            with pytest.raises(ValueError, match=rf"^n_max={n_max} must be an integer$"):
+                GmpConfig(r=2.0, n_max=n_max, base=IndexSet.of(1, 2))
 
     def test_even_mode_needs_even_base(self):
         with pytest.raises(ValueError):
@@ -433,5 +436,9 @@ class TestCoupledNMax:
             coupled_n_max("cutoff", 32, 2.0, IndexSet.of(1))
         with pytest.raises(ValueError, match="cutoff must be >= 2, got 1"):
             coupled_n_max("fixed_cutoff", 1, 2.0, IndexSet.of(1))
+        with pytest.raises(ValueError, match=r"^cutoff must be >= 2, got nan$"):
+            coupled_n_max("fixed_cutoff", math.nan, 2.0, IndexSet.of(1))
+        with pytest.raises(ValueError, match=r"^cutoff must be finite, got inf$"):
+            coupled_n_max("fixed_cutoff", math.inf, 2.0, IndexSet.of(1))
         with pytest.raises(ValueError, match="ratio r must exceed 1"):
             coupled_n_max("fixed_cutoff", 32, 1.0, IndexSet.of(1))

@@ -7,13 +7,17 @@ benchmark runs, a sweep whose schedule reaches r = 1e300, where x = 0
 must still give an `ok` row, and the Fig-2 grid as a sweep: a builtin at
 r = 2 with 1 in the base, where subsets share sample sequences. The
 huge-ratio sweep as JSON (null cells, error statuses) and the forecast as
-CSV pin the two outputs built from a record's fields by name. A speed
-change must leave all of them identical.
+CSV pin the two outputs built from a record's fields by name. In
+sign_even_weight.json the {2,4} subset has negative samples at weights 1
+and 2, so its sign of -1 holds only if the even weight is not counted. A
+speed change must leave all of them identical.
 
 The files were captured once, from the code before the per-configuration
 sampling plan existed; fig2_sweep.csv from the code before an estimate
 became one pass over its plan; sweep_huge_ratio.json and
-readme_forecast.csv from the code before the records became named tuples.
+readme_forecast.csv from the code before the records became named tuples;
+sign_even_weight.json from the code before the sign rule took each weight's
+parity from Lucas's theorem.
 Regenerate them only for an intended output change:
 
     PYTHONPATH=src python tests/test_golden.py
@@ -73,6 +77,10 @@ CASES = {
     "readme_forecast.csv": (
         "forecast", "--csv", "{csv}", "--normalize", "divide_by_first", "--x", "3.0",
         "--r", "2", "--n-max", "40", "--base", "1,2,3,4", "--format", "csv",
+    ),
+    "sign_even_weight.json": (
+        "estimate", "--function", "cos", "--x", "3.5", "--r", "1.5", "--n-max", "12",
+        "--base", "2,4", "--parity", "even",
     ),
 }
 

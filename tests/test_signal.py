@@ -383,6 +383,9 @@ class TestSampledSignal:
             sig(2.5)
         with pytest.raises(DomainCoverageError):
             sig(-0.1)
+        for query in (sig, sig.signed_log):
+            with pytest.raises(DomainCoverageError, match=r"^abscissa nan outside"):
+                query(math.nan)
 
 
 def random_series(rows, seed, positive=False):
