@@ -358,9 +358,6 @@ def run(argv=None) -> int:
     args = None
     try:
         args = build_parser().parse_args(argv)
-        # GmpConfig checks the base against --parity; only here is f known
-        if hasattr(args, "function") and args.parity == "even" and not args.function.even:
-            raise ValueError(f"even parity mode requires an even function, got {args.function}")
         return _COMMANDS[args.command](args)
     except (SignalFormatError, OSError) as e:
         _report_error(e, _wants_json(argv, args))

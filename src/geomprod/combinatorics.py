@@ -12,48 +12,46 @@ from __future__ import annotations
 import itertools
 import math
 import operator
-from dataclasses import dataclass
 
 
-@dataclass(frozen=True)
-class IndexSet:
-    """A finite set of distinct positive integers, stored sorted.
+class IndexSet(tuple):
+    """A finite set of distinct positive integers, stored sorted as a tuple.
 
     Each element is the order k of one geometric-sequence scaling factor
-    (r^k - 1)^(1/k).
+    (r^k - 1)^(1/k). Length, iteration, `in`, indexing, hashing, equality
+    and pickling are the tuple's: IndexSet.of(2, 4) == (2, 4), with the
+    same hash.
     """
 
-    elements: tuple[int, ...]
+    __slots__ = ()
 
-    def __post_init__(self):
-        if not self.elements:
+    def __new__(cls, elements):
+        if not elements:
             raise ValueError("index set must be non-empty")
-        elems = tuple(self.elements)
+        elems = tuple(elements)
         if any((not isinstance(k, int)) or k < 1 for k in elems):
             raise ValueError(f"index set elements must be positive integers: {elems}")
         if any(a >= b for a, b in zip(elems, elems[1:])):
             raise ValueError(f"index set elements must be strictly increasing: {elems}")
-        object.__setattr__(self, "elements", elems)
+        return super().__new__(cls, elems)
 
     @classmethod
     def of(cls, *elements: int) -> "IndexSet":
         return cls(tuple(sorted(elements)))
 
-    def __len__(self) -> int:
-        return len(self.elements)
-
-    def __iter__(self):
-        return iter(self.elements)
-
-    def __contains__(self, k: int) -> bool:
-        return k in self.elements
+    @property
+    def elements(self) -> tuple[int, ...]:
+        return tuple(self)
 
     @property
     def max_element(self) -> int:
-        return self.elements[-1]
+        return self[-1]
+
+    def __repr__(self) -> str:
+        return f"IndexSet(elements={self.elements!r})"
 
     def __str__(self) -> str:
-        return "{" + ",".join(str(k) for k in self.elements) + "}"
+        return "{" + ",".join(map(str, self)) + "}"
 
 
 def enumerate_subsets(base: IndexSet) -> tuple[IndexSet, ...]:

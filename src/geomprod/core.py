@@ -46,7 +46,9 @@ class FunctionSource(Protocol):
     NonPositiveSampleError and DomainCoverageError as well.
 
     The estimator never calls __call__(x), f(x) itself: the sweep's
-    reference column does, and so does a signal's own signed_log.
+    reference column does, and so does a signal's own signed_log. A source
+    may declare `even`; a false one fails every estimate under an 'even'
+    config.
     """
 
     def __call__(self, x: float) -> float: ...
@@ -68,7 +70,7 @@ class GmpConfig:
         _check_r(self.r)
         b = len(self.base)
         # Counted in closed form, before any subset is enumerated.
-        _check_plan(self.n_max, "base", b, plan_samples(b, self.n_max))
+        _check_plan(self.n_max, "base", b, lambda: plan_samples(b, self.n_max))
         check_parity(self.parity, self.base)
 
     @cached_property
@@ -86,9 +88,11 @@ def plan_samples(b: int, n_max: int) -> int:
     return (n_max + 1) * (2**b - 1) - b * 2 ** (b - 1)
 
 
-def _check_plan(n_max: int, name: str, size: int, samples: int) -> None:
-    """check_n_max, then reject a plan of more than MAX_SAMPLES samples."""
+def _check_plan(n_max: int, name: str, size: int, count) -> None:
+    """check_n_max, then reject a plan of more than MAX_SAMPLES samples,
+    counted by count() once n_max is known to be an integer."""
     check_n_max(n_max, name, size)
+    samples = count()
     if samples > MAX_SAMPLES:
         raise ValueError(
             f"n_max={n_max} with |{name}|={size} needs {samples} "
@@ -107,8 +111,8 @@ def check_parity(parity: str, base: IndexSet) -> None:
 class SubsetPlan(NamedTuple):
     """The part of one subset's partial product that does not depend on x:
     sample n, for n = |S|..n_max, lies at coeff * x / r**n and carries
-    weight binom(n-1, |S|-1). odd is |S| odd (a numerator factor), top the
-    greatest element of S.
+    weight binom(n-1, |S|-1). The subset is a numerator factor when |S| is
+    odd, and its last element, the greatest, names its component.
 
     weights holds each binomial as a float, the factor the weighted sum
     multiplies by: float(w) * v rounds exactly as w * v does for an int w.
@@ -125,8 +129,6 @@ class SubsetPlan(NamedTuple):
     coeff: float
     r_pows: tuple[float, ...]  # r**n
     weights: tuple[float, ...]  # float(binom(n-1, |S|-1))
-    odd: bool
-    top: int
     seq: int | None
     skip: int
 
@@ -206,8 +208,7 @@ def _subset_plans(subsets, r: float, n_max: int) -> tuple[SubsetPlan, ...]:
     for S, coeff in coeffs.items():
         m = len(S)
         seq, first = firsts.setdefault(coeff, (len(firsts), m)) if counts[coeff] > 1 else (None, m)
-        plans.append(SubsetPlan(S, coeff, *columns[m], odd=m % 2 == 1, top=S.max_element,
-                                seq=seq, skip=m - first))
+        plans.append(SubsetPlan(S, coeff, *columns[m], seq=seq, skip=m - first))
     return tuple(plans)
 
 
@@ -265,7 +266,7 @@ def _quotient(f: FunctionSource, x: float, plans, k: int | None = None) -> tuple
     out = []
     sign = 1
     for plan in plans:
-        if k is not None and k != plan.top:
+        if k is not None and k != plan.subset[-1]:
             continue
         scaled_x = plan.coeff * x  # coeff * x / r**n, in the formula's own order
         if not math.isfinite(scaled_x):
@@ -305,7 +306,7 @@ def _quotient(f: FunctionSource, x: float, plans, k: int | None = None) -> tuple
                 raise GeomprodError(
                     f"non-finite partial product accumulation for subset {plan.subset} at x={x}"
                 )
-        out.append(log_value if plan.odd else -log_value)
+        out.append(log_value if len(plan.subset) & 1 else -log_value)
         # The weights' sum has the parity of the count of odd weights in it,
         # and weight i is odd exactly where i & (|S| - 1) == 0 (Lucas).
         if negatives and sum(not i & (len(plan.subset) - 1) for i in negatives) & 1:
@@ -317,11 +318,11 @@ def log_partial_product(
     f: FunctionSource, S: IndexSet, r: float, x: float, n_max: int
 ) -> LogProduct:
     """Accumulate sum_{n=|S|}^{n_max} binom(n-1, |S|-1) * log f(x_n)."""
-    _check_plan(n_max, "S", len(S), n_max - len(S) + 1)
+    _check_plan(n_max, "S", len(S), lambda: n_max - len(S) + 1)
     (plan,) = _subset_plans([S], r, n_max)
     (log_value,), sign = _quotient(f, x, (plan,))
     return LogProduct(
-        log_value=log_value if plan.odd else -log_value,
+        log_value=log_value if len(S) & 1 else -log_value,
         sign=sign,
         term_count=len(plan.weights),
         min_point=plan.coeff * x / plan.r_pows[-1],
@@ -344,8 +345,12 @@ def _combine(logs: list, sign: int, x: float, cfg: GmpConfig, k: int | None = No
 
 def _estimate(f: FunctionSource, x: float, cfg: GmpConfig, k: int | None = None) -> Estimate:
     """The odd/even quotient over the subsets of cfg.base, or over those
-    whose greatest element is k. x = 0 takes no sample and leaves the plan
-    unbuilt: its r**n can overflow for a huge r that x = 0 never needs."""
+    whose greatest element is k. A function that declares itself not even
+    (f.even false) fails an 'even' config. x = 0 takes no sample and leaves
+    the plan unbuilt: its r**n can overflow for a huge r that x = 0 never
+    needs."""
+    if cfg.parity == "even" and not getattr(f, "even", True):
+        raise ValueError(f"even parity mode requires an even function, got {f}")
     return _combine(*_quotient(f, x, cfg.plan if x != 0.0 else (), k), x, cfg, k)
 
 

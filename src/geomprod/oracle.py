@@ -236,8 +236,8 @@ def _log_of_series(a: list[float]) -> list[float]:
 
 def log_series_components(f: BuiltinFunction, K_max: int = 12) -> ComponentSeries:
     """c_1..c_{K_max} of log f, derived by truncated series arithmetic."""
-    if K_max > 12:
-        raise ValueError(f"K_max must be <= 12, got {K_max}")
+    if not 0 <= K_max <= 12:
+        raise ValueError(f"K_max must be from 0 to 12, got {K_max}")
     g = _log_of_series(_taylor_coefficients(f, K_max))
     return ComponentSeries(function=f, coefficients=tuple(g[1:]))
 

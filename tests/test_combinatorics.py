@@ -1,4 +1,5 @@
 import math
+import pickle
 
 import pytest
 from hypothesis import given, strategies as st
@@ -23,6 +24,23 @@ class TestIndexSet:
     def test_invalid(self, bad):
         with pytest.raises(ValueError):
             IndexSet(tuple(bad))
+
+    def test_tuple_contract(self):
+        # An IndexSet is an immutable tuple of its elements that still
+        # prints as the frozen dataclass did.
+        s = IndexSet.of(4, 2)
+        for name in ("elements", "extra"):
+            with pytest.raises(AttributeError):
+                setattr(s, name, (1,))
+        assert repr(s) == "IndexSet(elements=(2, 4))"
+        assert str(s) == "{2,4}"
+        assert IndexSet(elements=(2, 4)) == s
+        back = pickle.loads(pickle.dumps(s))
+        assert type(back) is IndexSet and back == s and repr(back) == repr(s)
+        assert s == (2, 4) and hash(s) == hash((2, 4))
+        assert len(s) == 2 and 4 in s and 3 not in s and list(s) == [2, 4]
+        assert type(s.elements) is tuple and s.elements == (2, 4)
+        assert s.max_element == s[-1] == 4
 
 
 class TestEnumerateSubsets:

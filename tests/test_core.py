@@ -21,6 +21,7 @@ from geomprod.core import (
 )
 from geomprod.errors import ZeroSampleError
 from geomprod.oracle import COS, HALF_SIN_SHIFTED, ONE, exp_scaled, monomial_exp
+from geomprod.sweeps import SweepSpec, grid_eval
 
 SQRT2 = math.sqrt(2.0)
 
@@ -37,14 +38,32 @@ class TestGmpConfig:
     def test_n_max_vs_base(self):
         with pytest.raises(ValueError):
             GmpConfig(r=2.0, n_max=2, base=IndexSet.of(1, 2, 3))
-        for n_max in (2.5, 40.0):
-            with pytest.raises(ValueError, match=rf"^n_max={n_max} must be an integer$"):
+        # a string or None is refused before the sample count's arithmetic
+        for n_max in (2.5, 40.0, "10", None):
+            with pytest.raises(ValueError, match=rf"^n_max={n_max!r} must be an integer$"):
                 GmpConfig(r=2.0, n_max=n_max, base=IndexSet.of(1, 2))
 
     def test_even_mode_needs_even_base(self):
         with pytest.raises(ValueError):
             GmpConfig(r=2.0, n_max=10, base=IndexSet.of(1, 2), parity="even")
         GmpConfig(r=2.0, n_max=10, base=IndexSet.of(2, 4), parity="even")
+
+    def test_even_mode_needs_even_function(self):
+        # the library refuses it, not only the CLI; x = 0 included
+        cfg = GmpConfig(r=2.0, n_max=10, base=IndexSet.of(2, 4), parity="even")
+        msg = "^even parity mode requires an even function, got half_sin_shifted$"
+        for x in (0.0, 1.0):
+            with pytest.raises(ValueError, match=msg):
+                estimate(HALF_SIN_SHIFTED, x, cfg)
+            with pytest.raises(ValueError, match=msg):
+                component_estimate(HALF_SIN_SHIFTED, 2, x, cfg)
+        spec = SweepSpec(HALF_SIN_SHIFTED, (0, 1, 0.5), (2.0,), "fixed_n_max", 10,
+                         IndexSet.of(2, 4), "even")
+        with pytest.raises(ValueError, match=msg):
+            grid_eval(spec)
+        # an even function passes, and the mode changes no number
+        all_cfg = GmpConfig(r=2.0, n_max=10, base=IndexSet.of(2, 4))
+        assert estimate(COS, 1.0, cfg).value == estimate(COS, 1.0, all_cfg).value
 
     def test_unknown_parity_mode(self):
         with pytest.raises(ValueError, match="parity must be 'all' or 'even', got 'odd'"):
@@ -160,6 +179,8 @@ class TestLogPartialProduct:
     def test_n_max_below_cardinality(self):
         with pytest.raises(ValueError):
             log_partial_product(ONE, IndexSet.of(1, 2, 3), 2.0, 1.0, 2)
+        with pytest.raises(ValueError, match=r"^n_max='10' must be an integer$"):
+            log_partial_product(ONE, IndexSet.of(1, 2), 2.0, 1.0, "10")
 
     def test_plan_cap(self):
         # n_max - |S| + 1 samples over the cap, refused before any r**n is computed
@@ -237,7 +258,6 @@ class TestEstimate:
             assert p.seq == (shared.index(p.coeff) if len(same) > 1 else None)
             assert p.skip == len(p.subset) - len(first.subset) >= 0
             assert p.r_pows == first.r_pows[p.skip:]
-            assert (p.odd, p.top) == (len(p.subset) % 2 == 1, p.subset.max_element)
 
     def test_fig2_plan_has_315_distinct_points(self):
         # S and S + {1} share a sequence at r = 2, because (2 - 1)^1 is 1.0

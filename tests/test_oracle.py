@@ -186,8 +186,9 @@ class TestLogSeriesComponents:
             )
 
     def test_k_max_bound(self):
-        with pytest.raises(ValueError):
-            log_series_components(COS, 13)
+        for K_max in (13, -1):
+            with pytest.raises(ValueError, match=rf"^K_max must be from 0 to 12, got {K_max}$"):
+                log_series_components(COS, K_max)
 
 
 class TestTruncatedInvariance:

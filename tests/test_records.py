@@ -41,10 +41,10 @@ RECORDS = [
     (LogProduct, ("log_value", "sign", "term_count", "min_point"), (0.0, 1, 2, 0.125),
      "LogProduct(log_value=0.0, sign=1, term_count=2, min_point=0.125)"),
     (SubsetPlan,
-     ("subset", "coeff", "r_pows", "weights", "odd", "top", "seq", "skip"),
-     (IndexSet.of(1), 1.0, (2.0, 4.0), (1.0, 1.0), True, 1, None, 0),
+     ("subset", "coeff", "r_pows", "weights", "seq", "skip"),
+     (IndexSet.of(1), 1.0, (2.0, 4.0), (1.0, 1.0), None, 0),
      "SubsetPlan(subset=IndexSet(elements=(1,)), coeff=1.0, r_pows=(2.0, 4.0), "
-     "weights=(1.0, 1.0), odd=True, top=1, seq=None, skip=0)"),
+     "weights=(1.0, 1.0), seq=None, skip=0)"),
     (Normalization, ("offset", "scale"), (0.0, 0.5), "Normalization(offset=0.0, scale=0.5)"),
     (CoverageReport, ("ok", "max_required", "domain_end", "max_feasible_x"), _COVERAGE,
      _COVERAGE_REPR),
