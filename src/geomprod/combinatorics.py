@@ -58,10 +58,12 @@ def enumerate_subsets(base: IndexSet) -> tuple[IndexSet, ...]:
     """Return all 2^|base| - 1 non-empty subsets of `base`.
 
     Order is cardinality-major, then lexicographic, so any serialized
-    output derived from the subsets is reproducible byte-for-byte.
+    output derived from the subsets is reproducible byte-for-byte. A subset
+    of a checked IndexSet is one too, so each is built without the checks.
     """
+    new = tuple.__new__
     return tuple(
-        IndexSet(combo)
+        new(IndexSet, combo)
         for size in range(1, len(base) + 1)
         for combo in itertools.combinations(base.elements, size)
     )
@@ -111,14 +113,20 @@ def compositions_bruteforce(n: int, m: int) -> int:
     return count(n, m)
 
 
-def check_n_max(n_max: int, name: str, size: int) -> None:
-    """Reject an n_max that operator.index refuses (an int, a bool or a
-    numpy integer passes), or one below `size`, the largest subset of the set
-    `name`, which would leave that subset without a term."""
+def check_integer(value, name: str) -> None:
+    """Reject a value that operator.index refuses (an int, a bool or a numpy
+    integer passes) as a ValueError that names the argument `name`."""
     try:
-        operator.index(n_max)
+        operator.index(value)
     except TypeError:
-        raise ValueError(f"n_max={n_max!r} must be an integer") from None
+        raise ValueError(f"{name}={value!r} must be an integer") from None
+
+
+def check_n_max(n_max: int, name: str, size: int) -> None:
+    """Reject an n_max that check_integer refuses, or one below `size`, the
+    largest subset of the set `name`, which would leave that subset without
+    a term."""
+    check_integer(n_max, "n_max")
     if n_max < size:
         raise ValueError(f"n_max={n_max} must be at least |{name}|={size}")
 

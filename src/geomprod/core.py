@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import NamedTuple, Protocol
 
-from .combinatorics import IndexSet, check_n_max, enumerate_subsets, factor_count, multiplicity
+from .combinatorics import IndexSet, check_integer, check_n_max, enumerate_subsets, factor_count
 from .errors import GeomprodError
 
 
@@ -172,10 +172,15 @@ def _powers(r: float, exponents) -> list[float]:
     return powers
 
 
+def _roots(r: float, ks) -> list[float]:
+    """(r^k - 1)^(1/k) for each k in ks, the factors of the coefficients."""
+    return [(r_k - 1.0) ** (1.0 / k) for r_k, k in zip(_powers(r, ks), ks)]
+
+
 def coefficient(S: IndexSet, r: float) -> float:
     """The sequence coefficient prod_{k in S} (r^k - 1)^(1/k)."""
     _check_r(r)
-    return math.prod((r_k - 1.0) ** (1.0 / k) for r_k, k in zip(_powers(r, S), S))
+    return math.prod(_roots(r, S))
 
 
 def sequence_point(S: IndexSet, r: float, x: float, n: int) -> float:
@@ -187,21 +192,27 @@ def sequence_point(S: IndexSet, r: float, x: float, n: int) -> float:
 
 def _subset_plans(subsets, r: float, n_max: int) -> tuple[SubsetPlan, ...]:
     """Plans for `subsets`, given cardinality-major as enumerate_subsets
-    orders them. r**n is computed once for n = 1..n_max and the float
-    weights once per cardinality; the records share them. Each subset's
+    orders them, at a ratio r that _check_r has passed. r**n is computed once
+    for n = 1..n_max, the float weights once per cardinality and each
+    element's root (_roots) once; the records share them, and each
+    coefficient multiplies its roots in coefficient()'s order. Each subset's
     weights are checked before its coefficient."""
     r_pows = tuple(_powers(r, range(1, n_max + 1)))
     columns: dict[int, tuple] = {}  # |S| -> (r_pows, weights)
+    roots: dict[int, float] = {}  # k -> (r**k - 1)**(1/k)
     coeffs = {}
     for S in subsets:
         m = len(S)
         if m not in columns:
             try:
                 columns[m] = r_pows[m - 1:], tuple(
-                    map(float, map(multiplicity, range(m, n_max + 1), itertools.repeat(m))))
+                    map(float, map(math.comb, range(m - 1, n_max), itertools.repeat(m - 1))))
             except OverflowError as e:  # a weight past 2**1024
                 raise OverflowError(f"{e} [subset {S}]") from None
-        coeffs[S] = coefficient(S, r)
+        for k in S:
+            if k not in roots:
+                roots[k] = _roots(r, (k,))[0]
+        coeffs[S] = math.prod(map(roots.__getitem__, S))
     counts = Counter(coeffs.values())
     firsts: dict = {}  # shared coefficient -> (its seq, the |S| of its first subset)
     plans = []
@@ -319,6 +330,7 @@ def log_partial_product(
 ) -> LogProduct:
     """Accumulate sum_{n=|S|}^{n_max} binom(n-1, |S|-1) * log f(x_n)."""
     _check_plan(n_max, "S", len(S), lambda: n_max - len(S) + 1)
+    _check_r(r)
     (plan,) = _subset_plans([S], r, n_max)
     (log_value,), sign = _quotient(f, x, (plan,))
     return LogProduct(
@@ -380,6 +392,8 @@ def pollution_exponent(j: int, k: int, r: float) -> float:
     """Factor multiplying c_j x^j when the order-j component is sampled on
     the order-k sequence: (r^k - 1)^(j/k) / (r^j - 1). Exactly 1 for j == k."""
     _check_r(r)
+    check_integer(j, "j")
+    check_integer(k, "k")
     if j < 1 or k < 1:
         raise ValueError(f"orders must be positive, got j={j}, k={k}")
     if j == k:
@@ -395,7 +409,11 @@ def pollution_exponent(j: int, k: int, r: float) -> float:
 def cutoff_n_max(K: float, r: float) -> int:
     """Truncation index with r^n_max ~ K held fixed: ceil(ln K / ln r)."""
     _check_r(r)
-    if not K >= 2:  # nan too
+    try:
+        too_small = not K >= 2  # nan too
+    except TypeError:  # not a number: a str, None
+        raise ValueError(f"cutoff must be a number, got {K!r}") from None
+    if too_small:
         raise ValueError(f"cutoff must be >= 2, got {K}")
     if K == math.inf:
         raise ValueError(f"cutoff must be finite, got {K}")

@@ -14,7 +14,7 @@ import operator
 from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
-from .combinatorics import IndexSet
+from .combinatorics import IndexSet, check_integer
 from .core import MAX_SAMPLES, _check_r, _logs, coefficient
 
 
@@ -157,6 +157,7 @@ def monomial_exp(c: float, k: int) -> BuiltinFunction:
 def euler_partial_product(x: float, N: int) -> float:
     """prod_{n=1}^{N} cos(x / 2^n): the bisection product for sin(x)/x,
     for N from 1 to core.MAX_SAMPLES."""
+    check_integer(N, "N")
     if not 1 <= N <= MAX_SAMPLES:
         raise ValueError(f"N must be from 1 to {MAX_SAMPLES}, got {N}")
     # ldexp(x, -n) rounds as x / 2**n does, and takes n past 1023, where
@@ -236,6 +237,7 @@ def _log_of_series(a: list[float]) -> list[float]:
 
 def log_series_components(f: BuiltinFunction, K_max: int = 12) -> ComponentSeries:
     """c_1..c_{K_max} of log f, derived by truncated series arithmetic."""
+    check_integer(K_max, "K_max")
     if not 0 <= K_max <= 12:
         raise ValueError(f"K_max must be from 0 to 12, got {K_max}")
     g = _log_of_series(_taylor_coefficients(f, K_max))

@@ -189,13 +189,28 @@ def _end_slope(h0: float, h1: float, m0: float, m1: float) -> float:
     return d
 
 
+def _inner_slope(hl: float, hr: float, ml: float, mr: float) -> float:
+    """The slope at an interior knot: the Fritsch-Butland weighted harmonic
+    mean of the secants ml and mr of its intervals hl and hr, zero where
+    either is flat or their signs differ. A secant of finite values over
+    increasing finite abscissas is never nan, so two nonzero secants differ
+    in sign exactly where one is positive and the other not."""
+    if ml == 0.0 or mr == 0.0 or (ml > 0.0) != (mr > 0.0):
+        return 0.0
+    w1, w2 = 2 * hr + hl, hr + 2 * hl
+    whmean = (w1 / ml + w2 / mr) / (w1 + w2)
+    # numpy's 1/0 is a signed infinity where Python raises
+    return 1.0 / whmean if whmean else math.copysign(math.inf, whmean)
+
+
 class _Pchip:
     """scipy's PchipInterpolator(ts, vs, extrapolate=False) on [ts[0], ts[-1]],
     computed with the same floating-point operations in the same order, so
     every value matches it to the bit.
 
     A forecast queries a few intervals near t = 0 hundreds of times and most
-    others never, so each interval's cubic is built on its first query.
+    others never, so each interval's cubic is built on its first query, and
+    a geometric sequence's points are evaluated in one call to values().
     """
 
     __slots__ = ("_ts", "_vs", "_last", "_cubics")
@@ -206,49 +221,53 @@ class _Pchip:
         self._last = len(ts) - 2  # the last knot belongs to the last interval
         self._cubics: dict[int, tuple[float, float, float, float]] = {}
 
-    def _secant(self, i: int) -> float:
-        return (self._vs[i + 1] - self._vs[i]) / (self._ts[i + 1] - self._ts[i])
-
-    def _slope(self, k: int) -> float:
-        """The derivative at knot k."""
-        ts, last = self._ts, self._last
-        if last == 0:
-            return self._secant(0)
-        if k == 0:
-            return _end_slope(ts[1] - ts[0], ts[2] - ts[1], self._secant(0), self._secant(1))
-        if k == last + 1:
-            return _end_slope(ts[k] - ts[k - 1], ts[k - 1] - ts[k - 2],
-                              self._secant(k - 1), self._secant(k - 2))
-        # Fritsch-Butland weighted harmonic mean of the neighbouring secants,
-        # zero where either is flat or their signs differ.
-        ml, mr = self._secant(k - 1), self._secant(k)
-        if ml == 0.0 or mr == 0.0 or _sign(ml) != _sign(mr):
-            return 0.0
-        hl, hr = ts[k] - ts[k - 1], ts[k + 1] - ts[k]
-        w1, w2 = 2 * hr + hl, hr + 2 * hl
-        whmean = (w1 / ml + w2 / mr) / (w1 + w2)
-        # numpy's 1/0 is a signed infinity where Python raises
-        return 1.0 / whmean if whmean else math.copysign(math.inf, whmean)
-
     def _cubic(self, i: int) -> tuple[float, float, float, float]:
-        """CubicHermiteSpline's coefficients on interval i, constant first."""
-        h = self._ts[i + 1] - self._ts[i]
-        m = self._secant(i)
-        d0, d1 = self._slope(i), self._slope(i + 1)
+        """CubicHermiteSpline's coefficients on interval i, constant first,
+        from the secants of intervals i - 1, i and i + 1, where they exist."""
+        ts, vs, last = self._ts, self._vs, self._last
+        t0, t1, v0, v1 = ts[i], ts[i + 1], vs[i], vs[i + 1]
+        h = t1 - t0
+        m = (v1 - v0) / h
+        if last == 0:
+            d0 = d1 = m
+        else:
+            if i > 0:
+                hl = t0 - ts[i - 1]
+                ml = (v0 - vs[i - 1]) / hl
+            if i < last:
+                hr = ts[i + 2] - t1
+                mr = (vs[i + 2] - v1) / hr
+            d0 = _inner_slope(hl, h, ml, m) if i > 0 else _end_slope(h, hr, m, mr)
+            d1 = _inner_slope(h, hr, m, mr) if i < last else _end_slope(h, hl, m, ml)
         t = (d0 + d1 - 2 * m) / h
-        return self._vs[i], d0, (m - d0) / h - t, t / h
+        return v0, d0, (m - d0) / h - t, t / h
+
+    def values(self, points) -> list[float]:
+        """The interpolant at each point, in any order. The current interval's
+        cubic stays at hand, and bisect_right runs only for a point outside
+        that interval."""
+        ts, last, cubics = self._ts, self._last, self._cubics
+        lo = hi = math.nan  # the current interval [lo, hi); none yet
+        out = []
+        append = out.append
+        for x in points:
+            if not lo <= x < hi:
+                i = bisect_right(ts, x) - 1
+                if i > last:
+                    i = last
+                c = cubics.get(i)
+                if c is None:
+                    c = cubics[i] = self._cubic(i)
+                c0, c1, c2, c3 = c
+                lo, hi = ts[i], ts[i + 1]  # t_last itself takes the bisect
+            s = x - lo
+            z = s * s
+            # PPoly's sum, from 0.0 upward with a running power of s
+            append(0.0 + c0 + c1 * s + c2 * z + c3 * (z * s))
+        return out
 
     def __call__(self, x: float) -> float:
-        i = bisect_right(self._ts, x) - 1
-        if i > self._last:
-            i = self._last
-        c = self._cubics.get(i)
-        if c is None:
-            c = self._cubics[i] = self._cubic(i)
-        s = x - self._ts[i]
-        z = s * s
-        # PPoly's sum, from 0.0 upward with a running power of s
-        return 0.0 + c[0] + c[1] * s + c[2] * z + c[3] * (z * s)
+        return self.values((x,))[0]
 
 
 class SampledSignal:
@@ -344,7 +363,7 @@ class SampledSignal:
         t_last = self._t_last
         if not (0.0 <= first <= t_last and 0.0 <= last <= t_last):
             raise ValueError(f"sample points {first!r}..{last!r} leave [0, {t_last!r}]")
-        return _logs(map(self._interp, points)), ()
+        return _logs(self._interp.values(points)), ()
 
 
 def normalize(

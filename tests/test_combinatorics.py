@@ -57,6 +57,10 @@ class TestEnumerateSubsets:
         assert len(fam) == 15
         sizes = [len(s) for s in fam]
         assert sizes == sorted(sizes)
+        # built without IndexSet's checks, each is still the IndexSet they pass
+        for s in fam:
+            assert type(s) is IndexSet and s == IndexSet(tuple(s))
+            assert repr(s) == repr(IndexSet(tuple(s)))
 
     def test_deterministic(self):
         base = IndexSet.of(1, 3, 5)

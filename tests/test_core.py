@@ -4,7 +4,7 @@ import re
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from geomprod.combinatorics import IndexSet, enumerate_subsets
+from geomprod.combinatorics import IndexSet, enumerate_subsets, multiplicity
 from geomprod.core import (
     MAX_SAMPLES,
     GmpConfig,
@@ -182,6 +182,12 @@ class TestLogPartialProduct:
         with pytest.raises(ValueError, match=r"^n_max='10' must be an integer$"):
             log_partial_product(ONE, IndexSet.of(1, 2), 2.0, 1.0, "10")
 
+    def test_r_validation(self):
+        # the plan it builds takes r as checked, so it checks r itself
+        for r in (1.0, 0.5, math.nan, math.inf):
+            with pytest.raises(ValueError, match=rf"^ratio r must exceed 1 and be finite, got {r}$"):
+                log_partial_product(ONE, IndexSet.of(1, 2), r, 1.0, 10)
+
     def test_plan_cap(self):
         # n_max - |S| + 1 samples over the cap, refused before any r**n is computed
         with pytest.raises(ValueError, match="plan cap"):
@@ -236,6 +242,18 @@ class TestEstimate:
         cfg = GmpConfig(r=2.0, n_max=40, base=IndexSet.of(1, 2, 3, 4))
         assert cfg.plan is cfg.plan
         assert [p.subset for p in cfg.plan] == list(enumerate_subsets(cfg.base))
+
+    @pytest.mark.parametrize("r", [2.0, SQRT2, 1.5, 1.0 + 2.0**-8, 1.895715910705717])
+    def test_plan_matches_public_formulas(self, r):
+        # The plan takes each coefficient from per-element roots and each
+        # weight from math.comb; they must equal the public formulas to the
+        # bit. 12 > n_max, so its r**12 is not among the plan's r**n.
+        cfg = GmpConfig(r=r, n_max=8, base=IndexSet.of(1, 2, 5, 12))
+        for p in cfg.plan:
+            m = len(p.subset)
+            assert p.coeff == coefficient(p.subset, r)
+            assert p.weights == tuple(float(multiplicity(n, m)) for n in range(m, 9))
+            assert p.r_pows == tuple(r**n for n in range(m, 9))
 
     @given(
         r=st.just(2.0) | st.floats(1.0, 4.0, exclude_min=True),
@@ -413,6 +431,12 @@ class TestPollutionExponent:
     def test_r_validation(self):
         with pytest.raises(ValueError):
             pollution_exponent(1, 2, 1.0)
+        # r is checked first, then that each order is an integer
+        with pytest.raises(ValueError, match="ratio r must exceed 1"):
+            pollution_exponent("2", 2, 1.0)
+        for j, k, name in (("2", 2, "j='2'"), (2, 2.5, "k=2.5")):
+            with pytest.raises(ValueError, match=rf"^{re.escape(name)} must be an integer$"):
+                pollution_exponent(j, k, 2.0)
 
     @pytest.mark.parametrize("j, k", [(0, 2), (2, 0), (-1, 1)])
     def test_orders_must_be_positive(self, j, k):
@@ -460,5 +484,8 @@ class TestCoupledNMax:
             coupled_n_max("fixed_cutoff", math.nan, 2.0, IndexSet.of(1))
         with pytest.raises(ValueError, match=r"^cutoff must be finite, got inf$"):
             coupled_n_max("fixed_cutoff", math.inf, 2.0, IndexSet.of(1))
+        for value in ("10", None):
+            with pytest.raises(ValueError, match=rf"^cutoff must be a number, got {value!r}$"):
+                coupled_n_max("fixed_cutoff", value, 2.0, IndexSet.of(1))
         with pytest.raises(ValueError, match="ratio r must exceed 1"):
             coupled_n_max("fixed_cutoff", 32, 1.0, IndexSet.of(1))

@@ -9,15 +9,18 @@ r = 2 with 1 in the base, where subsets share sample sequences. The
 huge-ratio sweep as JSON (null cells, error statuses) and the forecast as
 CSV pin the two outputs built from a record's fields by name. In
 sign_even_weight.json the {2,4} subset has negative samples at weights 1
-and 2, so its sign of -1 holds only if the even weight is not counted. A
-speed change must leave all of them identical.
+and 2, so its sign of -1 holds only if the even weight is not counted. In
+forecast_r15.json (r = 1.5, base {1,2,3}) the farthest sample, 3.9599, lies
+in the signal's last interval, so the interpolant's end slope at t = 4 is
+evaluated. A speed change must leave all of them identical.
 
 The files were captured once, from the code before the per-configuration
 sampling plan existed; fig2_sweep.csv from the code before an estimate
 became one pass over its plan; sweep_huge_ratio.json and
 readme_forecast.csv from the code before the records became named tuples;
 sign_even_weight.json from the code before the sign rule took each weight's
-parity from Lucas's theorem.
+parity from Lucas's theorem; forecast_r15.json from the code before the
+interpolant ran one loop per geometric sequence.
 Regenerate them only for an intended output change:
 
     PYTHONPATH=src python tests/test_golden.py
@@ -81,6 +84,10 @@ CASES = {
     "sign_even_weight.json": (
         "estimate", "--function", "cos", "--x", "3.5", "--r", "1.5", "--n-max", "12",
         "--base", "2,4", "--parity", "even",
+    ),
+    "forecast_r15.json": (
+        "forecast", "--csv", "{csv}", "--x", "4.452", "--r", "1.5", "--n-max", "24",
+        "--base", "1,2,3",
     ),
 }
 

@@ -87,6 +87,10 @@ class TestBuiltins:
 class TestEulerProduct:
     def test_origin(self):
         assert euler_partial_product(0.0, 7) == 1.0
+        # N counts factors, so only an integer N is one
+        for N in (2.5, "3"):
+            with pytest.raises(ValueError, match=rf"^N={N!r} must be an integer$"):
+                euler_partial_product(0.0, N)
 
     def test_half_pi(self):
         assert euler_partial_product(math.pi / 2, 40) == pytest.approx(
@@ -188,6 +192,9 @@ class TestLogSeriesComponents:
     def test_k_max_bound(self):
         for K_max in (13, -1):
             with pytest.raises(ValueError, match=rf"^K_max must be from 0 to 12, got {K_max}$"):
+                log_series_components(COS, K_max)
+        for K_max in (2.5, "3"):
+            with pytest.raises(ValueError, match=rf"^K_max={K_max!r} must be an integer$"):
                 log_series_components(COS, K_max)
 
 

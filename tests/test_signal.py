@@ -429,7 +429,13 @@ class TestPchipMatchesScipy:
         ts, vs = random_series(rows, seed)
         reference = PchipInterpolator(np.array(ts), np.array(vs), extrapolate=False)
         pchip, qs = _Pchip(ts, vs), queries(ts, seed)
-        assert [pchip(q) for q in qs] == reference(np.array(qs)).tolist()
+        want = reference(np.array(qs)).tolist()
+        assert [pchip(q) for q in qs] == want
+        # one batch through a fresh interpolant, in given, reversed and shuffled order
+        shuffled = list(range(len(qs)))
+        random.Random(seed).shuffle(shuffled)
+        for order in (range(len(qs)), range(len(qs))[::-1], shuffled):
+            assert _Pchip(ts, vs).values([qs[i] for i in order]) == [want[i] for i in order]
 
     @pytest.mark.parametrize("rows", ROWS)
     def test_sampled_signal_bit_identical(self, rows):
@@ -438,6 +444,15 @@ class TestPchipMatchesScipy:
         reference = PchipInterpolator(sig.abscissas, sig.values, extrapolate=False)
         qs = queries(ts, rows)
         assert [sig(q) for q in qs] == reference(np.array(qs)).tolist()
+        # geometric runs x / r**n, as an estimate samples them, each through
+        # log_batch on a fresh signal
+        for x in (ts[-1], ts[-1] * 0.7, ts[1]):
+            for r in (2.0, 1.5, 1.0 + 2.0**-8):
+                points = [x / r**n for n in range(40)]
+                fresh = SampledSignal(sig.abscissas, sig.values, sig.normalization)
+                logs, negatives = fresh.log_batch(iter(points))
+                assert list(logs) == [math.log(v) for v in reference(np.array(points)).tolist()]
+                assert negatives == ()
 
     def test_returns_python_float(self):
         sig = normalize(half_sin_series(4.0, 0.25), "none")

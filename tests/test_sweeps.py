@@ -74,6 +74,9 @@ class TestSweepSpec:
             spec("fixed_k", 10)
         with pytest.raises(ValueError, match="cutoff must be >= 2, got 1"):
             spec("fixed_cutoff", 1)
+        for value in ("10", None):
+            with pytest.raises(ValueError, match=rf"^cutoff must be a number, got {value!r}$"):
+                spec("fixed_cutoff", value)
 
     def test_validation(self):
         for r in (1.0, math.inf, math.nan):
