@@ -4,7 +4,7 @@ Sample points live on geometric sequences x_n = coeff(S, r) * x / r^n, one
 sequence per index set S. Each partial product multiplies function values on
 one sequence with integer composition-count weights; the estimate is the
 quotient of odd-cardinality partial products over even-cardinality ones,
-accumulated in log space with sign tracking.
+accumulated in log space as one signed sum, with sign tracking.
 """
 
 from __future__ import annotations
@@ -39,11 +39,11 @@ class FunctionSource(Protocol):
     signed_log's to the bit. An estimate calls log_batch at most once per
     distinct sequence (see SubsetPlan): subsets whose sequences coincide
     (equal coefficients: at r = 2, S and S + {1}) share one call over the
-    points of the longest run, and each sums its own suffix. A ValueError or
-    ArithmeticError, from log_batch or from summing its logs, or a
-    non-finite weighted sum, hands the subset to signed_log, which raises
-    every typed error: ZeroSampleError for f(x) == 0, and for a signal
-    NonPositiveSampleError and DomainCoverageError as well.
+    points of the longest run, and each reads its own suffix. A ValueError
+    or ArithmeticError, from any log_batch call or from summing the logs,
+    or a non-finite sum, hands the whole estimate to signed_log, which
+    raises every typed error: ZeroSampleError for f(x) == 0, and for a
+    signal NonPositiveSampleError and DomainCoverageError as well.
 
     The estimator never calls __call__(x), f(x) itself: the sweep's
     reference column does, and so does a signal's own signed_log. A source
@@ -109,15 +109,14 @@ def check_parity(parity: str, base: IndexSet) -> None:
 
 
 class SubsetPlan(NamedTuple):
-    """The part of one subset's partial product that does not depend on x:
-    sample n, for n = |S|..n_max, lies at coeff * x / r**n and carries
-    weight binom(n-1, |S|-1). The subset is a numerator factor when |S| is
-    odd, and its last element, the greatest, names its component.
-
-    weights holds each binomial as a float, the factor the weighted sum
-    multiplies by: float(w) * v rounds exactly as w * v does for an int w.
-    Above 2**53 a float weight has lost its low bits, so the sign rule takes
-    each binomial's parity from Lucas's theorem instead (see _quotient).
+    """The part of one subset's factor that does not depend on x: sample n,
+    for n = |S|..n_max, lies at coeff * x / r**n and carries the signed
+    weight (-1)**(|S|+1) * binom(n-1, |S|-1): an odd |S| is a numerator
+    factor, an even one a denominator factor. Its greatest element names its
+    component. weights holds each signed weight as a float: float(w) * v
+    rounds exactly as w * v does for an int w. Above 2**53 a float weight
+    has lost its low bits, so the sign rule takes each binomial's parity
+    from Lucas's theorem instead (see _products).
 
     seq numbers the geometric sequence of a subset whose coefficient equals
     another's in the plan (at r = 2, S and S + {1}); it is None for a subset
@@ -128,7 +127,7 @@ class SubsetPlan(NamedTuple):
     subset: IndexSet
     coeff: float
     r_pows: tuple[float, ...]  # r**n
-    weights: tuple[float, ...]  # float(binom(n-1, |S|-1))
+    weights: tuple[float, ...]  # float((-1)**(|S|+1) * binom(n-1, |S|-1))
     seq: int | None
     skip: int
 
@@ -205,8 +204,8 @@ def _subset_plans(subsets, r: float, n_max: int) -> tuple[SubsetPlan, ...]:
         m = len(S)
         if m not in columns:
             try:
-                columns[m] = r_pows[m - 1:], tuple(
-                    map(float, map(math.comb, range(m - 1, n_max), itertools.repeat(m - 1))))
+                columns[m] = r_pows[m - 1:], tuple(float(w if m & 1 else -w) for w in map(
+                    math.comb, range(m - 1, n_max), itertools.repeat(m - 1)))
             except OverflowError as e:  # a weight past 2**1024
                 raise OverflowError(f"{e} [subset {S}]") from None
         for k in S:
@@ -258,71 +257,74 @@ def _signed_logs(f: FunctionSource, plan: SubsetPlan, scaled_x: float) -> tuple[
     return logs, negatives
 
 
-def _quotient(f: FunctionSource, x: float, plans, k: int | None = None) -> tuple[list, int]:
-    """One pass over `plans`, or over those whose greatest element is k:
-    each subset's log|P|, negated where |S| is even, and the product of the
-    signs of the P. log|P| sums weight * log|f(coeff * x / r**n)| over the
-    samples with math.fsum (the logs as they are where every weight is 1),
-    and P < 0 when the weights of the negative values sum to odd. By Lucas's
-    theorem the weight of a subset's i-th sample, counted from 0 at its
-    first, binom(|S|-1+i, |S|-1), is odd exactly when i & (|S|-1) == 0, so
-    the sign reads only |S| and the negatives' positions. With
-    log_batch, a subset alone on its sequence sums one lazy call; a shared
-    sequence (see SubsetPlan) is listed once, at its first subset here, and
-    each subset sums it from its own first sample on. Without log_batch, or
-    when it gives up, the pair comes from _signed_logs (see FunctionSource).
-    """
-    batch = getattr(f, "log_batch", None)
-    blocks = [None] * len(plans)  # seq -> (skip, logs, negatives) of its first subset here
-    out = []
-    sign = 1
+def _products(f: FunctionSource, batch, plans, x: float, odd: list):
+    """For each plan, its signed weights times log|f| at its samples, lazily;
+    the logs as they are where every weight is +1 (|w| rises from 1, so
+    that is |S| = 1, or an odd |S| with one sample). odd gains the count of
+    its negative values at odd weights. With batch (f.log_batch) a shared
+    sequence (see SubsetPlan) takes one call, at its first subset here, and
+    each subset on it reads it from its own first sample on; without it,
+    _signed_logs takes one call per sample. A plan whose coeff * x is not
+    finite fails before its samples are taken. By Lucas's theorem the
+    weight of S's i-th sample, counted from 0, binom(|S|-1+i, |S|-1), is
+    odd exactly when i & (|S|-1) == 0."""
+    blocks = {}  # seq -> (skip, logs, negatives) of its first subset here
     for plan in plans:
-        if k is not None and k != plan.subset[-1]:
-            continue
         scaled_x = plan.coeff * x  # coeff * x / r**n, in the formula's own order
         if not math.isfinite(scaled_x):
             raise GeomprodError(
-                f"sample point coeff * x overflows for subset {plan.subset} at x={x}"
-            )
-        weights, seq = plan.weights, plan.seq
-        # The weights rise from binom(|S|-1, |S|-1) = 1, so the last is 1
-        # only when all are: |S| = 1, or a single sample.
-        unit = weights[-1] == 1.0
+                f"sample point coeff * x is not finite for subset {plan.subset} at x={x}")
+        skip = 0  # of the block's samples before this subset's first
+        block = blocks.get(plan.seq)
+        if block is None:
+            if batch is None:
+                logs, negatives = _signed_logs(f, plan, scaled_x)
+            else:
+                logs, negatives = batch(
+                    map(operator.truediv, itertools.repeat(scaled_x), plan.r_pows))
+                if plan.seq is not None:
+                    _, logs, negatives = blocks[plan.seq] = plan.skip, list(logs), list(negatives)
+        else:
+            first, logs, negatives = block
+            skip = plan.skip - first
+            logs = itertools.islice(logs, skip, None)
+        if negatives:
+            odd.append(sum(not (i - skip) & (len(plan.subset) - 1) for i in negatives if i >= skip))
+        yield logs if plan.weights[-1] == 1.0 else map(operator.mul, logs, plan.weights)
+
+
+def _quotient(f: FunctionSource, x: float, plans, k: int | None = None) -> tuple[float, int]:
+    """(log_value, sign) of the quotient over `plans`, or over those whose
+    greatest element is k: one math.fsum over every plan's _products, so
+    the sum is rounded once; the quotient is negative when the negatives
+    at odd weights are odd in number. If log_batch gives up anywhere (a
+    ValueError, an ArithmeticError or a non-finite sum), the whole pass
+    reruns through _signed_logs, which raises the typed errors."""
+    if k is not None:
+        plans = [plan for plan in plans if k == plan.subset[-1]]
+    batch = getattr(f, "log_batch", None)
+    if batch is not None:
+        odd = []
+        try:
+            log_value = math.fsum(itertools.chain.from_iterable(
+                _products(f, batch, plans, x, odd)))
+            if math.isfinite(log_value):
+                return log_value, -1 if sum(odd) & 1 else 1
+        except (ValueError, ArithmeticError):
+            pass
+    odd = []
+    # A list: every signed_log call runs first, so an error below is fsum's.
+    products = list(_products(f, None, plans, x, odd))
+    try:
+        log_value = math.fsum(itertools.chain.from_iterable(products))
+    except OverflowError as e:  # fsum's "intermediate overflow"
+        e.args = (f"{e} at x={x}",)
+        raise
+    except ValueError:  # fsum's "-inf + inf": products of both signs overflowed
         log_value = math.nan
-        if batch is not None:
-            try:
-                block = None if seq is None else blocks[seq]
-                if block is None:
-                    logs, negatives = batch(
-                        map(operator.truediv, itertools.repeat(scaled_x), plan.r_pows))
-                    if seq is not None:
-                        block = blocks[seq] = plan.skip, list(logs), list(negatives)
-                if block is not None:
-                    first, logs, negatives = block
-                    skip = plan.skip - first
-                    if skip:
-                        logs = itertools.islice(logs, skip, None)
-                        negatives = [i - skip for i in negatives if i >= skip]
-                log_value = math.fsum(logs if unit else map(operator.mul, logs, weights))
-            except (ValueError, ArithmeticError):
-                pass
-        if not math.isfinite(log_value):
-            logs, negatives = _signed_logs(f, plan, scaled_x)
-            try:
-                log_value = math.fsum(logs if unit else map(operator.mul, logs, weights))
-            except ArithmeticError as e:  # fsum's "intermediate overflow"
-                e.args = (f"{e} [subset {plan.subset}]",)
-                raise
-            if not math.isfinite(log_value):
-                raise GeomprodError(
-                    f"non-finite partial product accumulation for subset {plan.subset} at x={x}"
-                )
-        out.append(log_value if len(plan.subset) & 1 else -log_value)
-        # The weights' sum has the parity of the count of odd weights in it,
-        # and weight i is odd exactly where i & (|S| - 1) == 0 (Lucas).
-        if negatives and sum(not i & (len(plan.subset) - 1) for i in negatives) & 1:
-            sign = -sign
-    return out, sign
+    if not math.isfinite(log_value):
+        raise GeomprodError(f"non-finite sum of weighted logs at x={x}")
+    return log_value, -1 if sum(odd) & 1 else 1
 
 
 def log_partial_product(
@@ -332,19 +334,15 @@ def log_partial_product(
     _check_plan(n_max, "S", len(S), lambda: n_max - len(S) + 1)
     _check_r(r)
     (plan,) = _subset_plans([S], r, n_max)
-    (log_value,), sign = _quotient(f, x, (plan,))
-    return LogProduct(
-        log_value=log_value if len(S) & 1 else -log_value,
-        sign=sign,
-        term_count=len(plan.weights),
-        min_point=plan.coeff * x / plan.r_pows[-1],
+    log_value, sign = _quotient(f, x, (plan,))
+    return LogProduct(  # log|P|: the plan weighs an even |S| by -binom
+        log_value=log_value if len(S) & 1 else -log_value, sign=sign,
+        term_count=len(plan.weights), min_point=plan.coeff * x / plan.r_pows[-1],
     )
 
 
-def _combine(logs: list, sign: int, x: float, cfg: GmpConfig, k: int | None = None) -> Estimate:
-    """The Estimate whose log value is the compensated sum of `logs`, over the
-    factors of the subsets of cfg.base whose greatest element is k (or all)."""
-    log_value = math.fsum(logs)
+def _combine(log_value: float, sign: int, x: float, cfg: GmpConfig, k: int | None = None):
+    """The Estimate of log_value and sign over the factors whose greatest element is k (or all)."""
     try:
         value = sign * math.exp(log_value)
     except OverflowError:
@@ -385,7 +383,7 @@ def reconstruct_from_components(f: FunctionSource, x: float, cfg: GmpConfig) -> 
     exact factors of estimate() and must agree with it in log space.
     """
     comps = [_estimate(f, x, cfg, k) for k in cfg.base]
-    return _combine([c.log_value for c in comps], math.prod(c.sign for c in comps), x, cfg)
+    return _combine(math.fsum(c.log_value for c in comps), math.prod(c.sign for c in comps), x, cfg)
 
 
 def pollution_exponent(j: int, k: int, r: float) -> float:

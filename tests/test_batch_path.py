@@ -3,6 +3,7 @@ same Estimates and LogProducts to the bit, or the same error type and
 message; and the batch path's sharing of sequences between subsets."""
 
 import math
+import re
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -17,7 +18,7 @@ from geomprod.core import (
     plan_samples,
     sequence_point,
 )
-from geomprod.errors import ZeroSampleError
+from geomprod.errors import GeomprodError, ZeroSampleError
 from geomprod.oracle import COS, HALF_SIN_SHIFTED, ONE, _log_abs_batch, exp_scaled, monomial_exp
 from geomprod.signal import _Pchip, normalize
 from geomprod.sweeps import DEFAULT_SCHEDULE, SweepSpec, grid_eval
@@ -274,10 +275,12 @@ class TestSampledSignalBatch:
 
 
 class _NoMultiply(float):
-    """A log that fails the test when multiplied."""
+    """A log that fails the test when multiplied by +1.0."""
 
     def __mul__(self, other):
-        raise AssertionError("a log was multiplied by a unit weight")
+        if other == 1.0:
+            raise AssertionError("a log was multiplied by a unit weight")
+        return float(self) * other
 
     __rmul__ = __mul__
 
@@ -296,11 +299,13 @@ class _UnitLogs:
 
 
 class TestUnitWeights:
-    """Where every weight is binom(n-1, 0) = 1, or the subset has a single
-    sample, its logs are summed as they are: v * 1.0 == v."""
+    """Where every signed weight is +1 (|S| = 1, or an odd |S| with a single
+    sample), the logs are summed as they are: v * 1.0 == v. An even |S|
+    with a single sample has the weight -1.0, and its log is multiplied."""
 
     @pytest.mark.parametrize("path", [_BatchOnly, _SignedLogOnly], ids=["log_batch", "signed_log"])
-    @pytest.mark.parametrize("S, n_max", [(IndexSet.of(3), 30), (IndexSet.of(1, 2), 2)])
+    @pytest.mark.parametrize("S, n_max", [
+        (IndexSet.of(3), 30), (IndexSet.of(1, 2), 2), (IndexSet.of(1, 2, 3), 3)])
     def test_no_multiply(self, path, S, n_max):
         lp = log_partial_product(path(_UnitLogs()), S, 1.5, 2.0, n_max)
         assert repr(lp) == repr(log_partial_product(HALF_SIN_SHIFTED, S, 1.5, 2.0, n_max))
@@ -385,8 +390,56 @@ class TestSign:
         assert repr(lp) == repr(self._product(_SignedLogOnly(COS), 5.0))
 
 
+class _GivesUpOn:
+    """A builtin whose log_batch gives up (ValueError) on the one sequence
+    that holds `point` and answers every other; calls counts signed_log's
+    calls."""
+
+    def __init__(self, inner, point):
+        self.inner = inner
+        self.point = point
+        self.calls = 0
+
+    def __call__(self, x):
+        return self.inner(x)
+
+    def signed_log(self, x):
+        self.calls += 1
+        return self.inner.signed_log(x)
+
+    def log_batch(self, points):
+        points = list(points)
+        if self.point in points:
+            raise ValueError("gives up")
+        return self.inner.log_batch(points)
+
+
+class TestOneDecision:
+    """When log_batch gives up on any sequence, the whole pass reruns
+    through signed_log: one call per sample of the plan, and the same
+    estimate to the bit."""
+
+    @pytest.mark.parametrize("S, n", [(IndexSet.of(1), 40), (IndexSet.of(2, 4), 3),
+                                      (IndexSet.of(1, 2, 3, 4), 4)])
+    def test_estimate_equals_signed_log_only(self, S, n):
+        f = _GivesUpOn(HALF_SIN_SHIFTED, sequence_point(S, 2.0, 1.5, n))
+        counted = _SignedLogOnly(HALF_SIN_SHIFTED)
+        assert repr(estimate(f, 1.5, _FIG2)) == repr(estimate(counted, 1.5, _FIG2))
+        assert f.calls == counted.calls == plan_samples(4, 40)
+
+    def test_zero_sample_names_the_first_failing_sample(self):
+        # {2,4} and {1,2,4} share a sequence at r = 2; its point at n = 5
+        # is f's one zero, so log_batch gives up on that sequence only, and
+        # signed_log fails first at {2,4}, n = 5.
+        f = _CosMinus(sequence_point(IndexSet.of(2, 4), 2.0, 3.0, 5))
+        with pytest.raises(ValueError):
+            list(f.log_batch([sequence_point(IndexSet.of(2, 4), 2.0, 3.0, 5)])[0])
+        with pytest.raises(ZeroSampleError, match=re.escape("[subset {2,4}, n=5]")):
+            estimate(f, 3.0, _FIG2)
+
+
 class TestFallback:
-    """Each case makes log_batch give up, so the subset goes through
+    """Each case makes log_batch give up, so the pass goes through
     signed_log, which raises the error."""
 
     def test_exp_accumulation_overflows_to_inf(self):
@@ -394,9 +447,16 @@ class TestFallback:
         # first overflows to inf, the rest sum to about 1e299
         f, S = exp_scaled(1e300), IndexSet.of(1)
         out = _same_through_both(log_partial_product, f, S, 1e10, 1e9, 5)
-        assert "non-finite partial product accumulation" in out
+        assert "non-finite sum of weighted logs at x=1000000000.0" in out
         with pytest.raises(AssertionError, match="signed_log ran"):
             log_partial_product(_BatchOnly(f), S, 1e10, 1e9, 5)
+
+    def test_infinite_logs_of_both_signs(self):
+        # at r = 1e10 the first samples of {1} and of {1,2} give log f =
+        # inf, weighted +1 and -1: fsum meets -inf + inf
+        f, cfg = exp_scaled(1e300), GmpConfig(r=1e10, n_max=5, base=IndexSet.of(1, 2))
+        out = _same_through_both(estimate, f, 1e9, cfg)
+        assert out == repr((GeomprodError, "non-finite sum of weighted logs at x=1000000000.0"))
 
     def test_monomial_power_overflows(self):
         f, S = monomial_exp(1.0, 200), IndexSet.of(1)

@@ -465,13 +465,13 @@ def test_overflow_is_domain_error(capsys, argv, error):
     assert json.loads(out)["error"]["type"] == error
 
 
-# A sample's overflow names its abscissa, subset and n; fsum's names the subset.
+# A sample's overflow names its abscissa, subset and n; fsum's names x.
 @pytest.mark.parametrize(
     "function, x, message",
     [
         ("monomial_exp:1,200", "100",
          "Numerical result out of range at sample abscissa 50.0 [subset {1}, n=1]"),
-        ("exp_scaled:1e300", "2e8", "intermediate overflow in fsum [subset {1}]"),
+        ("exp_scaled:1e300", "2e8", "intermediate overflow in fsum at x=200000000.0"),
     ],
     ids=["sample", "fsum"],
 )

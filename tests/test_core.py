@@ -19,7 +19,7 @@ from geomprod.core import (
     reconstruct_from_components,
     sequence_point,
 )
-from geomprod.errors import ZeroSampleError
+from geomprod.errors import GeomprodError, ZeroSampleError
 from geomprod.oracle import COS, HALF_SIN_SHIFTED, ONE, exp_scaled, monomial_exp
 from geomprod.sweeps import SweepSpec, grid_eval
 
@@ -246,13 +246,15 @@ class TestEstimate:
     @pytest.mark.parametrize("r", [2.0, SQRT2, 1.5, 1.0 + 2.0**-8, 1.895715910705717])
     def test_plan_matches_public_formulas(self, r):
         # The plan takes each coefficient from per-element roots and each
-        # weight from math.comb; they must equal the public formulas to the
-        # bit. 12 > n_max, so its r**12 is not among the plan's r**n.
+        # weight from math.comb, signed + for odd |S| and - for even; they
+        # must equal the public formulas to the bit. 12 > n_max, so its
+        # r**12 is not among the plan's r**n.
         cfg = GmpConfig(r=r, n_max=8, base=IndexSet.of(1, 2, 5, 12))
         for p in cfg.plan:
             m = len(p.subset)
             assert p.coeff == coefficient(p.subset, r)
-            assert p.weights == tuple(float(multiplicity(n, m)) for n in range(m, 9))
+            assert p.weights == tuple((-1) ** (m + 1) * float(multiplicity(n, m))
+                                      for n in range(m, 9))
             assert p.r_pows == tuple(r**n for n in range(m, 9))
 
     @given(
@@ -290,24 +292,36 @@ class TestEstimate:
         assert sorted({p.seq for p in cfg.plan} - {None}) == list(range(7))
 
     def test_fig2_bit_identical_to_direct_loop(self):
-        # The paper's formula written out independently of the plan: every
-        # estimate must match it to the last bit on the whole Fig-2 grid.
+        # The paper's formula written out independently of the plan, as one
+        # fsum over the signed products: every estimate must match it to the
+        # last bit on the whole Fig-2 grid.
         r, n_max = 2.0, 40
         cfg = GmpConfig(r=r, n_max=n_max, base=IndexSet.of(1, 2, 3, 4))
         for i in range(81):
             x = 0.05 * i
-            signed = []
+            products = []
             for S in enumerate_subsets(cfg.base):
                 m = len(S)
                 coeff = math.prod((r**k - 1.0) ** (1.0 / k) for k in S)
-                log_p = math.fsum(
-                    math.log1p(0.5 * math.sin(coeff * x / r**n)) * math.comb(n - 1, m - 1)
+                products.extend(
+                    math.log1p(0.5 * math.sin(coeff * x / r**n)) * (-1) ** (m + 1)
+                    * math.comb(n - 1, m - 1)
                     for n in range(m, n_max + 1)
                 )
-                signed.append(log_p if m % 2 else -log_p)
             est = estimate(HALF_SIN_SHIFTED, x, cfg)
-            assert est.log_value == math.fsum(signed)
-            assert est.value == math.exp(math.fsum(signed))
+            assert est.log_value == math.fsum(products)
+            assert est.value == math.exp(math.fsum(products))
+
+    @pytest.mark.parametrize("x", [math.nan, math.inf, -math.inf])
+    def test_non_finite_x(self, x):
+        # a GeomprodError, as for a finite x whose coeff * x overflows
+        cfg = GmpConfig(r=2.0, n_max=10, base=IndexSet.of(1, 2))
+        message = f"sample point coeff * x is not finite for subset {{1}} at x={x}"
+        for f in (COS, ONE, _Raising()):
+            with pytest.raises(GeomprodError, match=f"^{re.escape(message)}$"):
+                estimate(f, x, cfg)
+        with pytest.raises(GeomprodError, match=f"^{re.escape(message)}$"):
+            log_partial_product(COS, IndexSet.of(1), 2.0, x, 10)
 
     def test_zero_x_builds_no_plan(self):
         # r = 1e300 overflows r**2, so any plan for this config raises

@@ -20,8 +20,14 @@ became one pass over its plan; sweep_huge_ratio.json and
 readme_forecast.csv from the code before the records became named tuples;
 sign_even_weight.json from the code before the sign rule took each weight's
 parity from Lucas's theorem; forecast_r15.json from the code before the
-interpolant ran one loop per geometric sequence.
-Regenerate them only for an intended output change:
+interpolant ran one loop per geometric sequence. fig2_sweep.csv,
+forecast_r15.json, readme_forecast.csv and .json, readme_sweep.csv,
+sweep_default_schedule.csv and sweep_huge_ratio.csv and .json were
+captured again when an estimate became one math.fsum over signed weights
+instead of one per subset and one over the subsets: only float digits
+moved, no status or count, and the other goldens stayed identical.
+Regenerate them only for an intended output change; the script prints
+each file it changes with its count of changed lines:
 
     PYTHONPATH=src python tests/test_golden.py
 """
@@ -154,10 +160,16 @@ def test_forecast_csv_forms_match_golden(form, tmp_path):
 
 
 if __name__ == "__main__":
+    import itertools
     import tempfile
 
     GOLDEN.mkdir(parents=True, exist_ok=True)
     for case in sorted(CASES):
+        path = GOLDEN / case
+        old = path.read_text(encoding="utf-8") if path.exists() else ""
         with tempfile.TemporaryDirectory() as tmp:
-            (GOLDEN / case).write_text(render(case, Path(tmp)), encoding="utf-8")
-        print(f"wrote {GOLDEN / case}", file=sys.stderr)
+            text = render(case, Path(tmp))
+        if text != old:
+            path.write_text(text, encoding="utf-8")
+            lines = itertools.zip_longest(old.splitlines(), text.splitlines())
+            print(f"wrote {path}: {sum(a != b for a, b in lines)} changed lines", file=sys.stderr)
