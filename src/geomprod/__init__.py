@@ -13,7 +13,7 @@ from .core import (
     Estimate,
     GmpConfig,
     LogProduct,
-    SubsetPlan,
+    SequencePlan,
     coefficient,
     component_estimate,
     cutoff_n_max,

@@ -12,7 +12,6 @@ from __future__ import annotations
 import itertools
 import math
 import operator
-from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
 from typing import NamedTuple, Protocol
@@ -29,21 +28,20 @@ MAX_SAMPLES = 10**6
 class FunctionSource(Protocol):
     """Anything the estimator can sample.
 
-    For each subset the estimator takes (logs, negatives): log|f| at the
-    subset's sample points and the positions of the points where f < 0.
+    For each sequence of the plan (see SequencePlan) the estimator takes
+    (logs, negatives): log|f| at its points and the positions where f < 0.
 
     signed_log(x) returns (sign, log|f(x)|), and the estimator calls it once
-    per sample unless the source defines log_batch(points). That takes a
-    lazy iterable of sample points on one geometric sequence, in signed_log's
-    order, and returns the pair in one call; its values must equal
-    signed_log's to the bit. An estimate calls log_batch at most once per
-    distinct sequence (see SubsetPlan): subsets whose sequences coincide
-    (equal coefficients: at r = 2, S and S + {1}) share one call over the
-    points of the longest run, and each reads its own suffix. A ValueError
-    or ArithmeticError, from any log_batch call or from summing the logs,
-    or a non-finite sum, hands the whole estimate to signed_log, which
-    raises every typed error: ZeroSampleError for f(x) == 0, and for a
-    signal NonPositiveSampleError and DomainCoverageError as well.
+    per sample of each subset unless the source defines log_batch(points).
+    That takes a lazy iterable of sample points on one geometric sequence,
+    in signed_log's order, and returns the pair in one call; its values must
+    equal signed_log's to the bit. An estimate calls log_batch once per
+    sequence it keeps, over the points of its longest run, and each subset
+    on the sequence reads its own suffix. A ValueError or ArithmeticError,
+    from any log_batch call or from summing the logs, or a non-finite sum,
+    hands the whole estimate to signed_log, which raises every typed error:
+    ZeroSampleError for f(x) == 0, and for a signal NonPositiveSampleError
+    and DomainCoverageError as well.
 
     The estimator never calls __call__(x), f(x) itself: the sweep's
     reference column does, and so does a signal's own signed_log. A source
@@ -74,11 +72,12 @@ class GmpConfig:
         check_parity(self.parity, self.base)
 
     @cached_property
-    def plan(self) -> tuple["SubsetPlan", ...]:
-        """One SubsetPlan per non-empty subset of base, in enumerate_subsets
+    def plan(self) -> tuple["SequencePlan", ...]:
+        """One SequencePlan per distinct coefficient among the non-empty
+        subsets of base, each holding its subsets in enumerate_subsets
         order. Built on first use and kept as long as the config, so reuse
         one config across x."""
-        return _subset_plans(enumerate_subsets(self.base), self.r, self.n_max)
+        return _sequence_plans(enumerate_subsets(self.base), self.r, self.n_max)
 
 
 def plan_samples(b: int, n_max: int) -> int:
@@ -108,28 +107,24 @@ def check_parity(parity: str, base: IndexSet) -> None:
         raise ValueError(f"even parity mode requires an all-even base, got {base}")
 
 
-class SubsetPlan(NamedTuple):
-    """The part of one subset's factor that does not depend on x: sample n,
-    for n = |S|..n_max, lies at coeff * x / r**n and carries the signed
-    weight (-1)**(|S|+1) * binom(n-1, |S|-1): an odd |S| is a numerator
-    factor, an even one a denominator factor. Its greatest element names its
-    component. weights holds each signed weight as a float: float(w) * v
-    rounds exactly as w * v does for an int w. Above 2**53 a float weight
-    has lost its low bits, so the sign rule takes each binomial's parity
-    from Lucas's theorem instead (see _products).
-
-    seq numbers the geometric sequence of a subset whose coefficient equals
-    another's in the plan (at r = 2, S and S + {1}); it is None for a subset
-    alone on its sequence. The first subset on a sequence has the longest
-    run, and skip = |S| - |first S| of its points precede this subset's.
+class SequencePlan(NamedTuple):
+    """One geometric sequence of the plan: the subsets whose coefficients
+    compare equal as floats (at r = 2, S and S + {1}) sample the same points
+    coeff * x / r**n. subsets are cardinality-major, so the first has the
+    longest run, n = |first S|..n_max, and r_pows holds its r**n. Subset i
+    samples the last len(weights[i]) points, n = |S|..n_max, and sample n
+    carries the signed weight (-1)**(|S|+1) * binom(n-1, |S|-1): an odd |S|
+    is a numerator factor, an even one a denominator factor. Its greatest
+    element names its component. weights holds each signed weight as a
+    float: float(w) * v rounds exactly as w * v does for an int w. Above
+    2**53 a float weight has lost its low bits, so the sign rule takes each
+    binomial's parity from Lucas's theorem instead (see _products).
     """
 
-    subset: IndexSet
     coeff: float
-    r_pows: tuple[float, ...]  # r**n
-    weights: tuple[float, ...]  # float((-1)**(|S|+1) * binom(n-1, |S|-1))
-    seq: int | None
-    skip: int
+    r_pows: tuple[float, ...]  # r**n from the first subset's first n
+    subsets: tuple[IndexSet, ...]
+    weights: tuple[tuple[float, ...], ...]  # per subset, float((-1)**(|S|+1) * binom(n-1, |S|-1))
 
 
 class LogProduct(NamedTuple):
@@ -189,37 +184,32 @@ def sequence_point(S: IndexSet, r: float, x: float, n: int) -> float:
     return coefficient(S, r) * x / _powers(r, (n,))[0]
 
 
-def _subset_plans(subsets, r: float, n_max: int) -> tuple[SubsetPlan, ...]:
-    """Plans for `subsets`, given cardinality-major as enumerate_subsets
-    orders them, at a ratio r that _check_r has passed. r**n is computed once
-    for n = 1..n_max, the float weights once per cardinality and each
-    element's root (_roots) once; the records share them, and each
-    coefficient multiplies its roots in coefficient()'s order. Each subset's
-    weights are checked before its coefficient."""
+def _sequence_plans(subsets, r: float, n_max: int) -> tuple[SequencePlan, ...]:
+    """One SequencePlan per distinct coefficient of `subsets`, given
+    cardinality-major as enumerate_subsets orders them, at a ratio r that
+    _check_r has passed. r**n is computed once for n = 1..n_max, the float
+    weights once per cardinality and each element's root (_roots) once; the
+    records share them, and each coefficient multiplies its roots in
+    coefficient()'s order. Each subset's weights are checked before its
+    coefficient."""
     r_pows = tuple(_powers(r, range(1, n_max + 1)))
-    columns: dict[int, tuple] = {}  # |S| -> (r_pows, weights)
+    columns: dict[int, tuple[float, ...]] = {}  # |S| -> signed weights
     roots: dict[int, float] = {}  # k -> (r**k - 1)**(1/k)
-    coeffs = {}
+    sequences: dict[float, list] = {}  # coeff -> [(S, weights of S), ...]
     for S in subsets:
         m = len(S)
         if m not in columns:
             try:
-                columns[m] = r_pows[m - 1:], tuple(float(w if m & 1 else -w) for w in map(
+                columns[m] = tuple(float(w if m & 1 else -w) for w in map(
                     math.comb, range(m - 1, n_max), itertools.repeat(m - 1)))
             except OverflowError as e:  # a weight past 2**1024
                 raise OverflowError(f"{e} [subset {S}]") from None
         for k in S:
             if k not in roots:
                 roots[k] = _roots(r, (k,))[0]
-        coeffs[S] = math.prod(map(roots.__getitem__, S))
-    counts = Counter(coeffs.values())
-    firsts: dict = {}  # shared coefficient -> (its seq, the |S| of its first subset)
-    plans = []
-    for S, coeff in coeffs.items():
-        m = len(S)
-        seq, first = firsts.setdefault(coeff, (len(firsts), m)) if counts[coeff] > 1 else (None, m)
-        plans.append(SubsetPlan(S, coeff, *columns[m], seq=seq, skip=m - first))
-    return tuple(plans)
+        sequences.setdefault(math.prod(map(roots.__getitem__, S)), []).append((S, columns[m]))
+    return tuple(SequencePlan(coeff, r_pows[len(same[0][0]) - 1:], *zip(*same))
+                 for coeff, same in sequences.items())
 
 
 def _logs(values):
@@ -233,75 +223,76 @@ def _logs(values):
     return itertools.starmap(math.log, zip(values))
 
 
-def _signed_logs(f: FunctionSource, plan: SubsetPlan, scaled_x: float) -> tuple[list, list]:
+def _signed_logs(f: FunctionSource, S: IndexSet, r_pows, scaled_x: float) -> tuple[list, list]:
     """(logs, negatives) through f.signed_log, one call per sample: log|f| at
-    the plan's samples and the positions where f < 0. A GeomprodError or an
-    ArithmeticError keeps its type and gains the sample's [subset S, n=…];
-    an ArithmeticError, which names no sample, gains its abscissa too."""
+    S's samples scaled_x / r**n, for r**n in r_pows, and the positions where
+    f < 0. A GeomprodError or an ArithmeticError keeps its type and gains
+    the sample's [subset S, n=…]; an ArithmeticError, which names no sample,
+    gains its abscissa too."""
     logs = []
     negatives = []
     try:
         # A for loop, not map: the note below needs the failing sample's
         # index and abscissa.
-        for r_n in plan.r_pows:
+        for r_n in r_pows:
             point = scaled_x / r_n
             s, log_f = f.signed_log(point)
             if s < 0:
                 negatives.append(len(logs))
             logs.append(log_f)
     except (GeomprodError, ArithmeticError) as e:
-        n = len(plan.subset) + len(logs)  # one log per sample before the failing one
+        n = len(S) + len(logs)  # one log per sample before the failing one
         at = "" if isinstance(e, GeomprodError) else f" at sample abscissa {point!r}"
-        e.args = (f"{e.args[-1] if e.args else ''}{at} [subset {plan.subset}, n={n}]",)
+        e.args = (f"{e.args[-1] if e.args else ''}{at} [subset {S}, n={n}]",)
         raise
     return logs, negatives
 
 
 def _products(f: FunctionSource, batch, plans, x: float, odd: list):
-    """For each plan, its signed weights times log|f| at its samples, lazily;
-    the logs as they are where every weight is +1 (|w| rises from 1, so
-    that is |S| = 1, or an odd |S| with one sample). odd gains the count of
-    its negative values at odd weights. With batch (f.log_batch) a shared
-    sequence (see SubsetPlan) takes one call, at its first subset here, and
-    each subset on it reads it from its own first sample on; without it,
-    _signed_logs takes one call per sample. A plan whose coeff * x is not
-    finite fails before its samples are taken. By Lucas's theorem the
-    weight of S's i-th sample, counted from 0, binom(|S|-1+i, |S|-1), is
-    odd exactly when i & (|S|-1) == 0."""
-    blocks = {}  # seq -> (skip, logs, negatives) of its first subset here
+    """For each subset of each plan, its signed weights times log|f| at its
+    samples, lazily; the logs as they are where every weight is +1 (|w|
+    rises from 1, so that is |S| = 1, or an odd |S| with one sample). odd
+    gains the count of its negative values at odd weights. With batch
+    (f.log_batch) each sequence takes one call, made a list only when two or
+    more subsets read it, each from its own first sample on; without it,
+    _signed_logs takes one call per sample of each subset. A plan whose
+    coeff * x is not finite fails before its samples are taken. By Lucas's
+    theorem the weight of S's i-th sample, counted from 0,
+    binom(|S|-1+i, |S|-1), is odd exactly when i & (|S|-1) == 0."""
     for plan in plans:
         scaled_x = plan.coeff * x  # coeff * x / r**n, in the formula's own order
         if not math.isfinite(scaled_x):
             raise GeomprodError(
-                f"sample point coeff * x is not finite for subset {plan.subset} at x={x}")
-        skip = 0  # of the block's samples before this subset's first
-        block = blocks.get(plan.seq)
-        if block is None:
+                f"sample point coeff * x is not finite for subset {plan.subsets[0]} at x={x}")
+        if batch is not None:
+            block = batch(map(operator.truediv, itertools.repeat(scaled_x), plan.r_pows))
+            if len(plan.subsets) > 1:
+                block = list(block[0]), list(block[1])
+        for S, weights in zip(plan.subsets, plan.weights):
+            skip = len(plan.r_pows) - len(weights)  # the sequence's samples before S's first
             if batch is None:
-                logs, negatives = _signed_logs(f, plan, scaled_x)
+                logs, negatives = _signed_logs(f, S, plan.r_pows[skip:], scaled_x)
+                skip = 0  # its negatives count from its own first sample
             else:
-                logs, negatives = batch(
-                    map(operator.truediv, itertools.repeat(scaled_x), plan.r_pows))
-                if plan.seq is not None:
-                    _, logs, negatives = blocks[plan.seq] = plan.skip, list(logs), list(negatives)
-        else:
-            first, logs, negatives = block
-            skip = plan.skip - first
-            logs = itertools.islice(logs, skip, None)
-        if negatives:
-            odd.append(sum(not (i - skip) & (len(plan.subset) - 1) for i in negatives if i >= skip))
-        yield logs if plan.weights[-1] == 1.0 else map(operator.mul, logs, plan.weights)
+                logs, negatives = block
+                if skip:
+                    logs = logs[skip:]
+            if negatives:
+                odd.append(sum(not (i - skip) & (len(S) - 1) for i in negatives if i >= skip))
+            yield logs if weights[-1] == 1.0 else map(operator.mul, logs, weights)
 
 
 def _quotient(f: FunctionSource, x: float, plans, k: int | None = None) -> tuple[float, int]:
-    """(log_value, sign) of the quotient over `plans`, or over those whose
-    greatest element is k: one math.fsum over every plan's _products, so
-    the sum is rounded once; the quotient is negative when the negatives
-    at odd weights are odd in number. If log_batch gives up anywhere (a
-    ValueError, an ArithmeticError or a non-finite sum), the whole pass
-    reruns through _signed_logs, which raises the typed errors."""
-    if k is not None:
-        plans = [plan for plan in plans if k == plan.subset[-1]]
+    """(log_value, sign) of the quotient over `plans`, or over their subsets
+    whose greatest element is k: one math.fsum over every subset's
+    _products, so the sum is rounded once; the quotient is negative when the
+    negatives at odd weights are odd in number. If log_batch gives up
+    anywhere (a ValueError, an ArithmeticError or a non-finite sum), the
+    whole pass reruns through _signed_logs, which raises the typed errors."""
+    if k is not None:  # each record cut to those subsets, from the first of them on
+        kept = [[(S, w) for S, w in zip(p.subsets, p.weights) if k == S[-1]] for p in plans]
+        plans = [SequencePlan(p.coeff, p.r_pows[-len(same[0][1]):], *zip(*same))
+                 for p, same in zip(plans, kept) if same]
     batch = getattr(f, "log_batch", None)
     if batch is not None:
         odd = []
@@ -333,12 +324,22 @@ def log_partial_product(
     """Accumulate sum_{n=|S|}^{n_max} binom(n-1, |S|-1) * log f(x_n)."""
     _check_plan(n_max, "S", len(S), lambda: n_max - len(S) + 1)
     _check_r(r)
-    (plan,) = _subset_plans([S], r, n_max)
+    (plan,) = _sequence_plans([S], r, n_max)
     log_value, sign = _quotient(f, x, (plan,))
     return LogProduct(  # log|P|: the plan weighs an even |S| by -binom
         log_value=log_value if len(S) & 1 else -log_value, sign=sign,
-        term_count=len(plan.weights), min_point=plan.coeff * x / plan.r_pows[-1],
+        term_count=len(plan.r_pows), min_point=plan.coeff * x / plan.r_pows[-1],
     )
+
+
+def _plans(f: FunctionSource, x: float, cfg: GmpConfig) -> tuple[SequencePlan, ...]:
+    """The plans an estimate at x samples. A function that declares itself
+    not even (f.even false) fails an 'even' config. x = 0 takes no sample
+    and leaves the plan unbuilt: its r**n can overflow for a huge r that
+    x = 0 never needs."""
+    if cfg.parity == "even" and not getattr(f, "even", True):
+        raise ValueError(f"even parity mode requires an even function, got {f}")
+    return cfg.plan if x != 0.0 else ()
 
 
 def _combine(log_value: float, sign: int, x: float, cfg: GmpConfig, k: int | None = None):
@@ -353,37 +354,29 @@ def _combine(log_value: float, sign: int, x: float, cfg: GmpConfig, k: int | Non
     )
 
 
-def _estimate(f: FunctionSource, x: float, cfg: GmpConfig, k: int | None = None) -> Estimate:
-    """The odd/even quotient over the subsets of cfg.base, or over those
-    whose greatest element is k. A function that declares itself not even
-    (f.even false) fails an 'even' config. x = 0 takes no sample and leaves
-    the plan unbuilt: its r**n can overflow for a huge r that x = 0 never
-    needs."""
-    if cfg.parity == "even" and not getattr(f, "even", True):
-        raise ValueError(f"even parity mode requires an even function, got {f}")
-    return _combine(*_quotient(f, x, cfg.plan if x != 0.0 else (), k), x, cfg, k)
-
-
 def estimate(f: FunctionSource, x: float, cfg: GmpConfig) -> Estimate:
     """Full multiproduct estimate of f(x) under cfg."""
-    return _estimate(f, x, cfg)
+    return _combine(*_quotient(f, x, _plans(f, x, cfg)), x, cfg)
 
 
 def component_estimate(f: FunctionSource, k: int, x: float, cfg: GmpConfig) -> Estimate:
     """Estimate of the order-k component exp(c_k x^k): the quotient
     restricted to the subsets of cfg.base whose greatest element is k.
     A k outside cfg.base raises ValueError."""
-    return _estimate(f, x, cfg, k)
+    return _combine(*_quotient(f, x, _plans(f, x, cfg), k), x, cfg, k)
 
 
 def reconstruct_from_components(f: FunctionSource, x: float, cfg: GmpConfig) -> Estimate:
     """Product over k in base of the order-k component estimates.
 
     The subset family partitions by greatest element, so this regroups the
-    exact factors of estimate() and must agree with it in log space.
+    exact factors of estimate() and must agree with it in log space. The
+    components' log values are summed before one exp, so one past the float
+    range alone does not overflow the product.
     """
-    comps = [_estimate(f, x, cfg, k) for k in cfg.base]
-    return _combine(math.fsum(c.log_value for c in comps), math.prod(c.sign for c in comps), x, cfg)
+    plans = _plans(f, x, cfg)
+    log_values, signs = zip(*[_quotient(f, x, plans, k) for k in cfg.base])
+    return _combine(math.fsum(log_values), math.prod(signs), x, cfg)
 
 
 def pollution_exponent(j: int, k: int, r: float) -> float:

@@ -281,8 +281,9 @@ class SampledSignal:
     The constructor converts both columns with float() and checks, in this
     order: two or more abscissas and one value for each, a first abscissa
     of 0, finite abscissas, strictly increasing abscissas, positive values
-    (a NormalizationError), a first value of exactly 1 and finite values.
-    Every other failure is a ValueError.
+    (a NormalizationError), a first value of exactly 1, finite values, and
+    a Normalization with a finite offset and a finite, nonzero scale, which
+    forecast inverts. Every other failure is a ValueError.
     """
 
     def __init__(self, abscissas, values, normalization: Normalization):
@@ -306,6 +307,10 @@ class SampledSignal:
             raise ValueError("normalized value at t=0 must be exactly 1")
         if not _all_finite(vs):
             raise ValueError("abscissas and values must be finite")
+        if not (isinstance(normalization, Normalization) and math.isfinite(normalization.offset)
+                and math.isfinite(normalization.scale) and normalization.scale != 0.0):
+            raise ValueError("normalization must be a Normalization with a finite offset and a "
+                             f"finite, nonzero scale, got {normalization!r}")
 
     @classmethod
     def _of_normalized(cls, ts: tuple[float, ...], vs: tuple[float, ...],
@@ -414,7 +419,7 @@ def _normalized(ts, vs, mode, a, b, make) -> SampledSignal:
         raise ValueError(f"unknown normalization mode {mode!r}")
     offset, scale = norm.offset, norm.scale
     stored = [offset + scale * v for v in vs]
-    if abs(stored[0] - 1.0) > 1e-9:
+    if not abs(stored[0] - 1.0) <= 1e-9:  # nan too
         raise NormalizationError(
             f"normalized value at t=0 is {stored[0]!r}, must be 1"
         )
@@ -456,12 +461,13 @@ class CoverageReport(NamedTuple):
 
 def coverage_check(sig: SampledSignal, cfg: GmpConfig, x: float) -> CoverageReport:
     """Check that every geometric sample point for (cfg, x) lies inside the
-    sampled range; report the largest feasible horizon either way. Every
-    sample of an x < 0 lies at t < 0, so no x < 0 is covered."""
+    sampled range; report the largest feasible horizon either way. Each
+    SequencePlan's farthest sample is its first, coeff * |x| / r^|S| for its
+    first subset S, so one point per sequence is checked. Every sample of an
+    x < 0 lies at t < 0, so no x < 0 is covered."""
     domain_end = sig.domain[1]
     if x == 0.0:
         return CoverageReport(True, 0.0, domain_end, math.inf)
-    # Each subset's farthest sample is its first: coeff * |x| / r^|S|.
     farthest = max(plan.coeff * abs(x) / plan.r_pows[0] for plan in cfg.plan)
     return CoverageReport(
         x > 0.0 and farthest <= domain_end,

@@ -153,8 +153,8 @@ class TestBothPathsAgree:
             assert counted.calls == (plan_samples(len(cfg.base), cfg.n_max) if x else 0)
         for k in cfg.base:
             _same_through_both(component_estimate, f, k, x, cfg)
-        for plan in cfg.plan:
-            _same_through_both(log_partial_product, f, plan.subset, cfg.r, x, cfg.n_max)
+        for S in enumerate_subsets(cfg.base):
+            _same_through_both(log_partial_product, f, S, cfg.r, x, cfg.n_max)
 
     def test_fig2_grid(self):
         cfg = GmpConfig(r=2.0, n_max=40, base=IndexSet.of(1, 2, 3, 4))
@@ -231,14 +231,51 @@ class TestSharedSequences:
         # {1,3}'s run is {2}'s from n = 2. The order-3 component keeps
         # {1,3} and not {2}, and evaluates {1,3}'s own 11 points.
         cfg = GmpConfig(r=1.895715910705717, n_max=12, base=IndexSet.of(1, 2, 3))
-        seqs = {p.subset: (p.seq, p.skip) for p in cfg.plan if p.seq is not None}
-        assert seqs == {IndexSet.of(2): (0, 0), IndexSet.of(1, 3): (0, 1)}
+        shared = [(p.subsets, len(p.r_pows), [len(w) for w in p.weights])
+                  for p in cfg.plan if len(p.subsets) > 1]
+        assert shared == [((IndexSet.of(2), IndexSet.of(1, 3)), 12, [12, 11])]
         counted = _CountingBatch(HALF_SIN_SHIFTED)
         assert _same_through_both(component_estimate, counted, 3, 1.0, cfg).startswith("Estimate(")
         assert counted.points == 12 + 11 + 11 + 10  # {3}, {1,3}, {2,3}, {1,2,3}
         counted = _CountingBatch(HALF_SIN_SHIFTED)
         _same_through_both(estimate, counted, 1.0, cfg)
         assert counted.points == 68  # 79 samples, 11 of them shared
+
+
+@st.composite
+def _shared_cases(draw):
+    r = draw(st.sampled_from([2.0, 1.895715910705717, 1.5, math.sqrt(2.0)]))
+    base = IndexSet(tuple(sorted(draw(st.sets(st.integers(1, 6), min_size=1, max_size=4)))))
+    cfg = GmpConfig(r=r, n_max=draw(st.integers(len(base), 30)), base=base)
+    f = draw(st.sampled_from([COS, HALF_SIN_SHIFTED])
+             | st.builds(exp_scaled, st.floats(-5.0, 5.0)))
+    return f, cfg, draw(st.floats(-4.0, 4.0))
+
+
+class TestSequenceRecords:
+    """Each SequencePlan takes one log_batch call over its points, and a
+    scalar source still one signed_log call per sample of each subset."""
+
+    @given(_shared_cases())
+    @settings(max_examples=60, deadline=None)
+    def test_points_and_calls(self, case):
+        f, cfg, x = case
+        for k in (None, *cfg.base):
+            batch, scalar = _CountingBatch(f), _SignedLogOnly(f)
+            if k is None:
+                out = _outcome(estimate, batch, x, cfg)
+                assert out == _outcome(estimate, scalar, x, cfg)
+            else:
+                out = _outcome(component_estimate, batch, k, x, cfg)
+                assert out == _outcome(component_estimate, scalar, k, x, cfg)
+            assert out.startswith("Estimate(")
+            kept = [[(S, w) for S, w in zip(p.subsets, p.weights) if k in (None, S[-1])]
+                    for p in cfg.plan]
+            # a record cut to its kept subsets runs from its first kept one
+            assert batch.points == (sum(len(p[0][1]) for p in kept if p) if x else 0)
+            assert scalar.calls == (sum(len(w) for p in kept for _, w in p) if x else 0)
+            if k is None:
+                assert scalar.calls == (plan_samples(len(cfg.base), cfg.n_max) if x else 0)
 
 
 class TestSampledSignalBatch:

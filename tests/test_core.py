@@ -8,6 +8,7 @@ from geomprod.combinatorics import IndexSet, enumerate_subsets, multiplicity
 from geomprod.core import (
     MAX_SAMPLES,
     GmpConfig,
+    SequencePlan,
     coefficient,
     component_estimate,
     coupled_n_max,
@@ -74,7 +75,7 @@ class TestGmpConfig:
     ])
     def test_plan_samples_closed_form(self, base, n_max):
         cfg = GmpConfig(r=2.0, n_max=n_max, base=IndexSet(base))
-        assert plan_samples(len(base), n_max) == sum(len(p.r_pows) for p in cfg.plan)
+        assert plan_samples(len(base), n_max) == sum(len(w) for p in cfg.plan for w in p.weights)
 
     def test_plan_size_cap(self):
         # the largest n_max a singleton base may take: n_max samples
@@ -241,7 +242,23 @@ class TestEstimate:
     def test_plan_built_once(self):
         cfg = GmpConfig(r=2.0, n_max=40, base=IndexSet.of(1, 2, 3, 4))
         assert cfg.plan is cfg.plan
-        assert [p.subset for p in cfg.plan] == list(enumerate_subsets(cfg.base))
+        # every subset exactly once, in enumerate_subsets order within each
+        # record, and the records in the order of their first subsets
+        order = list(enumerate_subsets(cfg.base))
+        assert sorted((S for p in cfg.plan for S in p.subsets), key=order.index) == order
+        assert all(sorted(p.subsets, key=order.index) == list(p.subsets) for p in cfg.plan)
+        firsts = [order.index(p.subsets[0]) for p in cfg.plan]
+        assert firsts == sorted(firsts)
+
+    def test_plan_of_a_small_base(self):
+        # at r = 2, {2} and {1,2} sample sqrt(3) x / 2^n: {2} from n = 1,
+        # {1,2} from n = 2 with the weight -binom(1, 1)
+        cfg = GmpConfig(r=2.0, n_max=2, base=IndexSet.of(1, 2))
+        assert cfg.plan == (
+            SequencePlan(1.0, (2.0, 4.0), (IndexSet.of(1),), ((1.0, 1.0),)),
+            SequencePlan(3**0.5, (2.0, 4.0), (IndexSet.of(2), IndexSet.of(1, 2)),
+                         ((1.0, 1.0), (-1.0,))),
+        )
 
     @pytest.mark.parametrize("r", [2.0, SQRT2, 1.5, 1.0 + 2.0**-8, 1.895715910705717])
     def test_plan_matches_public_formulas(self, r):
@@ -251,11 +268,13 @@ class TestEstimate:
         # r**12 is not among the plan's r**n.
         cfg = GmpConfig(r=r, n_max=8, base=IndexSet.of(1, 2, 5, 12))
         for p in cfg.plan:
-            m = len(p.subset)
-            assert p.coeff == coefficient(p.subset, r)
-            assert p.weights == tuple((-1) ** (m + 1) * float(multiplicity(n, m))
-                                      for n in range(m, 9))
-            assert p.r_pows == tuple(r**n for n in range(m, 9))
+            assert p.r_pows == tuple(r**n for n in range(len(p.subsets[0]), 9))
+            for S, w in zip(p.subsets, p.weights, strict=True):
+                m = len(S)
+                assert p.coeff == coefficient(S, r)
+                assert w == tuple((-1) ** (m + 1) * float(multiplicity(n, m))
+                                  for n in range(m, 9))
+                assert p.r_pows[-len(w):] == tuple(r**n for n in range(m, 9))
 
     @given(
         r=st.just(2.0) | st.floats(1.0, 4.0, exclude_min=True),
@@ -263,33 +282,33 @@ class TestEstimate:
     )
     @settings(max_examples=50, deadline=None)
     def test_plan_shares_sequences_of_equal_coefficients(self, r, base):
-        # seq numbers each coefficient float that two or more subsets have,
-        # in order of first appearance, and is None for the others; the
-        # first subset with a coefficient has the longest run, and skip
-        # places each other subset's run in it.
+        # one record per coefficient float, in order of its first subset;
+        # the first subset with a coefficient has the longest run, and each
+        # other subset's run is the last len(weights) points of it, skipping
+        # |S| - |first S|.
         cfg = GmpConfig(r=r, n_max=8, base=IndexSet(tuple(sorted(base))))
-        plans = cfg.plan
-        shared = []
-        for p in plans:
-            same = [q for q in plans if q.coeff == p.coeff]
-            first = same[0]
-            if len(same) > 1 and p is first:
-                shared.append(p.coeff)
-            assert p.seq == (shared.index(p.coeff) if len(same) > 1 else None)
-            assert p.skip == len(p.subset) - len(first.subset) >= 0
-            assert p.r_pows == first.r_pows[p.skip:]
+        order = list(enumerate_subsets(cfg.base))
+        coeffs = {}
+        for S in order:
+            coeffs.setdefault(coefficient(S, r), []).append(S)
+        assert [(p.coeff, list(p.subsets)) for p in cfg.plan] == list(coeffs.items())
+        for p in cfg.plan:
+            first = p.subsets[0]
+            for S, w in zip(p.subsets, p.weights, strict=True):
+                skip = len(p.r_pows) - len(w)
+                assert skip == len(S) - len(first) >= 0
+                assert len(w) == 8 - len(S) + 1
 
     def test_fig2_plan_has_315_distinct_points(self):
         # S and S + {1} share a sequence at r = 2, because (2 - 1)^1 is 1.0
         cfg = GmpConfig(r=2.0, n_max=40, base=IndexSet.of(1, 2, 3, 4))
-        firsts = {}
-        for p in cfg.plan:
-            firsts.setdefault(p.coeff, p)
-        assert len(firsts) == 8
-        assert sum(len(p.r_pows) for p in firsts.values()) == 315
-        assert all(1 in p.subset for p in cfg.plan if p is not firsts[p.coeff])
-        assert [p.subset for p in cfg.plan if p.seq is None] == [IndexSet.of(1)]
-        assert sorted({p.seq for p in cfg.plan} - {None}) == list(range(7))
+        assert len(cfg.plan) == 8
+        assert sum(len(p.r_pows) for p in cfg.plan) == 315
+        # {1} alone; each other record is S and S + {1}
+        assert cfg.plan[0].subsets == (IndexSet.of(1),)
+        for p in cfg.plan[1:]:
+            S, with_1 = p.subsets
+            assert 1 not in S and with_1 == IndexSet((1, *S))
 
     def test_fig2_bit_identical_to_direct_loop(self):
         # The paper's formula written out independently of the plan, as one
@@ -413,6 +432,26 @@ class TestReconstruction:
             assert parts.log_value == pytest.approx(whole.log_value, abs=1e-12)
             assert parts.sign == whole.sign
             assert parts.factor_count == whole.factor_count
+
+    def test_components_too_large_alone(self):
+        # log f = 3000 t - 3000 t^2: at x = 1 the order-1 component is about
+        # exp(2000) and the order-2 one exp(-2000), each past the float
+        # range, while their product, the estimate, is near f(1) = 1.
+        class Bump:
+            def __call__(self, t):
+                return math.exp(3000 * t - 3000 * t * t)
+
+            def signed_log(self, t):
+                return 1, 3000 * t - 3000 * t * t
+
+        f, cfg = Bump(), GmpConfig(r=2.0, n_max=30, base=IndexSet.of(1, 2))
+        with pytest.raises(GeomprodError, match="estimate overflows: log value 1999.99"):
+            component_estimate(f, 1, 1.0, cfg)
+        whole = estimate(f, 1.0, cfg)
+        assert whole.value == pytest.approx(1.00014, abs=1e-5)
+        parts = reconstruct_from_components(f, 1.0, cfg)
+        assert parts.log_value == pytest.approx(whole.log_value, abs=1e-9)
+        assert (parts.sign, parts.factor_count) == (whole.sign, whole.factor_count)
 
 
 class TestPollutionExponent:

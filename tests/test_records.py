@@ -22,7 +22,7 @@ from geomprod import (
     IndexSet,
     LogProduct,
     Normalization,
-    SubsetPlan,
+    SequencePlan,
     SweepRow,
 )
 from geomprod.sweeps import CSV_HEADER
@@ -35,16 +35,18 @@ _EST_REPR = (f"Estimate(value=1.0, log_value=0.0, sign=1, x=0.5, config={_CFG_RE
 _COVERAGE = (True, 0.25, 4.0, math.inf)
 _COVERAGE_REPR = "CoverageReport(ok=True, max_required=0.25, domain_end=4.0, max_feasible_x=inf)"
 
-# (record, its field names, field values, the repr the frozen dataclass printed)
+# (record, its field names, field values, the repr the frozen dataclass printed;
+# SequencePlan, added after them, pins its own)
 RECORDS = [
     (Estimate, ("value", "log_value", "sign", "x", "config", "factor_count"), _EST, _EST_REPR),
     (LogProduct, ("log_value", "sign", "term_count", "min_point"), (0.0, 1, 2, 0.125),
      "LogProduct(log_value=0.0, sign=1, term_count=2, min_point=0.125)"),
-    (SubsetPlan,
-     ("subset", "coeff", "r_pows", "weights", "seq", "skip"),
-     (IndexSet.of(1), 1.0, (2.0, 4.0), (1.0, 1.0), None, 0),
-     "SubsetPlan(subset=IndexSet(elements=(1,)), coeff=1.0, r_pows=(2.0, 4.0), "
-     "weights=(1.0, 1.0), seq=None, skip=0)"),
+    (SequencePlan,
+     ("coeff", "r_pows", "subsets", "weights"),
+     (3**0.5, (2.0, 4.0), (IndexSet.of(2), IndexSet.of(1, 2)), ((1.0, 1.0), (-1.0,))),
+     "SequencePlan(coeff=1.7320508075688772, r_pows=(2.0, 4.0), "
+     "subsets=(IndexSet(elements=(2,)), IndexSet(elements=(1, 2))), "
+     "weights=((1.0, 1.0), (-1.0,)))"),
     (Normalization, ("offset", "scale"), (0.0, 0.5), "Normalization(offset=0.0, scale=0.5)"),
     (CoverageReport, ("ok", "max_required", "domain_end", "max_feasible_x"), _COVERAGE,
      _COVERAGE_REPR),

@@ -214,6 +214,13 @@ class TestNormalize:
         with pytest.raises(NormalizationError):
             normalize([(0, 0.0), (1, 1.0), (2, 2.0), (3, 3.0)], "divide_by_first")
 
+    @pytest.mark.parametrize("mode, a, b", [("none", None, None), ("affine", 0.0, 1.0)])
+    def test_nan_first_value(self, mode, a, b):
+        # abs(nan - 1) > 1e-9 is False, so the t = 0 check must be written
+        # to fail for nan
+        with pytest.raises(NormalizationError, match="at t=0 is nan, must be 1"):
+            normalize([(0, math.nan), (1, 1.2), (2, 1.3), (3, 1.4)], mode, a, b)
+
     @pytest.mark.parametrize("raw", [
         [(0, 1e-300), (1, 1.0), (2, 1e300), (3, 1.0)],  # the scaled 1e300 overflows
         [(-1e308, 1.0), (0, 1.0), (1e308, 1.0), (1.5e308, 1.0)],  # so does the shifted time
@@ -376,6 +383,17 @@ class TestSampledSignal:
     def test_direct_construction_checks(self, ts, vs, message):
         with pytest.raises(ValueError, match=message):
             SampledSignal(ts, vs, Normalization(0.0, 1.0))
+
+    @pytest.mark.parametrize("normalization", [
+        Normalization(0.0, 0.0), Normalization(0.0, -0.0), Normalization(0.0, math.nan),
+        Normalization(0.0, math.inf), Normalization(math.nan, 1.0), Normalization(-math.inf, 1.0),
+        None, (0.0, 1.0)])
+    def test_direct_construction_checks_the_normalization(self, normalization):
+        # forecast divides by the scale: 0 would end in ZeroDivisionError,
+        # a nan scale in a nan forecast, and a record that is not a
+        # Normalization in an AttributeError
+        with pytest.raises(ValueError, match="finite offset and a finite, nonzero scale"):
+            SampledSignal([0.0, 1.0], [1.0, 2.0], normalization)
 
     def test_out_of_domain(self):
         sig = normalize(half_sin_series(2.0, 0.25), "none")
