@@ -36,12 +36,20 @@ class FunctionSource(Protocol):
     That takes a lazy iterable of sample points on one geometric sequence,
     in signed_log's order, and returns the pair in one call; its values must
     equal signed_log's to the bit. An estimate calls log_batch once per
-    sequence it keeps, over the points of its longest run, and each subset
-    on the sequence reads its own suffix. A ValueError or ArithmeticError,
-    from any log_batch call or from summing the logs, or a non-finite sum,
-    hands the whole estimate to signed_log, which raises every typed error:
+    sequence it keeps, over every point of it, and weighs each point once,
+    by the sequence's merged weight. A ValueError or ArithmeticError, from
+    any log_batch call or from summing the logs, or a non-finite sum, hands
+    the whole estimate to signed_log, which raises every typed error:
     ZeroSampleError for f(x) == 0, and for a signal NonPositiveSampleError
-    and DomainCoverageError as well.
+    and DomainCoverageError as well. A point whose merged weight is 0 is
+    still evaluated, so it still raises.
+
+    Through signed_log the estimate weighs the first subset's logs, which
+    cover every point of the sequence, and the later subsets on it repeat
+    the calls at their own points only to raise the same errors in the
+    same order and to keep one call per sample: the benchmark counts the
+    samples by those calls (46,640 per Fig-2 pass). Dropping the repeats
+    waits until it counts them another way (ROADMAP items 3 and 11).
 
     The estimator never calls __call__(x), f(x) itself: the sweep's
     reference column does, and so does a signal's own signed_log. A source
@@ -79,6 +87,15 @@ class GmpConfig:
         one config across x."""
         return _sequence_plans(enumerate_subsets(self.base), self.r, self.n_max)
 
+    @cached_property
+    def component_plans(self) -> dict[int, tuple["SequencePlan", ...]]:
+        """For each k in base, the SequencePlans of the subsets whose greatest
+        element is k, which component_estimate and reconstruct_from_components
+        sample. Built like plan, on first use, and kept as long as the config."""
+        subsets = enumerate_subsets(self.base)
+        return {k: _sequence_plans([S for S in subsets if S[-1] == k], self.r, self.n_max)
+                for k in self.base}
+
 
 def plan_samples(b: int, n_max: int) -> int:
     """Samples in the plan of a b-element base truncated at n_max: each
@@ -111,20 +128,22 @@ class SequencePlan(NamedTuple):
     """One geometric sequence of the plan: the subsets whose coefficients
     compare equal as floats (at r = 2, S and S + {1}) sample the same points
     coeff * x / r**n. subsets are cardinality-major, so the first has the
-    longest run, n = |first S|..n_max, and r_pows holds its r**n. Subset i
-    samples the last len(weights[i]) points, n = |S|..n_max, and sample n
-    carries the signed weight (-1)**(|S|+1) * binom(n-1, |S|-1): an odd |S|
-    is a numerator factor, an even one a denominator factor. Its greatest
-    element names its component. weights holds each signed weight as a
-    float: float(w) * v rounds exactly as w * v does for an int w. Above
-    2**53 a float weight has lost its low bits, so the sign rule takes each
-    binomial's parity from Lucas's theorem instead (see _products).
+    longest run, n = |first S|..n_max, and r_pows holds its r**n. Subset S
+    samples the points from n = |S| on, with the signed weight
+    (-1)**(|S|+1) * binom(n-1, |S|-1): an odd |S| is a numerator factor, an
+    even one a denominator factor. Its greatest element names its component.
+    weights holds one merged weight per point, aligned with r_pows:
+    W_n = sum over the subsets of their signed weights at n, summed as
+    integers and converted to float once. W_n may be 0 (on Fig 2, at 7 of
+    315 points). float(W) * v rounds exactly as W * v does for an int W.
+    Above 2**53 a float weight has lost its low bits, so the sign rule takes
+    each binomial's parity from Lucas's theorem instead (see _products).
     """
 
     coeff: float
     r_pows: tuple[float, ...]  # r**n from the first subset's first n
     subsets: tuple[IndexSet, ...]
-    weights: tuple[tuple[float, ...], ...]  # per subset, float((-1)**(|S|+1) * binom(n-1, |S|-1))
+    weights: tuple[float, ...]  # per point, float(sum_S (-1)**(|S|+1) * binom(n-1, |S|-1))
 
 
 class LogProduct(NamedTuple):
@@ -187,29 +206,47 @@ def sequence_point(S: IndexSet, r: float, x: float, n: int) -> float:
 def _sequence_plans(subsets, r: float, n_max: int) -> tuple[SequencePlan, ...]:
     """One SequencePlan per distinct coefficient of `subsets`, given
     cardinality-major as enumerate_subsets orders them, at a ratio r that
-    _check_r has passed. r**n is computed once for n = 1..n_max, the float
-    weights once per cardinality and each element's root (_roots) once; the
-    records share them, and each coefficient multiplies its roots in
-    coefficient()'s order. Each subset's weights are checked before its
-    coefficient."""
+    _check_r has passed. r**n is computed once for n = 1..n_max, the signed
+    integer weights once per cardinality and each element's root (_roots)
+    once; the records share them, and each coefficient multiplies its roots
+    in coefficient()'s order. Each subset's weights are checked against the
+    float range before its coefficient. A record's merged column adds its
+    subsets' integer columns aligned at their ends, in C, and converts the
+    sum to floats once."""
     r_pows = tuple(_powers(r, range(1, n_max + 1)))
-    columns: dict[int, tuple[float, ...]] = {}  # |S| -> signed weights
+    columns: dict[int, tuple[int, ...]] = {}  # |S| -> signed binomials
+    merged: dict[tuple[int, ...], tuple[float, ...]] = {}  # the |S| on a sequence -> weights
     roots: dict[int, float] = {}  # k -> (r**k - 1)**(1/k)
-    sequences: dict[float, list] = {}  # coeff -> [(S, weights of S), ...]
+    sequences: dict[float, list[IndexSet]] = {}  # coeff -> its subsets
     for S in subsets:
         m = len(S)
         if m not in columns:
-            try:
-                columns[m] = tuple(float(w if m & 1 else -w) for w in map(
-                    math.comb, range(m - 1, n_max), itertools.repeat(m - 1)))
-            except OverflowError as e:  # a weight past 2**1024
-                raise OverflowError(f"{e} [subset {S}]") from None
+            binoms = map(math.comb, range(m - 1, n_max), itertools.repeat(m - 1))
+            columns[m] = tuple(binoms if m & 1 else map(operator.neg, binoms))
+            merged[(m,)] = _float_weights(columns[m], S)
         for k in S:
             if k not in roots:
                 roots[k] = _roots(r, (k,))[0]
-        sequences.setdefault(math.prod(map(roots.__getitem__, S)), []).append((S, columns[m]))
-    return tuple(SequencePlan(coeff, r_pows[len(same[0][0]) - 1:], *zip(*same))
-                 for coeff, same in sequences.items())
+        sequences.setdefault(math.prod(map(roots.__getitem__, S)), []).append(S)
+    plans = []
+    for coeff, same in sequences.items():
+        sizes = tuple(map(len, same))
+        m = sizes[0]
+        if sizes not in merged:
+            total = list(columns[m])
+            for size in sizes[1:]:  # a later subset's run is the last points
+                total[size - m:] = map(operator.add, total[size - m:], columns[size])
+            merged[sizes] = _float_weights(total, same[0])
+        plans.append(SequencePlan(coeff, r_pows[m - 1:], tuple(same), merged[sizes]))
+    return tuple(plans)
+
+
+def _float_weights(weights, S: IndexSet) -> tuple[float, ...]:
+    """The integer weights as floats; one past 2**1024 names S."""
+    try:
+        return tuple(map(float, weights))
+    except OverflowError as e:
+        raise OverflowError(f"{e} [subset {S}]") from None
 
 
 def _logs(values):
@@ -249,50 +286,44 @@ def _signed_logs(f: FunctionSource, S: IndexSet, r_pows, scaled_x: float) -> tup
 
 
 def _products(f: FunctionSource, batch, plans, x: float, odd: list):
-    """For each subset of each plan, its signed weights times log|f| at its
-    samples, lazily; the logs as they are where every weight is +1 (|w|
-    rises from 1, so that is |S| = 1, or an odd |S| with one sample). odd
-    gains the count of its negative values at odd weights. With batch
-    (f.log_batch) each sequence takes one call, made a list only when two or
-    more subsets read it, each from its own first sample on; without it,
-    _signed_logs takes one call per sample of each subset. A plan whose
-    coeff * x is not finite fails before its samples are taken. By Lucas's
-    theorem the weight of S's i-th sample, counted from 0,
-    binom(|S|-1+i, |S|-1), is odd exactly when i & (|S|-1) == 0."""
+    """For each plan, its merged weights times log|f| at its points,
+    lazily; the logs as they are where every weight is +1.0. odd gains the
+    count of the negative values at odd weights, summed over the plan's
+    subsets: by Lucas's theorem the weight of S's i-th sample, counted from
+    0, binom(|S|-1+i, |S|-1), is odd exactly when i & (|S|-1) == 0, and W's
+    parity is the parity of that count. With batch (f.log_batch) each plan
+    takes one call over its points; without it, _signed_logs takes one call
+    per sample of each subset, and the first subset's logs, which cover
+    every point, are the ones weighed. A plan whose coeff * x is not finite
+    fails before its samples are taken."""
     for plan in plans:
         scaled_x = plan.coeff * x  # coeff * x / r**n, in the formula's own order
+        first = plan.subsets[0]
         if not math.isfinite(scaled_x):
             raise GeomprodError(
-                f"sample point coeff * x is not finite for subset {plan.subsets[0]} at x={x}")
+                f"sample point coeff * x is not finite for subset {first} at x={x}")
         if batch is not None:
-            block = batch(map(operator.truediv, itertools.repeat(scaled_x), plan.r_pows))
-            if len(plan.subsets) > 1:
-                block = list(block[0]), list(block[1])
-        for S, weights in zip(plan.subsets, plan.weights):
-            skip = len(plan.r_pows) - len(weights)  # the sequence's samples before S's first
-            if batch is None:
-                logs, negatives = _signed_logs(f, S, plan.r_pows[skip:], scaled_x)
-                skip = 0  # its negatives count from its own first sample
-            else:
-                logs, negatives = block
-                if skip:
-                    logs = logs[skip:]
-            if negatives:
+            logs, negatives = batch(map(operator.truediv, itertools.repeat(scaled_x), plan.r_pows))
+        else:
+            logs, negatives = _signed_logs(f, first, plan.r_pows, scaled_x)
+            for S in plan.subsets[1:]:  # see FunctionSource: the same calls, errors and order
+                _signed_logs(f, S, plan.r_pows[len(S) - len(first):], scaled_x)
+        if negatives:
+            for S in plan.subsets:
+                skip = len(S) - len(first)  # the sequence's points before S's first
                 odd.append(sum(not (i - skip) & (len(S) - 1) for i in negatives if i >= skip))
-            yield logs if weights[-1] == 1.0 else map(operator.mul, logs, weights)
+        # a lone subset's |w| rises from 1, so its last weight tells
+        unit = len(plan.subsets) == 1 and plan.weights[-1] == 1.0
+        yield logs if unit else map(operator.mul, logs, plan.weights)
 
 
-def _quotient(f: FunctionSource, x: float, plans, k: int | None = None) -> tuple[float, int]:
-    """(log_value, sign) of the quotient over `plans`, or over their subsets
-    whose greatest element is k: one math.fsum over every subset's
-    _products, so the sum is rounded once; the quotient is negative when the
-    negatives at odd weights are odd in number. If log_batch gives up
-    anywhere (a ValueError, an ArithmeticError or a non-finite sum), the
-    whole pass reruns through _signed_logs, which raises the typed errors."""
-    if k is not None:  # each record cut to those subsets, from the first of them on
-        kept = [[(S, w) for S, w in zip(p.subsets, p.weights) if k == S[-1]] for p in plans]
-        plans = [SequencePlan(p.coeff, p.r_pows[-len(same[0][1]):], *zip(*same))
-                 for p, same in zip(plans, kept) if same]
+def _quotient(f: FunctionSource, x: float, plans) -> tuple[float, int]:
+    """(log_value, sign) of the quotient over `plans`: one math.fsum over
+    every plan's _products, one product per point, so the sum is rounded
+    once; the quotient is negative when the negatives at odd weights are odd
+    in number. If log_batch gives up anywhere (a ValueError, an
+    ArithmeticError or a non-finite sum), the whole pass reruns through
+    _signed_logs, which raises the typed errors."""
     batch = getattr(f, "log_batch", None)
     if batch is not None:
         odd = []
@@ -332,14 +363,18 @@ def log_partial_product(
     )
 
 
-def _plans(f: FunctionSource, x: float, cfg: GmpConfig) -> tuple[SequencePlan, ...]:
-    """The plans an estimate at x samples. A function that declares itself
-    not even (f.even false) fails an 'even' config. x = 0 takes no sample
-    and leaves the plan unbuilt: its r**n can overflow for a huge r that
-    x = 0 never needs."""
+def _plans(f: FunctionSource, x: float, cfg: GmpConfig, k: int | None = None
+           ) -> tuple[SequencePlan, ...]:
+    """The plans an estimate at x samples: cfg.plan, or with k
+    cfg.component_plans[k] (none for a k outside base, which _combine
+    rejects). A function that declares itself not even (f.even false) fails
+    an 'even' config. x = 0 takes no sample and leaves the plans unbuilt:
+    their r**n can overflow for a huge r that x = 0 never needs."""
     if cfg.parity == "even" and not getattr(f, "even", True):
         raise ValueError(f"even parity mode requires an even function, got {f}")
-    return cfg.plan if x != 0.0 else ()
+    if x == 0.0:
+        return ()
+    return cfg.plan if k is None else cfg.component_plans[k] if k in cfg.base else ()
 
 
 def _combine(log_value: float, sign: int, x: float, cfg: GmpConfig, k: int | None = None):
@@ -363,7 +398,7 @@ def component_estimate(f: FunctionSource, k: int, x: float, cfg: GmpConfig) -> E
     """Estimate of the order-k component exp(c_k x^k): the quotient
     restricted to the subsets of cfg.base whose greatest element is k.
     A k outside cfg.base raises ValueError."""
-    return _combine(*_quotient(f, x, _plans(f, x, cfg), k), x, cfg, k)
+    return _combine(*_quotient(f, x, _plans(f, x, cfg, k)), x, cfg, k)
 
 
 def reconstruct_from_components(f: FunctionSource, x: float, cfg: GmpConfig) -> Estimate:
@@ -374,8 +409,7 @@ def reconstruct_from_components(f: FunctionSource, x: float, cfg: GmpConfig) -> 
     components' log values are summed before one exp, so one past the float
     range alone does not overflow the product.
     """
-    plans = _plans(f, x, cfg)
-    log_values, signs = zip(*[_quotient(f, x, plans, k) for k in cfg.base])
+    log_values, signs = zip(*[_quotient(f, x, _plans(f, x, cfg, k)) for k in cfg.base])
     return _combine(math.fsum(log_values), math.prod(signs), x, cfg)
 
 

@@ -2,15 +2,21 @@
 same Estimates and LogProducts to the bit, or the same error type and
 message; and the batch path's sharing of sequences between subsets."""
 
+import itertools
 import math
+import operator
 import re
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from geomprod.combinatorics import IndexSet, enumerate_subsets
+from geomprod.combinatorics import IndexSet, enumerate_subsets, multiplicity
 from geomprod.core import (
     GmpConfig,
+    SequencePlan,
+    _products,
+    _quotient,
+    _sequence_plans,
     coefficient,
     component_estimate,
     estimate,
@@ -228,12 +234,17 @@ class TestSharedSequences:
 
     def test_component_without_the_first_subset_of_a_sequence(self):
         # At this r the coefficients of {2} and {1,3} are one float, so
-        # {1,3}'s run is {2}'s from n = 2. The order-3 component keeps
-        # {1,3} and not {2}, and evaluates {1,3}'s own 11 points.
+        # {1,3}'s run is {2}'s from n = 2, and the merged weights are 1 and
+        # then 1 - (n - 1). The order-3 component keeps {1,3} and not {2},
+        # and evaluates {1,3}'s own 11 points with the weights -(n - 1).
         cfg = GmpConfig(r=1.895715910705717, n_max=12, base=IndexSet.of(1, 2, 3))
-        shared = [(p.subsets, len(p.r_pows), [len(w) for w in p.weights])
-                  for p in cfg.plan if len(p.subsets) > 1]
-        assert shared == [((IndexSet.of(2), IndexSet.of(1, 3)), 12, [12, 11])]
+        (shared,) = [p for p in cfg.plan if len(p.subsets) > 1]
+        assert shared.subsets == (IndexSet.of(2), IndexSet.of(1, 3))
+        assert shared.weights == tuple(2.0 - n if n > 1 else 1.0 for n in range(1, 13))
+        (cut,) = [p for p in cfg.component_plans[3] if p.coeff == shared.coeff]
+        assert cut.subsets == (IndexSet.of(1, 3),)
+        assert cut.r_pows == shared.r_pows[1:]
+        assert cut.weights == tuple(1.0 - n for n in range(2, 13))
         counted = _CountingBatch(HALF_SIN_SHIFTED)
         assert _same_through_both(component_estimate, counted, 3, 1.0, cfg).startswith("Estimate(")
         assert counted.points == 12 + 11 + 11 + 10  # {3}, {1,3}, {2,3}, {1,2,3}
@@ -269,13 +280,154 @@ class TestSequenceRecords:
                 out = _outcome(component_estimate, batch, k, x, cfg)
                 assert out == _outcome(component_estimate, scalar, k, x, cfg)
             assert out.startswith("Estimate(")
-            kept = [[(S, w) for S, w in zip(p.subsets, p.weights) if k in (None, S[-1])]
-                    for p in cfg.plan]
-            # a record cut to its kept subsets runs from its first kept one
-            assert batch.points == (sum(len(p[0][1]) for p in kept if p) if x else 0)
-            assert scalar.calls == (sum(len(w) for p in kept for _, w in p) if x else 0)
+            kept = [[S for S in p.subsets if k in (None, S[-1])] for p in cfg.plan]
+            # a record cut to its kept subsets runs from its first kept one;
+            # subset S has n_max - |S| + 1 samples
+            assert batch.points == (sum(cfg.n_max - len(p[0]) + 1 for p in kept if p) if x else 0)
+            assert scalar.calls == (sum(cfg.n_max - len(S) + 1 for p in kept for S in p) if x else 0)
             if k is None:
                 assert scalar.calls == (plan_samples(len(cfg.base), cfg.n_max) if x else 0)
+
+
+def _exact_weights(plan: SequencePlan, n_max: int) -> list[int]:
+    """A record's merged weights as exact integers, from multiplicity: each
+    subset's signed column added to the points from n = |S| on."""
+    first = len(plan.subsets[0])
+    exact = [0] * (n_max - first + 1)
+    for S in plan.subsets:
+        m = len(S)
+        for n in range(m, n_max + 1):
+            exact[n - first] += (-1) ** (m + 1) * multiplicity(n, m)
+    return exact
+
+
+class _NegativeAt:
+    """1 + sin(t)/2, reported negative at the given points, through both
+    signed_log and log_batch."""
+
+    def __init__(self, points):
+        self.points = set(points)
+
+    def __call__(self, t):
+        return HALF_SIN_SHIFTED(t)
+
+    def signed_log(self, t):
+        return (-1 if t in self.points else 1), HALF_SIN_SHIFTED.signed_log(t)[1]
+
+    def log_batch(self, points):
+        points = list(points)
+        return ([HALF_SIN_SHIFTED.signed_log(p)[1] for p in points],
+                [i for i, p in enumerate(points) if p in self.points])
+
+
+def _point(plan: SequencePlan, x: float, i: int) -> float:
+    """The record's i-th point, as the estimator computes it."""
+    return plan.coeff * x / plan.r_pows[i]
+
+
+# At r = 2, {2,...,10} and {1,...,10} share a sequence; at n_max 300 their
+# weights C(n-1, 8) and -C(n-1, 9) pass 2**53, so a merged float weight has
+# lost its parity.
+_BIG = _sequence_plans([IndexSet(tuple(range(2, 11))), IndexSet(tuple(range(1, 11)))], 2.0, 300)
+_BIG_EXACT = _exact_weights(_BIG[0], 300)
+
+
+class TestMergedRecords:
+    """Each record holds one merged weight per point: the float of the exact
+    sum of its subsets' signed integer weights there."""
+
+    @given(_shared_cases())
+    @settings(max_examples=60, deadline=None)
+    def test_columns_are_exact_sums(self, case):
+        _, cfg, _ = case
+        for k in (None, *cfg.base):
+            for p in cfg.plan if k is None else cfg.component_plans[k]:
+                assert len(p.weights) == len(p.r_pows)
+                assert p.weights == tuple(map(float, _exact_weights(p, cfg.n_max)))
+
+    def test_columns_past_2_to_53(self):
+        (p,) = _BIG
+        assert len(p.subsets) == 2 and max(map(abs, _BIG_EXACT)) > 2**53
+        assert p.weights == tuple(map(float, _BIG_EXACT))
+
+    @pytest.mark.parametrize("positions", [
+        [1], [3], [1, 3], [2], [1, 2], [0, 1, 2, 3], [5, 7, 9]])
+    def test_sign_is_the_parity_of_the_exact_sum(self, positions):
+        # {2} and {1,2} at r = 2: merged weights 1, 0, -1, -2, ... At
+        # position 1 W = 1 - 1 = 0, at 3 W = 1 - 3 = -2: both even, each the
+        # sum of two odd binomials, so a negative there does not flip.
+        cfg = GmpConfig(r=2.0, n_max=12, base=IndexSet.of(1, 2))
+        shared = cfg.plan[1]
+        assert shared.weights[:4] == (1.0, 0.0, -1.0, -2.0)
+        f = _NegativeAt(_point(shared, 1.5, i) for i in positions)
+        want = -1 if sum(_exact_weights(shared, 12)[i] for i in positions) % 2 else 1
+        _same_through_both(estimate, f, 1.5, cfg)
+        assert estimate(f, 1.5, cfg).sign == want
+
+    def test_sign_past_2_to_53(self):
+        # even and odd merged weights past 2**53, where float(W) is even
+        (p,) = _BIG
+        big = [i for i, w in enumerate(_BIG_EXACT) if abs(w) > 2**53]
+        odd = [i for i in big if _BIG_EXACT[i] % 2][:3]
+        even = [i for i in big if not _BIG_EXACT[i] % 2][:3]
+        assert len(odd) == len(even) == 3 and all(float(_BIG_EXACT[i]) % 2 == 0 for i in odd)
+        for positions in (odd[:1], even[:1], odd[:2], odd[:1] + even, odd + even[:1]):
+            f = _NegativeAt(_point(p, 1.5, i) for i in positions)
+            want = -1 if sum(_BIG_EXACT[i] for i in positions) % 2 else 1
+            assert _quotient(f, 1.5, _BIG)[1] == _quotient(_SignedLogOnly(f), 1.5, _BIG)[1] == want
+
+    def test_source_failing_only_at_a_zero_weight_raises(self):
+        # the shared {2},{1,2} sequence of Fig 2 at n = 2, where W = 0
+        (shared,) = [p for p in _FIG2.plan if p.subsets[0] == IndexSet.of(2)]
+        assert shared.weights[1] == 0.0
+        f = _CosMinus(_point(shared, 3.0, 1))
+        for source in (f, _SignedLogOnly(f)):
+            with pytest.raises(ZeroSampleError, match=re.escape("[subset {2}, n=2]")):
+                estimate(source, 3.0, _FIG2)
+
+    @given(_shared_cases())
+    @settings(max_examples=60, deadline=None)
+    def test_unit_shortcut_is_exact(self, case):
+        # A record's logs go to the sum as they are only where every
+        # merged weight is +1.0 (a lone subset with |S| = 1, or an odd |S|
+        # with one sample); anywhere else they are multiplied, and either
+        # way the sum is that of W * log.
+        f, cfg, x = case
+        source = _LastLogs(f)
+        for p in cfg.plan:
+            (products,) = _products(source, source.log_batch, (p,), x, [])
+            logs = source.last
+            unit = set(p.weights) == {1.0}
+            if products is logs:
+                assert unit
+            else:
+                assert not unit or len(p.subsets) > 1
+            assert repr(math.fsum(products)) == repr(math.fsum(map(operator.mul, logs, p.weights)))
+
+    def test_unit_shortcut_skips_a_column_that_starts_at_one(self):
+        # Fig 2's {2,3,4},{1,2,3,4} record weighs 1, 2, 2, 0, -5, ...: not
+        # monotone, its first weight +1, and every log is multiplied
+        p = _FIG2.plan[-1]
+        assert p.subsets == (IndexSet.of(2, 3, 4), IndexSet.of(1, 2, 3, 4))
+        assert p.weights[:5] == (1.0, 2.0, 2.0, 0.0, -5.0)
+        source = _LastLogs(HALF_SIN_SHIFTED)
+        (products,) = _products(source, source.log_batch, (p,), 1.0, [])
+        assert products is not source.last
+        assert list(products) == [v * w for v, w in zip(source.last, p.weights)]
+
+
+class _LastLogs:
+    """A builtin whose log_batch hands out its logs as a list and keeps the
+    last one it handed out."""
+
+    def __init__(self, inner):
+        self.inner = inner
+        self.last = None
+
+    def log_batch(self, points):
+        logs, negatives = self.inner.log_batch(points)
+        self.last = list(logs)
+        return self.last, negatives
 
 
 class TestSampledSignalBatch:

@@ -4,6 +4,7 @@ import re
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from geomprod import core
 from geomprod.combinatorics import IndexSet, enumerate_subsets, multiplicity
 from geomprod.core import (
     MAX_SAMPLES,
@@ -75,7 +76,9 @@ class TestGmpConfig:
     ])
     def test_plan_samples_closed_form(self, base, n_max):
         cfg = GmpConfig(r=2.0, n_max=n_max, base=IndexSet(base))
-        assert plan_samples(len(base), n_max) == sum(len(w) for p in cfg.plan for w in p.weights)
+        # subset S samples a record's points from n = |S| on
+        assert plan_samples(len(base), n_max) == sum(
+            n_max - len(S) + 1 for p in cfg.plan for S in p.subsets)
 
     def test_plan_size_cap(self):
         # the largest n_max a singleton base may take: n_max samples
@@ -251,30 +254,32 @@ class TestEstimate:
         assert firsts == sorted(firsts)
 
     def test_plan_of_a_small_base(self):
-        # at r = 2, {2} and {1,2} sample sqrt(3) x / 2^n: {2} from n = 1,
-        # {1,2} from n = 2 with the weight -binom(1, 1)
+        # at r = 2, {2} and {1,2} sample sqrt(3) x / 2^n: {2} from n = 1
+        # with the weights 1, 1, {1,2} from n = 2 with -binom(1, 1), so the
+        # merged weights are 1 and 1 - 1 = 0
         cfg = GmpConfig(r=2.0, n_max=2, base=IndexSet.of(1, 2))
         assert cfg.plan == (
-            SequencePlan(1.0, (2.0, 4.0), (IndexSet.of(1),), ((1.0, 1.0),)),
-            SequencePlan(3**0.5, (2.0, 4.0), (IndexSet.of(2), IndexSet.of(1, 2)),
-                         ((1.0, 1.0), (-1.0,))),
+            SequencePlan(1.0, (2.0, 4.0), (IndexSet.of(1),), (1.0, 1.0)),
+            SequencePlan(3**0.5, (2.0, 4.0), (IndexSet.of(2), IndexSet.of(1, 2)), (1.0, 0.0)),
         )
 
     @pytest.mark.parametrize("r", [2.0, SQRT2, 1.5, 1.0 + 2.0**-8, 1.895715910705717])
     def test_plan_matches_public_formulas(self, r):
         # The plan takes each coefficient from per-element roots and each
-        # weight from math.comb, signed + for odd |S| and - for even; they
-        # must equal the public formulas to the bit. 12 > n_max, so its
-        # r**12 is not among the plan's r**n.
+        # weight from math.comb, signed + for odd |S| and - for even, and
+        # sums a record's weights at each n; they must equal the public
+        # formulas to the bit. 12 > n_max, so its r**12 is not among the
+        # plan's r**n.
         cfg = GmpConfig(r=r, n_max=8, base=IndexSet.of(1, 2, 5, 12))
         for p in cfg.plan:
-            assert p.r_pows == tuple(r**n for n in range(len(p.subsets[0]), 9))
-            for S, w in zip(p.subsets, p.weights, strict=True):
-                m = len(S)
+            first = len(p.subsets[0])
+            assert p.r_pows == tuple(r**n for n in range(first, 9))
+            for S in p.subsets:
                 assert p.coeff == coefficient(S, r)
-                assert w == tuple((-1) ** (m + 1) * float(multiplicity(n, m))
-                                  for n in range(m, 9))
-                assert p.r_pows[-len(w):] == tuple(r**n for n in range(m, 9))
+            assert p.weights == tuple(
+                float(sum((-1) ** (len(S) + 1) * multiplicity(n, len(S))
+                          for S in p.subsets if len(S) <= n))
+                for n in range(first, 9))
 
     @given(
         r=st.just(2.0) | st.floats(1.0, 4.0, exclude_min=True),
@@ -283,9 +288,9 @@ class TestEstimate:
     @settings(max_examples=50, deadline=None)
     def test_plan_shares_sequences_of_equal_coefficients(self, r, base):
         # one record per coefficient float, in order of its first subset;
-        # the first subset with a coefficient has the longest run, and each
-        # other subset's run is the last len(weights) points of it, skipping
-        # |S| - |first S|.
+        # the first subset with a coefficient has the longest run, one
+        # merged weight per point of it, and each other subset's run is the
+        # last points of it, skipping |S| - |first S|.
         cfg = GmpConfig(r=r, n_max=8, base=IndexSet(tuple(sorted(base))))
         order = list(enumerate_subsets(cfg.base))
         coeffs = {}
@@ -294,39 +299,45 @@ class TestEstimate:
         assert [(p.coeff, list(p.subsets)) for p in cfg.plan] == list(coeffs.items())
         for p in cfg.plan:
             first = p.subsets[0]
-            for S, w in zip(p.subsets, p.weights, strict=True):
-                skip = len(p.r_pows) - len(w)
-                assert skip == len(S) - len(first) >= 0
-                assert len(w) == 8 - len(S) + 1
+            assert len(p.weights) == len(p.r_pows) == 8 - len(first) + 1
+            assert all(len(S) >= len(first) for S in p.subsets)
 
     def test_fig2_plan_has_315_distinct_points(self):
         # S and S + {1} share a sequence at r = 2, because (2 - 1)^1 is 1.0
         cfg = GmpConfig(r=2.0, n_max=40, base=IndexSet.of(1, 2, 3, 4))
         assert len(cfg.plan) == 8
-        assert sum(len(p.r_pows) for p in cfg.plan) == 315
+        assert sum(len(p.r_pows) for p in cfg.plan) == sum(len(p.weights) for p in cfg.plan) == 315
         # {1} alone; each other record is S and S + {1}
         assert cfg.plan[0].subsets == (IndexSet.of(1),)
         for p in cfg.plan[1:]:
             S, with_1 = p.subsets
             assert 1 not in S and with_1 == IndexSet((1, *S))
+        # binom(n-1, m-1) = binom(n-1, m) at n = 2m: once for each of the
+        # three |S| = 1, three |S| = 2 and one |S| = 3 records
+        zeros = [(p.subsets[0], n) for p in cfg.plan
+                 for n, w in enumerate(p.weights, len(p.subsets[0])) if w == 0.0]
+        assert len(zeros) == 7
+        assert all(n == 2 * len(S) for S, n in zeros)
 
     def test_fig2_bit_identical_to_direct_loop(self):
-        # The paper's formula written out independently of the plan, as one
-        # fsum over the signed products: every estimate must match it to the
-        # last bit on the whole Fig-2 grid.
+        # The paper's formula written out independently of the plan, with
+        # the signed integer weights of the subsets at each distinct point
+        # (coeff, n) summed first, as one fsum over the merged products:
+        # every estimate must match it to the last bit on the whole Fig-2
+        # grid, over its 315 points.
         r, n_max = 2.0, 40
         cfg = GmpConfig(r=r, n_max=n_max, base=IndexSet.of(1, 2, 3, 4))
+        merged = {}
+        for S in enumerate_subsets(cfg.base):
+            m = len(S)
+            coeff = math.prod((r**k - 1.0) ** (1.0 / k) for k in S)
+            for n in range(m, n_max + 1):
+                merged[coeff, n] = merged.get((coeff, n), 0) + (-1) ** (m + 1) * math.comb(n - 1, m - 1)
+        assert len(merged) == 315
         for i in range(81):
             x = 0.05 * i
-            products = []
-            for S in enumerate_subsets(cfg.base):
-                m = len(S)
-                coeff = math.prod((r**k - 1.0) ** (1.0 / k) for k in S)
-                products.extend(
-                    math.log1p(0.5 * math.sin(coeff * x / r**n)) * (-1) ** (m + 1)
-                    * math.comb(n - 1, m - 1)
-                    for n in range(m, n_max + 1)
-                )
+            products = [math.log1p(0.5 * math.sin(coeff * x / r**n)) * W
+                        for (coeff, n), W in merged.items()]
             est = estimate(HALF_SIN_SHIFTED, x, cfg)
             assert est.log_value == math.fsum(products)
             assert est.value == math.exp(math.fsum(products))
@@ -349,7 +360,7 @@ class TestEstimate:
         # {2} and {1,2}: C(10,1) + C(10,2)
         assert component_estimate(_Raising(), 2, 0.0, cfg).factor_count == 55
         assert reconstruct_from_components(_Raising(), 0.0, cfg).factor_count == 65
-        assert "plan" not in vars(cfg)
+        assert "plan" not in vars(cfg) and "component_plans" not in vars(cfg)
         with pytest.raises(OverflowError):
             estimate(ONE, 0.5, cfg)
 
@@ -414,6 +425,43 @@ class TestComponentEstimate:
         with pytest.raises(ValueError):
             component_estimate(ONE, 3, 1.0, GmpConfig(2.0, 10, IndexSet.of(2, 4)))
 
+    def test_records_built_once_per_config(self, monkeypatch):
+        # a loop over x reuses each order's records: one build per k
+        built = []
+        build = core._sequence_plans
+        monkeypatch.setattr(core, "_sequence_plans",
+                            lambda subsets, r, n_max: built.append(subsets) or build(subsets, r, n_max))
+        cfg = GmpConfig(r=2.0, n_max=40, base=IndexSet.of(1, 2, 3, 4))
+        for i in range(1, 11):
+            for k in cfg.base:
+                component_estimate(HALF_SIN_SHIFTED, k, 0.2 * i, cfg)
+            reconstruct_from_components(HALF_SIN_SHIFTED, 0.2 * i, cfg)
+        assert [{S[-1] for S in subsets} for subsets in built] == [{1}, {2}, {3}, {4}]
+        assert cfg.component_plans is cfg.component_plans
+        assert "plan" not in vars(cfg)
+
+    @given(
+        r=st.sampled_from([2.0, 1.895715910705717, 1.5, SQRT2]),
+        base=st.sets(st.integers(1, 6), min_size=1, max_size=4),
+    )
+    @settings(max_examples=50, deadline=None)
+    def test_records_are_the_plan_cut_to_k(self, r, base):
+        # order k's records are cfg.plan's, each cut to its subsets whose
+        # greatest element is k and run from the first of them on, in the
+        # order of those first subsets; at r = 1.895715910705717 {2} and
+        # {1,3} share a record, and order 3 keeps {1,3} alone, from n = 2,
+        # after {3}
+        cfg = GmpConfig(r=r, n_max=8, base=IndexSet(tuple(sorted(base))))
+        order = enumerate_subsets(cfg.base)
+        for k in cfg.base:
+            want = []
+            for p in cfg.plan:
+                kept = tuple(S for S in p.subsets if S[-1] == k)
+                if kept:
+                    want.append((p.coeff, p.r_pows[len(kept[0]) - len(p.subsets[0]):], kept))
+            want.sort(key=lambda rec: order.index(rec[2][0]))
+            assert [tuple(q[:3]) for q in cfg.component_plans[k]] == want
+
 
 class TestReconstruction:
     @pytest.mark.parametrize(
@@ -423,6 +471,8 @@ class TestReconstruction:
             (COS, GmpConfig(r=SQRT2, n_max=10, base=IndexSet.of(2, 4), parity="even")),
             (exp_scaled(1.0), GmpConfig(r=1.8, n_max=14, base=IndexSet.of(1, 2))),
             (HALF_SIN_SHIFTED, GmpConfig(r=2.0, n_max=40, base=IndexSet.of(1, 2, 3, 4))),
+            # {2} and {1,3} share a sequence, and fall in two components
+            (HALF_SIN_SHIFTED, GmpConfig(r=1.895715910705717, n_max=12, base=IndexSet.of(1, 2, 3))),
         ],
     )
     def test_partition_identity(self, f, cfg):

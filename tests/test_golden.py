@@ -26,10 +26,17 @@ sweep_default_schedule.csv and sweep_huge_ratio.csv and .json were
 captured again when an estimate became one math.fsum over signed weights
 instead of one per subset and one over the subsets: only float digits
 moved, no status or count, and the other goldens stayed identical.
-Regenerate them only for an intended output change; the script prints
-each file it changes with its count of changed lines:
+fig2_sweep.csv and readme_forecast.csv and .json were captured again
+when each geometric sequence's subsets were merged into one weight per
+sample point: only float digits moved (39, 1 and 3 lines), and the other
+goldens stayed identical. Regenerate them only for an intended output
+change; the script needs no pytest, and prints each file it changes with
+its count of changed lines:
 
     PYTHONPATH=src python tests/test_golden.py
+
+With --check it writes nothing, names each golden that differs, and exits 1
+if any does.
 """
 
 from __future__ import annotations
@@ -39,8 +46,6 @@ import io
 import math
 import sys
 from pathlib import Path
-
-import pytest
 
 from geomprod.cli import run
 
@@ -142,13 +147,19 @@ def render(name: str, workdir: Path) -> str:
     return stdout.getvalue()
 
 
-@pytest.mark.parametrize("name", sorted(CASES))
+def pytest_generate_tests(metafunc):
+    """Each test runs once per golden case (name) or CSV form (form); a
+    hook, not pytest.mark, so that the script runs without pytest."""
+    for arg, cases in (("name", CASES), ("form", CSV_FORMS)):
+        if arg in metafunc.fixturenames:
+            metafunc.parametrize(arg, sorted(cases))
+
+
 def test_output_matches_golden(name, tmp_path):
     want = (GOLDEN / name).read_text(encoding="utf-8")
     assert render(name, tmp_path) == want
 
 
-@pytest.mark.parametrize("form", sorted(CSV_FORMS))
 def test_forecast_csv_forms_match_golden(form, tmp_path):
     csv_path = tmp_path / "signal.csv"
     csv_path.write_bytes(CSV_FORMS[form](signal_lines()).encode("utf-8"))
@@ -159,17 +170,32 @@ def test_forecast_csv_forms_match_golden(form, tmp_path):
     assert stdout.getvalue() == (GOLDEN / "readme_forecast.json").read_text(encoding="utf-8")
 
 
-if __name__ == "__main__":
+def main(argv: list[str]) -> int:
+    """Re-capture every golden that differs, printing each file written
+    with its count of changed lines; with --check, write nothing, print
+    each golden that differs and return 1 if any does."""
     import itertools
     import tempfile
 
+    check = argv == ["--check"]
+    if argv and not check:
+        print("usage: test_golden.py [--check]", file=sys.stderr)
+        return 2
     GOLDEN.mkdir(parents=True, exist_ok=True)
+    differ = 0
     for case in sorted(CASES):
         path = GOLDEN / case
         old = path.read_text(encoding="utf-8") if path.exists() else ""
         with tempfile.TemporaryDirectory() as tmp:
             text = render(case, Path(tmp))
         if text != old:
-            path.write_text(text, encoding="utf-8")
-            lines = itertools.zip_longest(old.splitlines(), text.splitlines())
-            print(f"wrote {path}: {sum(a != b for a, b in lines)} changed lines", file=sys.stderr)
+            differ += 1
+            lines = sum(a != b for a, b in itertools.zip_longest(old.splitlines(), text.splitlines()))
+            if not check:
+                path.write_text(text, encoding="utf-8")
+            print(f"{'differs' if check else 'wrote'} {path}: {lines} changed lines", file=sys.stderr)
+    return 1 if check and differ else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))

@@ -29,6 +29,14 @@ adds a fourth rounding: an estimator built that way has c = 4 + O(u).
 PER_SUBSET_WORST records the worst err / (u A) of three configs, measured
 on the estimator that summed each subset with its own math.fsum and then
 the rounded subset sums again; the single sum must stay below it.
+
+Where subsets share a geometric sequence, the estimator sums their signed
+integer weights at each point first, W = sum_S w(S, n), and multiplies
+each log once by float(W). The same three steps bound it with
+sum |W * l| <= A in place of A, so the bound above still holds, with A
+still summed per subset. SINGLE_SUM_WORST records two worst cases of the
+single sum over unmerged weights, one product per (subset, n); merging
+rounds fewer and smaller products, and must stay below it.
 """
 
 from __future__ import annotations
@@ -133,6 +141,14 @@ PER_SUBSET_WORST = {
 }
 
 
+# Measured on the single sum over one product per (subset, n), before the
+# weights of a sequence's subsets were merged.
+SINGLE_SUM_WORST = {
+    "fig2": 0.10311553153606955,
+    "readme_forecast": 0.06857852600237327,
+}
+
+
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_within_bound(name):
     assert worst(name) <= C
@@ -141,6 +157,11 @@ def test_within_bound(name):
 @pytest.mark.parametrize("name", sorted(PER_SUBSET_WORST))
 def test_worst_case_below_per_subset_sums(name):
     assert worst(name) < PER_SUBSET_WORST[name]
+
+
+@pytest.mark.parametrize("name", sorted(SINGLE_SUM_WORST))
+def test_worst_case_below_unmerged_single_sum(name):
+    assert worst(name) < SINGLE_SUM_WORST[name]
 
 
 @given(
