@@ -26,11 +26,12 @@ class UsageError(ValueError):
 
 class _Parser(argparse.ArgumentParser):
     """An ArgumentParser that raises UsageError where argparse would print
-    usage and exit, so run() reports it like any other bad value, and that
-    reads a separate negative number in exponent form (-1e-05) as a value."""
+    usage and exit, so run() reports it like any other bad value, that
+    reads a separate negative number in exponent form (-1e-05) as a value,
+    and that takes flags in full only, as _wants_json reads them."""
 
     def __init__(self, *args, **kwargs):
-        super().__init__(*args, **kwargs)
+        super().__init__(*args, allow_abbrev=False, **kwargs)
         self._negative_number_matcher = re.compile(r"^-(\d+\.?\d*|\.\d+)([eE][+-]?\d+)?$")
 
     def error(self, message):
@@ -341,9 +342,7 @@ def _wants_json(argv: list[str], args) -> bool:
     or, when argv did not parse, a literal `--format json` in it."""
     if args is not None:
         return args.format == "json"
-    return "--format=json" in argv or any(
-        flag == "--format" and value == "json" for flag, value in zip(argv, argv[1:])
-    )
+    return "--format=json" in argv or ("--format", "json") in zip(argv, argv[1:])
 
 
 def _report_error(exc: Exception, as_json: bool) -> None:

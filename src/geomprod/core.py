@@ -74,6 +74,8 @@ class GmpConfig:
 
     def __post_init__(self):
         _check_r(self.r)
+        if not isinstance(self.base, IndexSet):  # which enumerate_subsets assumes
+            raise ValueError(f"base must be an IndexSet, got {self.base!r}")
         b = len(self.base)
         # Counted in closed form, before any subset is enumerated.
         _check_plan(self.n_max, "base", b, lambda: plan_samples(b, self.n_max))
@@ -134,7 +136,8 @@ class SequencePlan(NamedTuple):
     even one a denominator factor. Its greatest element names its component.
     weights holds one merged weight per point, aligned with r_pows:
     W_n = sum over the subsets of their signed weights at n, summed as
-    integers and converted to float once. W_n may be 0 (on Fig 2, at 7 of
+    integers and converted to float once (one past 2**1024 is an
+    OverflowError naming the first subset). W_n may be 0 (on Fig 2, at 7 of
     315 points). float(W) * v rounds exactly as W * v does for an int W.
     Above 2**53 a float weight has lost its low bits, so the sign rule takes
     each binomial's parity from Lucas's theorem instead (see _products).
@@ -169,9 +172,13 @@ class Estimate(NamedTuple):
 
 
 def _check_r(r: float) -> None:
-    """Reject a ratio outside 1 < r < inf; every ratio the package takes passes here."""
-    if not 1.0 < r < math.inf:
-        raise ValueError(f"ratio r must exceed 1 and be finite, got {r}")
+    """Reject a ratio that is not a real number, or one outside 1 < r < inf;
+    every ratio the package takes passes here."""
+    try:
+        if not 1.0 < r < math.inf:  # nan too
+            raise ValueError(f"ratio r must exceed 1 and be finite, got {r}")
+    except TypeError:  # not a real number: a str, None, a complex
+        raise ValueError(f"ratio r must be a real number, got {r!r}") from None
 
 
 def _powers(r: float, exponents) -> list[float]:
@@ -209,10 +216,10 @@ def _sequence_plans(subsets, r: float, n_max: int) -> tuple[SequencePlan, ...]:
     _check_r has passed. r**n is computed once for n = 1..n_max, the signed
     integer weights once per cardinality and each element's root (_roots)
     once; the records share them, and each coefficient multiplies its roots
-    in coefficient()'s order. Each subset's weights are checked against the
-    float range before its coefficient. A record's merged column adds its
-    subsets' integer columns aligned at their ends, in C, and converts the
-    sum to floats once."""
+    in coefficient()'s order. A record's merged column adds its subsets'
+    integer columns aligned at their ends, in C; each distinct one is
+    converted to floats, which checks the float range, once, after every
+    coefficient, so an overflowing coefficient is reported first."""
     r_pows = tuple(_powers(r, range(1, n_max + 1)))
     columns: dict[int, tuple[int, ...]] = {}  # |S| -> signed binomials
     merged: dict[tuple[int, ...], tuple[float, ...]] = {}  # the |S| on a sequence -> weights
@@ -223,7 +230,6 @@ def _sequence_plans(subsets, r: float, n_max: int) -> tuple[SequencePlan, ...]:
         if m not in columns:
             binoms = map(math.comb, range(m - 1, n_max), itertools.repeat(m - 1))
             columns[m] = tuple(binoms if m & 1 else map(operator.neg, binoms))
-            merged[(m,)] = _float_weights(columns[m], S)
         for k in S:
             if k not in roots:
                 roots[k] = _roots(r, (k,))[0]
@@ -236,17 +242,12 @@ def _sequence_plans(subsets, r: float, n_max: int) -> tuple[SequencePlan, ...]:
             total = list(columns[m])
             for size in sizes[1:]:  # a later subset's run is the last points
                 total[size - m:] = map(operator.add, total[size - m:], columns[size])
-            merged[sizes] = _float_weights(total, same[0])
+            try:
+                merged[sizes] = tuple(map(float, total))
+            except OverflowError as e:  # a weight past 2**1024
+                raise OverflowError(f"{e} [subset {same[0]}]") from None
         plans.append(SequencePlan(coeff, r_pows[m - 1:], tuple(same), merged[sizes]))
     return tuple(plans)
-
-
-def _float_weights(weights, S: IndexSet) -> tuple[float, ...]:
-    """The integer weights as floats; one past 2**1024 names S."""
-    try:
-        return tuple(map(float, weights))
-    except OverflowError as e:
-        raise OverflowError(f"{e} [subset {S}]") from None
 
 
 def _logs(values):

@@ -117,10 +117,15 @@ class BuiltinFunction:
     def __post_init__(self):
         if self.tag not in _TAGS:
             raise ValueError(f"unknown builtin tag {self.tag!r}")
-        if not math.isfinite(self.c):
-            raise ValueError(f"function constant must be finite, got {self.c}")
-        if self.tag == "monomial_exp" and self.k < 1:
-            raise ValueError(f"monomial order must be positive, got {self.k}")
+        try:
+            if not math.isfinite(self.c):
+                raise ValueError(f"function constant must be finite, got {self.c}")
+        except TypeError:  # not a real number: a str, None, a complex
+            raise ValueError(f"function constant c must be a real number, got {self.c!r}") from None
+        if self.tag == "monomial_exp":
+            check_integer(self.k, "k")
+            if self.k < 1:
+                raise ValueError(f"monomial order must be positive, got {self.k}")
 
     @property
     def even(self) -> bool:

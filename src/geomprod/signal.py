@@ -143,29 +143,30 @@ def _all_finite(xs) -> bool:
 
 def _csv_columns(path, text: str) -> tuple[list[float], list[float]]:
     """The (ts, vs) columns, in file order, of any text the csv module reads,
-    with a `path:line:` SignalFormatError for a row it cannot use."""
+    with a `path:line:` SignalFormatError naming the line that ends a row it
+    cannot use (a quoted cell may span lines). Only the first is a header."""
     ts: list[float] = []
     vs: list[float] = []
     reader = csv.reader(io.StringIO(text, newline=""))
     try:
-        for lineno, record in enumerate(reader, start=1):
+        for index, record in enumerate(reader):
             if not record or (len(record) == 1 and not record[0].strip()):
                 continue
             if len(record) != 2:
                 raise SignalFormatError(
-                    f"{path}:{lineno}: expected two columns, got {len(record)}"
+                    f"{path}:{reader.line_num}: expected two columns, got {len(record)}"
                 )
             try:
                 t, v = float(record[0]), float(record[1])
             except ValueError:
-                if lineno == 1:
+                if index == 0:
                     continue  # header
                 raise SignalFormatError(
-                    f"{path}:{lineno}: could not parse {record!r} as numbers"
+                    f"{path}:{reader.line_num}: could not parse {record!r} as numbers"
                 ) from None
             if not (math.isfinite(t) and math.isfinite(v)):
                 raise SignalFormatError(
-                    f"{path}:{lineno}: non-finite number in {record!r}"
+                    f"{path}:{reader.line_num}: non-finite number in {record!r}"
                 )
             ts.append(t)
             vs.append(v)
@@ -206,7 +207,7 @@ def _inner_slope(hl: float, hr: float, ml: float, mr: float) -> float:
 class _Pchip:
     """scipy's PchipInterpolator(ts, vs, extrapolate=False) on [ts[0], ts[-1]],
     computed with the same floating-point operations in the same order, so
-    every value matches it to the bit.
+    every value matches it to the bit; outside that range it raises ValueError.
 
     A forecast queries a few intervals near t = 0 hundreds of times and most
     others never, so each interval's cubic is built on its first query, and
@@ -245,13 +246,16 @@ class _Pchip:
     def values(self, points) -> list[float]:
         """The interpolant at each point, in any order. The current interval's
         cubic stays at hand, and bisect_right runs only for a point outside
-        that interval."""
+        that interval, after a ValueError for one outside [ts[0], ts[-1]]."""
         ts, last, cubics = self._ts, self._last, self._cubics
+        start, end = ts[0], ts[-1]
         lo = hi = math.nan  # the current interval [lo, hi); none yet
         out = []
         append = out.append
         for x in points:
             if not lo <= x < hi:
+                if not start <= x <= end:  # nan too
+                    raise ValueError(f"sample point {x!r} leaves [{start!r}, {end!r}]")
                 i = bisect_right(ts, x) - 1
                 if i > last:
                     i = last
@@ -265,9 +269,6 @@ class _Pchip:
             # PPoly's sum, from 0.0 upward with a running power of s
             append(0.0 + c0 + c1 * s + c2 * z + c3 * (z * s))
         return out
-
-    def __call__(self, x: float) -> float:
-        return self.values((x,))[0]
 
 
 class SampledSignal:
@@ -335,18 +336,17 @@ class SampledSignal:
         self.abscissas = ts
         self.values = vs
         self.normalization = normalization
-        self._t_last = ts[-1]
         self._interp = _Pchip(ts, vs)
 
     @property
     def domain(self) -> tuple[float, float]:
-        return 0.0, self._t_last
+        return 0.0, self.abscissas[-1]
 
     def __call__(self, x: float) -> float:
         x = float(x)
-        if not 0.0 <= x <= self._t_last:  # nan too
-            raise DomainCoverageError(x, 0.0, self._t_last)
-        return self._interp(x)
+        if not 0.0 <= x <= self.abscissas[-1]:  # nan too
+            raise DomainCoverageError(x, 0.0, self.abscissas[-1])
+        return self._interp.values((x,))[0]
 
     def signed_log(self, x: float) -> tuple[int, float]:
         v = self(x)
@@ -358,16 +358,9 @@ class SampledSignal:
 
     def log_batch(self, points):
         """signed_log's batch form (see core.FunctionSource): log v at each
-        point, and no negatives. The points lie on one geometric sequence, so
-        its two end points bound it and are checked against [0, t_last] once.
-        An out-of-range block, or a value v <= 0 (math.log's domain), raises
-        ValueError, and the estimator's signed_log calls raise the typed
-        error."""
-        points = tuple(points)
-        first, last = points[0], points[-1]
-        t_last = self._t_last
-        if not (0.0 <= first <= t_last and 0.0 <= last <= t_last):
-            raise ValueError(f"sample points {first!r}..{last!r} leave [0, {t_last!r}]")
+        point, and no negatives. A point outside [0, t_last] (the interpolant's
+        check) or a value v <= 0 (math.log's) raises ValueError, and the
+        estimator's signed_log calls then raise the typed error."""
         return _logs(self._interp.values(points)), ()
 
 

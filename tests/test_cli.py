@@ -580,6 +580,17 @@ def test_usage_error_json_record(capsys, fmt):
     assert json.loads(out)["error"]["type"] == "UsageError"
 
 
+def test_flags_are_taken_in_full_only(capsys):
+    # argparse read --form as --format, which the JSON error record missed
+    argv = ("estimate", "--x", "1", "--r", "2", "--n-max", "10", "--base", "1,2")
+    code, out, err = invoke(capsys, *argv, "--function", "cos", "--form", "json")
+    assert (code, out, err) == (2, "", "error: UsageError: unrecognized arguments: --form json\n")
+    code, out, _ = invoke(capsys, *argv, "--function", "nope", "--form", "json")
+    assert (code, out) == (2, "")
+    code, out, _ = invoke(capsys, *argv, "--function", "nope", "--format", "json")
+    assert code == 2 and json.loads(out)["error"]["type"] == "UsageError"
+
+
 def test_help_exits_zero(capsys):
     with pytest.raises(SystemExit) as exc:
         run(["--help"])

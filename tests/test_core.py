@@ -45,6 +45,23 @@ class TestGmpConfig:
             with pytest.raises(ValueError, match=rf"^n_max={n_max!r} must be an integer$"):
                 GmpConfig(r=2.0, n_max=n_max, base=IndexSet.of(1, 2))
 
+    @pytest.mark.parametrize("base", [(1, 2), [1, 2], (1, 1), None])
+    def test_base_must_be_an_index_set(self, base):
+        # enumerate_subsets reads base as a checked IndexSet: a tuple or a
+        # list failed only at the first estimate, with an AttributeError
+        with pytest.raises(ValueError, match=rf"^base must be an IndexSet, got {re.escape(repr(base))}$"):
+            GmpConfig(r=2.0, n_max=10, base=base)
+
+    @pytest.mark.parametrize("r", ["2", None, 2j])
+    def test_r_must_be_a_real_number(self, r):
+        message = rf"^ratio r must be a real number, got {re.escape(repr(r))}$"
+        with pytest.raises(ValueError, match=message):
+            GmpConfig(r=r, n_max=10, base=IndexSet.of(1, 2))
+        with pytest.raises(ValueError, match=message):
+            coefficient(IndexSet.of(1), r)
+        with pytest.raises(ValueError, match=message):
+            pollution_exponent(1, 2, r)
+
     def test_even_mode_needs_even_base(self):
         with pytest.raises(ValueError):
             GmpConfig(r=2.0, n_max=10, base=IndexSet.of(1, 2), parity="even")

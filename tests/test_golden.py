@@ -37,16 +37,25 @@ its count of changed lines:
 
 With --check it writes nothing, names each golden that differs, and exits 1
 if any does.
+
+ERROR_CASES are argvs that fail, one per non-zero exit code, each with
+`--format json`: the entry point must exit with that code and print one
+JSON error record on stdout. They run through `python -m geomprod.cli`,
+so main() itself runs, not only cli.run.
 """
 
 from __future__ import annotations
 
 import contextlib
 import io
+import json
 import math
+import os
+import subprocess
 import sys
 from pathlib import Path
 
+import geomprod
 from geomprod.cli import run
 
 GOLDEN = Path(__file__).parent / "data" / "golden"
@@ -103,6 +112,33 @@ CASES = {
 }
 
 
+# name -> (exit code, argv); "{csv}" as in CASES.
+ERROR_CASES = {
+    "usage_ratio_below_one": (2, (
+        "estimate", "--function", "cos", "--x", "1.0", "--r", "0.5", "--n-max", "10",
+        "--base", "2,4", "--format", "json",
+    )),
+    "domain_past_horizon": (3, (
+        "forecast", "--csv", "{csv}", "--x", "40", "--r", "2", "--n-max", "40",
+        "--base", "1,2,3,4", "--format", "json",
+    )),
+    "io_missing_csv": (4, (
+        "forecast", "--csv", "{csv}.missing", "--x", "3.0", "--r", "2", "--n-max", "40",
+        "--base", "1,2,3,4", "--format", "json",
+    )),
+}
+
+
+def is_error_record(stdout: str) -> bool:
+    """Whether stdout is exactly one JSON error record, on one line."""
+    try:
+        record = json.loads(stdout)
+    except ValueError:
+        return False
+    return (stdout.count("\n") == 1 and stdout.endswith("\n") and list(record) == ["error"]
+            and sorted(record["error"]) == ["message", "type"])
+
+
 def signal_lines() -> list[str]:
     """A `t,value` header and 81 rows of 2 + sin(t) on [0, 4];
     divide_by_first scales them to 1 at t = 0."""
@@ -150,7 +186,7 @@ def render(name: str, workdir: Path) -> str:
 def pytest_generate_tests(metafunc):
     """Each test runs once per golden case (name) or CSV form (form); a
     hook, not pytest.mark, so that the script runs without pytest."""
-    for arg, cases in (("name", CASES), ("form", CSV_FORMS)):
+    for arg, cases in (("name", CASES), ("form", CSV_FORMS), ("error", ERROR_CASES)):
         if arg in metafunc.fixturenames:
             metafunc.parametrize(arg, sorted(cases))
 
@@ -168,6 +204,17 @@ def test_forecast_csv_forms_match_golden(form, tmp_path):
     with contextlib.redirect_stdout(stdout):
         assert run(argv) == 0
     assert stdout.getvalue() == (GOLDEN / "readme_forecast.json").read_text(encoding="utf-8")
+
+
+def test_entry_point_error_exit(error, tmp_path):
+    code, argv = ERROR_CASES[error]
+    write_signal(tmp_path / "signal.csv")
+    env = dict(os.environ, PYTHONPATH=str(Path(geomprod.__file__).parents[1]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "geomprod.cli", *(a.format(csv=tmp_path / "signal.csv") for a in argv)],
+        env=env, capture_output=True, text=True, timeout=60)
+    assert proc.returncode == code, proc.stderr
+    assert is_error_record(proc.stdout), proc.stdout
 
 
 def main(argv: list[str]) -> int:

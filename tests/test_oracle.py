@@ -2,6 +2,7 @@ import copy
 import dataclasses
 import math
 import pickle
+import re
 
 import pytest
 
@@ -75,6 +76,20 @@ class TestBuiltins:
     def test_unknown_tag(self):
         with pytest.raises(ValueError):
             BuiltinFunction("sinh")
+
+    @pytest.mark.parametrize("k", [2.5, 2.0, "2", None])
+    def test_monomial_order_must_be_an_integer(self, k):
+        # k = 2.5 made an estimate at x = -0.5 raise TypeError on a complex power
+        with pytest.raises(ValueError, match=rf"^k={re.escape(repr(k))} must be an integer$"):
+            monomial_exp(1.0, k)
+
+    @pytest.mark.parametrize("c", ["1", None, 1j])
+    def test_constant_must_be_a_real_number(self, c):
+        message = rf"^function constant c must be a real number, got {re.escape(repr(c))}$"
+        with pytest.raises(ValueError, match=message):
+            exp_scaled(c)
+        with pytest.raises(ValueError, match=message):
+            monomial_exp(c, 2)
 
     @pytest.mark.parametrize("c", [math.inf, -math.inf, math.nan])
     def test_non_finite_constant(self, c):

@@ -13,6 +13,7 @@ from geomprod.combinatorics import IndexSet
 from geomprod.core import GmpConfig, estimate
 from geomprod.errors import (
     DomainCoverageError,
+    GeomprodError,
     NormalizationError,
     SignalFormatError,
 )
@@ -66,6 +67,17 @@ class TestLoadCsv:
         path = write_csv(tmp_path, "0,1\n1,2\nbad,row\n3,4\n")
         with pytest.raises(SignalFormatError, match=":3:"):
             load_csv(path)
+
+    @pytest.mark.parametrize("row, message", [
+        ("2,x", "could not parse ['2', 'x'] as numbers"),
+        ("2,3,4", "expected two columns, got 3"),
+    ])
+    def test_error_line_counts_the_lines_of_a_quoted_cell(self, tmp_path, row, message):
+        # the first record spans lines 1 and 2, so the bad row is on line 4
+        path = write_csv(tmp_path, f'"0\n",1\n1,2\n{row}\n3,4\n')
+        with pytest.raises(SignalFormatError) as info:
+            load_csv(path)
+        assert str(info.value) == f"{path}:4: {message}"
 
     def test_oversized_field_carries_line_number(self, tmp_path):
         wide = "1" * (csv.field_size_limit() + 1)
@@ -362,6 +374,34 @@ class TestShiftAndScale:
         self.check(normalize(rows, mode, a, b), ts, vs, mode, a, b)
 
 
+def signal_outcome(make):
+    """make()'s signal as its columns in exact float hex and its
+    Normalization, or the type and message of its error."""
+    try:
+        sig = make()
+    except (GeomprodError, ValueError) as e:
+        return type(e), str(e)
+    return bits(sig.abscissas), bits(sig.values), sig.normalization
+
+
+class TestReadSignal:
+    @pytest.fixture(scope="class")
+    def path(self, tmp_path_factory):
+        return tmp_path_factory.mktemp("read") / "series.csv"
+
+    @settings(max_examples=100, deadline=None)
+    @given(text=csv_texts(), mode=st.sampled_from(MODES))
+    @example(text="t,value\n0,2\n1,3\n2,4\n3,5\n", mode=MODES[0])
+    @example(text="t,value\n0,2\n1,3\n2,4\n3,5\n", mode=MODES[1])
+    @example(text="0,1\n1,2\n2,3\n3,4\n", mode=MODES[2])
+    def test_matches_normalize_of_load_csv(self, path, text, mode):
+        """read_signal(path, mode, a, b) gives the same signal, or the same
+        error, as normalize(load_csv(path), mode, a, b)."""
+        path.write_bytes(text.encode("utf-8"))
+        assert signal_outcome(lambda: signal.read_signal(path, *mode)) == signal_outcome(
+            lambda: normalize(load_csv(path), *mode))
+
+
 class TestSampledSignal:
     def test_interpolant_exact_at_samples(self):
         sig = normalize(half_sin_series(4.0, 0.25), "none")
@@ -448,12 +488,20 @@ class TestPchipMatchesScipy:
         reference = PchipInterpolator(np.array(ts), np.array(vs), extrapolate=False)
         pchip, qs = _Pchip(ts, vs), queries(ts, seed)
         want = reference(np.array(qs)).tolist()
-        assert [pchip(q) for q in qs] == want
+        assert [pchip.values((q,))[0] for q in qs] == want
         # one batch through a fresh interpolant, in given, reversed and shuffled order
         shuffled = list(range(len(qs)))
         random.Random(seed).shuffle(shuffled)
         for order in (range(len(qs)), range(len(qs))[::-1], shuffled):
             assert _Pchip(ts, vs).values([qs[i] for i in order]) == [want[i] for i in order]
+
+    @pytest.mark.parametrize("x", [-0.5, 3.5, math.nan])
+    def test_point_outside_the_knots(self, x):
+        # the loop would read a cubic at index -1, or extrapolate the last one
+        pchip = _Pchip((0.0, 1.0, 2.0, 3.0), (1.0, 1.5, 1.25, 2.0))
+        for points in ([x], [1.5, x], [x, 1.5]):
+            with pytest.raises(ValueError, match=r"^sample point .* leaves \[0\.0, 3\.0\]$"):
+                pchip.values(points)
 
     @pytest.mark.parametrize("rows", ROWS)
     def test_sampled_signal_bit_identical(self, rows):
