@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import numbers
 import operator
 
 
@@ -120,6 +121,14 @@ def check_integer(value, name: str) -> None:
         operator.index(value)
     except TypeError:
         raise ValueError(f"{name}={value!r} must be an integer") from None
+
+
+def check_real(value, what: str) -> None:
+    """Reject a value that is no numbers.Real (int, bool, float, Fraction
+    and numpy reals pass) as a ValueError naming the argument `what`. A
+    float passes on one type test, before the slower isinstance ABC check."""
+    if type(value) is not float and not isinstance(value, numbers.Real):
+        raise ValueError(f"{what} must be a real number, got {value!r}")
 
 
 def check_n_max(n_max: int, name: str, size: int) -> None:

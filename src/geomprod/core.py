@@ -16,7 +16,9 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import NamedTuple, Protocol
 
-from .combinatorics import IndexSet, check_integer, check_n_max, enumerate_subsets, factor_count
+from .combinatorics import (
+    IndexSet, check_integer, check_n_max, check_real, enumerate_subsets, factor_count,
+)
 from .errors import GeomprodError
 
 
@@ -174,11 +176,9 @@ class Estimate(NamedTuple):
 def _check_r(r: float) -> None:
     """Reject a ratio that is not a real number, or one outside 1 < r < inf;
     every ratio the package takes passes here."""
-    try:
-        if not 1.0 < r < math.inf:  # nan too
-            raise ValueError(f"ratio r must exceed 1 and be finite, got {r}")
-    except TypeError:  # not a real number: a str, None, a complex
-        raise ValueError(f"ratio r must be a real number, got {r!r}") from None
+    check_real(r, "ratio r")
+    if not 1.0 < r < math.inf:  # nan too
+        raise ValueError(f"ratio r must exceed 1 and be finite, got {r}")
 
 
 def _powers(r: float, exponents) -> list[float]:
@@ -205,8 +205,10 @@ def coefficient(S: IndexSet, r: float) -> float:
 
 def sequence_point(S: IndexSet, r: float, x: float, n: int) -> float:
     """The n-th point of the geometric sequence for index set S."""
+    check_integer(n, "n")
     if n < 1:
         raise ValueError(f"sequence index must be >= 1, got {n}")
+    check_real(x, "x")
     return coefficient(S, r) * x / _powers(r, (n,))[0]
 
 
@@ -356,6 +358,7 @@ def log_partial_product(
     """Accumulate sum_{n=|S|}^{n_max} binom(n-1, |S|-1) * log f(x_n)."""
     _check_plan(n_max, "S", len(S), lambda: n_max - len(S) + 1)
     _check_r(r)
+    check_real(x, "x")
     (plan,) = _sequence_plans([S], r, n_max)
     log_value, sign = _quotient(f, x, (plan,))
     return LogProduct(  # log|P|: the plan weighs an even |S| by -binom
@@ -366,16 +369,17 @@ def log_partial_product(
 
 def _plans(f: FunctionSource, x: float, cfg: GmpConfig, k: int | None = None
            ) -> tuple[SequencePlan, ...]:
-    """The plans an estimate at x samples: cfg.plan, or with k
-    cfg.component_plans[k] (none for a k outside base, which _combine
-    rejects). A function that declares itself not even (f.even false) fails
-    an 'even' config. x = 0 takes no sample and leaves the plans unbuilt:
-    their r**n can overflow for a huge r that x = 0 never needs."""
+    """The plans an estimate at x samples: cfg.plan, or with k, a k in base,
+    cfg.component_plans[k]. x must be a real number, and a function that
+    declares itself not even (f.even false) fails an 'even' config. x = 0
+    takes no sample and leaves the plans unbuilt: their r**n can overflow
+    for a huge r that x = 0 never needs."""
+    check_real(x, "x")
     if cfg.parity == "even" and not getattr(f, "even", True):
         raise ValueError(f"even parity mode requires an even function, got {f}")
     if x == 0.0:
         return ()
-    return cfg.plan if k is None else cfg.component_plans[k] if k in cfg.base else ()
+    return cfg.plan if k is None else cfg.component_plans[k]
 
 
 def _combine(log_value: float, sign: int, x: float, cfg: GmpConfig, k: int | None = None):
@@ -398,7 +402,9 @@ def estimate(f: FunctionSource, x: float, cfg: GmpConfig) -> Estimate:
 def component_estimate(f: FunctionSource, k: int, x: float, cfg: GmpConfig) -> Estimate:
     """Estimate of the order-k component exp(c_k x^k): the quotient
     restricted to the subsets of cfg.base whose greatest element is k.
-    A k outside cfg.base raises ValueError."""
+    A k outside cfg.base, None included, raises ValueError."""
+    if k not in cfg.base:
+        raise ValueError(f"component order {k} not in base {cfg.base}")
     return _combine(*_quotient(f, x, _plans(f, x, cfg, k)), x, cfg, k)
 
 
@@ -435,11 +441,8 @@ def pollution_exponent(j: int, k: int, r: float) -> float:
 def cutoff_n_max(K: float, r: float) -> int:
     """Truncation index with r^n_max ~ K held fixed: ceil(ln K / ln r)."""
     _check_r(r)
-    try:
-        too_small = not K >= 2  # nan too
-    except TypeError:  # not a number: a str, None
-        raise ValueError(f"cutoff must be a number, got {K!r}") from None
-    if too_small:
+    check_real(K, "cutoff")
+    if not K >= 2:  # nan too
         raise ValueError(f"cutoff must be >= 2, got {K}")
     if K == math.inf:
         raise ValueError(f"cutoff must be finite, got {K}")

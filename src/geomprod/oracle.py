@@ -14,7 +14,7 @@ import operator
 from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
-from .combinatorics import IndexSet, check_integer
+from .combinatorics import IndexSet, check_integer, check_real
 from .core import MAX_SAMPLES, _check_r, _logs, coefficient
 
 
@@ -117,11 +117,9 @@ class BuiltinFunction:
     def __post_init__(self):
         if self.tag not in _TAGS:
             raise ValueError(f"unknown builtin tag {self.tag!r}")
-        try:
-            if not math.isfinite(self.c):
-                raise ValueError(f"function constant must be finite, got {self.c}")
-        except TypeError:  # not a real number: a str, None, a complex
-            raise ValueError(f"function constant c must be a real number, got {self.c!r}") from None
+        check_real(self.c, "function constant c")
+        if not math.isfinite(self.c):
+            raise ValueError(f"function constant must be finite, got {self.c}")
         if self.tag == "monomial_exp":
             check_integer(self.k, "k")
             if self.k < 1:
@@ -162,6 +160,7 @@ def monomial_exp(c: float, k: int) -> BuiltinFunction:
 def euler_partial_product(x: float, N: int) -> float:
     """prod_{n=1}^{N} cos(x / 2^n): the bisection product for sin(x)/x,
     for N from 1 to core.MAX_SAMPLES."""
+    check_real(x, "x")
     check_integer(N, "N")
     if not 1 <= N <= MAX_SAMPLES:
         raise ValueError(f"N must be from 1 to {MAX_SAMPLES}, got {N}")
@@ -172,6 +171,7 @@ def euler_partial_product(x: float, N: int) -> float:
 
 def sinc(x: float) -> float:
     """sin(x)/x with the removable singularity handled by series."""
+    check_real(x, "x")
     if abs(x) < 1e-4:
         x2 = x * x
         return 1.0 - x2 / 6.0 + x2 * x2 / 120.0
@@ -254,5 +254,9 @@ def truncated_invariance_closed_form(
 ) -> float:
     """Exact log of the N-truncated order-k product of exp(c x^k):
     c * x^k * (1 - r^(-k*N))."""
+    check_real(c, "c")
+    check_integer(k, "k")
     _check_r(r)
+    check_real(x, "x")
+    check_integer(N, "N")
     return c * x**k * (1.0 - r ** (-k * N))

@@ -17,6 +17,7 @@ import operator
 from bisect import bisect_right
 from typing import NamedTuple
 
+from .combinatorics import check_real
 from .core import Estimate, GmpConfig, _logs, estimate
 from .errors import (
     DomainCoverageError,
@@ -343,6 +344,7 @@ class SampledSignal:
         return 0.0, self.abscissas[-1]
 
     def __call__(self, x: float) -> float:
+        check_real(x, "x")
         x = float(x)
         if not 0.0 <= x <= self.abscissas[-1]:  # nan too
             raise DomainCoverageError(x, 0.0, self.abscissas[-1])
@@ -458,6 +460,7 @@ def coverage_check(sig: SampledSignal, cfg: GmpConfig, x: float) -> CoverageRepo
     SequencePlan's farthest sample is its first, coeff * |x| / r^|S| for its
     first subset S, so one point per sequence is checked. Every sample of an
     x < 0 lies at t < 0, so no x < 0 is covered."""
+    check_real(x, "x")
     domain_end = sig.domain[1]
     if x == 0.0:
         return CoverageReport(True, 0.0, domain_end, math.inf)

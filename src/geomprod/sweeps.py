@@ -13,10 +13,9 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import NamedTuple
 
-from .combinatorics import IndexSet, factor_count
-from .core import GmpConfig, coupled_n_max, estimate
+from .combinatorics import IndexSet, check_real, factor_count
+from .core import FunctionSource, GmpConfig, coupled_n_max, estimate
 from .errors import GeomprodError
-from .oracle import BuiltinFunction
 
 DEFAULT_SCHEDULE = tuple(1.0 + 2.0**-t for t in range(1, 9))
 
@@ -26,15 +25,20 @@ MAX_ROWS = 10**6
 
 @dataclass(frozen=True)
 class SweepSpec:
-    """One convergence study: a builtin function, an x grid, a ratio
-    schedule, and the truncation coupling.
+    """One convergence study: a function, an x grid, a ratio schedule, and
+    the truncation coupling.
 
     coupling 'fixed_n_max' uses coupling_value as n_max directly;
     'fixed_cutoff' sets n_max = ceil(ln K / ln r) with K = coupling_value,
     so truncation keeps pace as r drops toward 1 (core.coupled_n_max).
+
+    function must be a FunctionSource, callable with a signed_log (an
+    oracle.BuiltinFunction is one), grid three real numbers and schedule an
+    iterable of real numbers, each kept as a tuple; a field that is not
+    fails as a ValueError naming it, before any config is built.
     """
 
-    function: BuiltinFunction
+    function: FunctionSource
     grid: tuple[float, float, float]  # start, stop, step
     schedule: tuple[float, ...]
     coupling: str  # 'fixed_n_max' | 'fixed_cutoff'
@@ -43,6 +47,14 @@ class SweepSpec:
     parity: str = "all"
 
     def __post_init__(self):
+        if not (callable(self.function) and hasattr(self.function, "signed_log")):
+            raise ValueError("function must be a FunctionSource, callable with a signed_log, "
+                             f"got {self.function!r}")
+        grid = _reals(self.grid, "grid")
+        if len(grid) != 3:
+            raise ValueError(f"grid must be three real numbers (start, stop, step), got {self.grid!r}")
+        object.__setattr__(self, "grid", grid)
+        object.__setattr__(self, "schedule", _reals(self.schedule, "schedule"))
         self.configs  # built here, so a bad coupling, cutoff or ratio fails construction
         if self.grid[2] <= 0:
             raise ValueError("grid step must be positive")
@@ -78,6 +90,18 @@ class SweepSpec:
         return [start + i * step for i in range(count)]
 
 
+def _reals(values, name: str) -> tuple:
+    """values as a tuple, once each is a real number; a ValueError names the
+    field `name` where one is not, or where values is not iterable."""
+    try:
+        values = tuple(values)
+    except TypeError:
+        raise ValueError(f"{name} must be an iterable of real numbers, got {values!r}") from None
+    for value in values:
+        check_real(value, f"each entry of {name}")
+    return values
+
+
 class SweepRow(NamedTuple):
     x: float
     r: float
@@ -92,7 +116,7 @@ class SweepRow(NamedTuple):
 CSV_HEADER = ",".join(SweepRow._fields)
 
 
-def _eval_row(function: BuiltinFunction, x: float, cfg: GmpConfig) -> SweepRow:
+def _eval_row(function: FunctionSource, x: float, cfg: GmpConfig) -> SweepRow:
     r, n_max = cfg.r, cfg.n_max
     count = factor_count(cfg.base, n_max)
     try:
@@ -122,7 +146,7 @@ def grid_eval(spec: SweepSpec) -> list[SweepRow]:
 
 
 def r_sweep(
-    function: BuiltinFunction,
+    function: FunctionSource,
     x: float,
     schedule: tuple[float, ...],
     coupling: str,

@@ -1,0 +1,152 @@
+"""Every argument is checked where it enters the package: a real-number
+argument by combinatorics.check_real, an integer argument by
+combinatorics.check_integer. A bad value ends in a ValueError that names
+the argument, never in a TypeError, AttributeError or IndexError from deep
+inside an estimate; a float, an int, a Fraction or a numpy scalar gives
+the float's result."""
+
+import re
+from decimal import Decimal
+from fractions import Fraction
+
+import numpy as np
+import pytest
+
+from geomprod.combinatorics import IndexSet, check_real
+from geomprod.core import (
+    GmpConfig,
+    component_estimate,
+    cutoff_n_max,
+    estimate,
+    log_partial_product,
+    reconstruct_from_components,
+    sequence_point,
+)
+from geomprod.oracle import (
+    COS,
+    euler_partial_product,
+    exp_scaled,
+    sinc,
+    truncated_invariance_closed_form,
+)
+from geomprod.signal import coverage_check, forecast, normalize
+from geomprod.sweeps import SweepSpec, r_sweep
+
+CFG = GmpConfig(r=2.0, n_max=10, base=IndexSet.of(1, 2))
+SIG = normalize([(t, 1.0 + 0.1 * t) for t in range(9)])
+S = IndexSet.of(1, 2)
+
+
+def sweep_spec(**fields):
+    spec = dict(function=COS, grid=(0.0, 1.0, 0.5), schedule=(2.0,),
+                coupling="fixed_n_max", coupling_value=10, base=IndexSet.of(2, 4))
+    return SweepSpec(**dict(spec, **fields))
+
+
+def component_k(k):
+    return component_estimate(COS, k, 0.5, CFG)
+
+
+# (argument, call with the argument's value, the name its message gives it)
+REAL = [
+    ("estimate x", lambda v: estimate(COS, v, CFG), "x"),
+    ("component_estimate x", lambda v: component_estimate(COS, 2, v, CFG), "x"),
+    ("reconstruct_from_components x", lambda v: reconstruct_from_components(COS, v, CFG), "x"),
+    ("log_partial_product x", lambda v: log_partial_product(COS, S, 2.0, v, 10), "x"),
+    ("sequence_point x", lambda v: sequence_point(S, 2.0, v, 3), "x"),
+    ("coverage_check x", lambda v: coverage_check(SIG, CFG, v), "x"),
+    ("forecast x", lambda v: forecast(SIG, v, CFG), "x"),
+    ("SampledSignal x", lambda v: SIG(v), "x"),
+    ("signed_log x", lambda v: SIG.signed_log(v), "x"),
+    ("truncated_invariance_closed_form c",
+     lambda v: truncated_invariance_closed_form(v, 2, 2.0, 0.5, 5), "c"),
+    ("truncated_invariance_closed_form x",
+     lambda v: truncated_invariance_closed_form(0.5, 2, 2.0, v, 5), "x"),
+    ("euler_partial_product x", lambda v: euler_partial_product(v, 5), "x"),
+    ("sinc x", lambda v: sinc(v), "x"),
+    ("GmpConfig r", lambda v: GmpConfig(r=v, n_max=10, base=S), "ratio r"),
+    ("BuiltinFunction c", lambda v: exp_scaled(v), "function constant c"),
+    ("cutoff_n_max K", lambda v: cutoff_n_max(v, 2.0), "cutoff"),
+    ("r_sweep x", lambda v: r_sweep(COS, v, (2.0,), "fixed_n_max", 10, S), "each entry of grid"),
+    ("SweepSpec grid", lambda v: sweep_spec(grid=(0.0, v, 0.5)), "each entry of grid"),
+    ("SweepSpec schedule", lambda v: sweep_spec(schedule=(2.0, v)), "each entry of schedule"),
+]
+INTEGER = [
+    ("sequence_point n", lambda v: sequence_point(S, 2.0, 0.5, v), "n"),
+    ("truncated_invariance_closed_form k",
+     lambda v: truncated_invariance_closed_form(0.5, v, 2.0, 0.5, 5), "k"),
+    ("truncated_invariance_closed_form N",
+     lambda v: truncated_invariance_closed_form(0.5, 2, 2.0, 0.5, v), "N"),
+]
+NOT_REAL = ["1", None, Decimal(1), 1j, [1]]
+# A value refused whole, not by its type: (argument, call, value, message start)
+OTHER = [
+    ("component_estimate k", component_k, None, "component order None not in base"),
+    ("component_estimate k", component_k, 1.5, "component order 1.5 not in base"),
+    ("component_estimate k", component_k, "1", "component order 1 not in base"),
+    ("SweepSpec function", lambda v: sweep_spec(function=v), "cos", "function must"),
+    ("SweepSpec function", lambda v: sweep_spec(function=v), None, "function must"),
+    ("SweepSpec grid", lambda v: sweep_spec(grid=v), (0.0, 1.0), "grid must be three real numbers"),
+    ("SweepSpec grid", lambda v: sweep_spec(grid=v), None, "grid must be an iterable"),
+    ("SweepSpec schedule", lambda v: sweep_spec(schedule=v), 2.0, "schedule must be an iterable"),
+]
+# A Decimal inside the range checks: it compares with floats, so only the
+# type check refuses it.
+INSIDE = {"ratio r": [Decimal(2)], "function constant c": [Decimal("0.5")], "cutoff": [Decimal(32)]}
+CASES = (
+    [(name, call, v, f"{what} must be a real number, got {v!r}")
+     for name, call, what in REAL for v in [*NOT_REAL, *INSIDE.get(what, [])]]
+    + [(name, call, v, f"{what}={v!r} must be an integer")
+       for name, call, what in INTEGER for v in [*NOT_REAL, 1.5]]
+    + OTHER
+)
+
+
+@pytest.mark.parametrize(
+    "call, value, start",
+    [case[1:] for case in CASES],
+    ids=[f"{name}-{value!r}" for name, _, value, _ in CASES],
+)
+def test_bad_argument_is_a_value_error_naming_it(call, value, start):
+    # pytest.raises lets any other exception, a TypeError say, fail the test
+    with pytest.raises(ValueError, match="^" + re.escape(start)):
+        call(value)
+
+
+# (argument, call, two valid floats: one integral, one not)
+GOOD = [
+    ("estimate x", lambda v: estimate(COS, v, CFG), (1.0, 0.5)),
+    ("component_estimate x", lambda v: component_estimate(COS, 2, v, CFG), (1.0, 0.5)),
+    ("reconstruct_from_components x", lambda v: reconstruct_from_components(COS, v, CFG), (1.0, 0.5)),
+    ("log_partial_product x", lambda v: log_partial_product(COS, S, 2.0, v, 10), (1.0, 0.5)),
+    ("sequence_point x", lambda v: sequence_point(S, 2.0, v, 3), (1.0, 0.5)),
+    ("forecast x", lambda v: forecast(SIG, v, CFG), (1.0, 0.5)),
+    ("SampledSignal x", lambda v: SIG.signed_log(v), (1.0, 0.5)),
+    ("truncated_invariance_closed_form c",
+     lambda v: truncated_invariance_closed_form(v, 2, 2.0, 0.5, 5), (1.0, 0.5)),
+    ("truncated_invariance_closed_form x",
+     lambda v: truncated_invariance_closed_form(0.5, 2, 2.0, v, 5), (1.0, 0.5)),
+    ("euler_partial_product x", lambda v: euler_partial_product(v, 5), (1.0, 0.5)),
+    ("sinc x", lambda v: sinc(v), (1.0, 0.5)),
+    ("GmpConfig r", lambda v: estimate(COS, 0.5, GmpConfig(r=v, n_max=10, base=S)), (2.0, 1.5)),
+    ("BuiltinFunction c", lambda v: estimate(exp_scaled(v), 0.5, CFG), (1.0, 0.5)),
+    ("cutoff_n_max K", lambda v: cutoff_n_max(v, 1.5), (32.0, 20.5)),
+    ("r_sweep x", lambda v: r_sweep(COS, v, (2.0,), "fixed_n_max", 10, S), (1.0, 0.5)),
+]
+
+
+@pytest.mark.parametrize("call, floats", [g[1:] for g in GOOD], ids=[g[0] for g in GOOD])
+def test_real_arguments_of_every_type_give_the_floats_result(call, floats):
+    integral, half = floats
+    for value, same in [(integral, int(integral)), (integral, Fraction(integral)),
+                        (integral, np.float64(integral)), (half, Fraction(half)),
+                        (half, np.float64(half))]:
+        assert call(same) == call(value), (value, same)
+
+
+def test_check_real():
+    for value in (0, True, 2.5, Fraction(1, 3), np.float32(1.5), np.int64(3), float("nan")):
+        check_real(value, "v")
+    for value in NOT_REAL:
+        with pytest.raises(ValueError, match=rf"^v must be a real number, got {re.escape(repr(value))}$"):
+            check_real(value, "v")

@@ -605,7 +605,7 @@ class TestCoupledNMax:
         with pytest.raises(ValueError, match=r"^cutoff must be finite, got inf$"):
             coupled_n_max("fixed_cutoff", math.inf, 2.0, IndexSet.of(1))
         for value in ("10", None):
-            with pytest.raises(ValueError, match=rf"^cutoff must be a number, got {value!r}$"):
+            with pytest.raises(ValueError, match=rf"^cutoff must be a real number, got {value!r}$"):
                 coupled_n_max("fixed_cutoff", value, 2.0, IndexSet.of(1))
         with pytest.raises(ValueError, match="ratio r must exceed 1"):
             coupled_n_max("fixed_cutoff", 32, 1.0, IndexSet.of(1))

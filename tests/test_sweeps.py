@@ -75,7 +75,7 @@ class TestSweepSpec:
         with pytest.raises(ValueError, match="cutoff must be >= 2, got 1"):
             spec("fixed_cutoff", 1)
         for value in ("10", None):
-            with pytest.raises(ValueError, match=rf"^cutoff must be a number, got {value!r}$"):
+            with pytest.raises(ValueError, match=rf"^cutoff must be a real number, got {value!r}$"):
                 spec("fixed_cutoff", value)
 
     def test_validation(self):
