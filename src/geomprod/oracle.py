@@ -118,7 +118,11 @@ class BuiltinFunction:
         if self.tag not in _TAGS:
             raise ValueError(f"unknown builtin tag {self.tag!r}")
         check_real(self.c, "function constant c")
-        if not math.isfinite(self.c):
+        try:
+            finite = math.isfinite(self.c)
+        except OverflowError:  # an int or a Fraction past the float range
+            finite = False
+        if not finite:
             raise ValueError(f"function constant must be finite, got {self.c}")
         if self.tag == "monomial_exp":
             check_integer(self.k, "k")
@@ -189,6 +193,8 @@ def multiindex_bruteforce(f, S: IndexSet, r: float, x: float, N: int) -> float:
     Small scales only; pairs with core.log_partial_product as the two sides
     of the index-consolidation identity.
     """
+    check_real(x, "x")
+    check_integer(N, "N")
     m = len(S)
     if m > _BRUTE_SET_MAX or N > _BRUTE_N_MAX:
         raise ValueError(

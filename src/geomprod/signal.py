@@ -13,6 +13,7 @@ import csv
 import io
 import itertools
 import math
+import numbers
 import operator
 from bisect import bisect_right
 from typing import NamedTuple
@@ -272,6 +273,31 @@ class _Pchip:
         return out
 
 
+def _floats(column: tuple, what: str) -> tuple[float, ...]:
+    """column's entries as floats, once check_real would pass each entry of
+    the argument `what`. Its numbers.Real test depends on the type alone, so
+    each type in the column takes it once, and a column of floats alone is
+    returned as it is; check_real runs over the entries only to name the
+    first that fails."""
+    kinds = set(map(type, column))
+    if kinds == {float}:
+        return column
+    if not all(issubclass(kind, numbers.Real) for kind in kinds):
+        for value in column:
+            check_real(value, f"each entry of {what}")
+    return tuple(map(float, column))
+
+
+def _check_increasing_and_positive(ts: tuple[float, ...], vs: tuple[float, ...]) -> None:
+    """Raise unless the floats ts strictly increase and every value is positive."""
+    if not all(map(operator.lt, ts, ts[1:])):
+        raise ValueError("abscissas must be strictly increasing")
+    # nan <= 0 is False: a nan value is left to the finiteness check
+    if any(map(operator.le, vs, itertools.repeat(0.0))):
+        bad = next(i for i, v in enumerate(vs) if v <= 0.0)
+        raise NormalizationError(f"non-positive value {vs[bad]!r} at t={ts[bad]!r}")
+
+
 class SampledSignal:
     """Immutable sampled series with a shape-preserving cubic interpolant.
 
@@ -280,31 +306,33 @@ class SampledSignal:
     `values` (the normalized values) are tuples of floats, and the
     interpolant reads the same tuples.
 
-    The constructor converts both columns with float() and checks, in this
-    order: two or more abscissas and one value for each, a first abscissa
-    of 0, finite abscissas, strictly increasing abscissas, positive values
-    (a NormalizationError), a first value of exactly 1, finite values, and
-    a Normalization with a finite offset and a finite, nonzero scale, which
-    forecast inverts. Every other failure is a ValueError.
+    The constructor checks, in this order: two or more abscissas and one
+    value for each, every entry of both a real number (check_real's rule,
+    tested once per type other than float), a first abscissa of 0,
+    finite abscissas, strictly increasing abscissas, positive values (a
+    NormalizationError), a first value of exactly 1, finite values, and a
+    Normalization with a finite offset and a finite, nonzero scale, which
+    forecast inverts. Every other failure is a ValueError. It keeps each
+    entry as float() gives it.
     """
 
     def __init__(self, abscissas, values, normalization: Normalization):
         try:
-            ts = tuple(map(float, abscissas))
-            vs = tuple(map(float, values))
-        except TypeError:  # a scalar, or the rows of a 2-D array
+            ts, vs = tuple(abscissas), tuple(values)
+        except TypeError:  # a scalar
             ts = vs = ()
         if len(ts) < 2 or len(vs) != len(ts):
             raise ValueError("need two or more abscissas and one value for each")
+        ts, vs = _floats(ts, "abscissas"), _floats(vs, "values")
         if ts[0] != 0.0:
             raise ValueError("first abscissa must be 0 after time shift")
         # inf < inf is False, so an overflowed time must fail here, before
         # the order check could call it out of order.
         if not _all_finite(ts):
             raise ValueError("abscissas and values must be finite")
-        self._init(ts, vs, normalization)
-        # checked after _init's two checks, so that a series failing several
-        # gets the message of the first in the order above
+        _check_increasing_and_positive(ts, vs)
+        # checked after those two, so that a series failing several gets
+        # the message of the first in the order above
         if vs[0] != 1.0:
             raise ValueError("normalized value at t=0 must be exactly 1")
         if not _all_finite(vs):
@@ -313,6 +341,7 @@ class SampledSignal:
                 and math.isfinite(normalization.scale) and normalization.scale != 0.0):
             raise ValueError("normalization must be a Normalization with a finite offset and a "
                              f"finite, nonzero scale, got {normalization!r}")
+        self._keep(ts, vs, normalization)
 
     @classmethod
     def _of_normalized(cls, ts: tuple[float, ...], vs: tuple[float, ...],
@@ -321,19 +350,19 @@ class SampledSignal:
         _read_columns' floats, with two or more of each, ts[0] == 0,
         vs[0] == 1 and every number finite. It runs only the two checks
         left open."""
+        _check_increasing_and_positive(ts, vs)
+        return cls._of_floats(ts, vs, normalization)
+
+    @classmethod
+    def _of_floats(cls, ts: tuple[float, ...], vs: tuple[float, ...],
+                   normalization: Normalization) -> SampledSignal:
+        """A SampledSignal of float tuples that pass every check of the
+        constructor, built without running any."""
         self = cls.__new__(cls)
-        self._init(ts, vs, normalization)
+        self._keep(ts, vs, normalization)
         return self
 
-    def _init(self, ts, vs, normalization: Normalization) -> None:
-        """Keep the float tuples ts and vs once ts strictly increase and
-        every value is positive."""
-        if not all(map(operator.lt, ts, ts[1:])):
-            raise ValueError("abscissas must be strictly increasing")
-        # nan <= 0 is False: a nan value is left to the finiteness check
-        if any(map(operator.le, vs, itertools.repeat(0.0))):
-            bad = next(i for i, v in enumerate(vs) if v <= 0.0)
-            raise NormalizationError(f"non-positive value {vs[bad]!r} at t={ts[bad]!r}")
+    def _keep(self, ts, vs, normalization: Normalization) -> None:
         self.abscissas = ts
         self.values = vs
         self.normalization = normalization
@@ -375,10 +404,13 @@ def normalize(
     """Build a SampledSignal from a raw series.
 
     Modes: 'divide_by_first' (scale so the first value is 1), 'affine'
-    (stored = a + b*raw; must map the first value to 1), 'none' (raw values
-    must already start at 1).
+    (stored = a + b*raw, with real numbers a and b; must map the first value
+    to 1), 'none' (raw values must already start at 1).
     """
-    return _normalized([t for t, _ in raw], [v for _, v in raw], mode, a, b, SampledSignal)
+    ts, vs = [t for t, _ in raw], [v for _, v in raw]
+    if not ts:
+        raise ValueError("need two or more abscissas and one value for each")
+    return _normalized(ts, vs, _normalization(vs[0], mode, a, b), SampledSignal)
 
 
 def read_signal(
@@ -388,31 +420,49 @@ def read_signal(
     b: float | None = None,
 ) -> SampledSignal:
     """normalize(load_csv(path), mode, a, b), with the same values and
-    errors, carried as two float columns with no per-row tuples."""
-    return _normalized(*_read_columns(path), mode, a, b, SampledSignal._of_normalized)
+    errors, carried as two float columns with no per-row tuples.
+
+    _read_columns' times are finite floats that strictly increase and its
+    values finite floats, so a series that starts at (0, 1), has all values
+    positive and a Normalization of (0, 1) is already shifted and
+    normalized: t - 0 is t and 0 + 1 * v is v, and only a first time of -0
+    shifts to +0. Such a series keeps the reader's columns, with no
+    rescan. Any other series, or one that fails a check, takes the general
+    path, which raises the error normalize would.
+    """
+    ts, vs = _read_columns(path)
+    norm = _normalization(vs[0], mode, a, b)
+    if ts[0] == 0.0 and vs[0] == 1.0 and norm == (0.0, 1.0) and min(vs) > 0.0:
+        ts[0] = 0.0  # t0 - t0, +0.0 also when t0 is -0
+        return SampledSignal._of_floats(tuple(ts), tuple(vs), norm)
+    return _normalized(ts, vs, norm, SampledSignal._of_normalized)
 
 
-def _normalized(ts, vs, mode, a, b, make) -> SampledSignal:
-    """normalize on the series' two columns. make(shifted, stored, record)
-    builds the signal: SampledSignal for columns of any numbers, or
-    SampledSignal._of_normalized for _read_columns' floats."""
-    if not ts:
-        raise ValueError("need two or more abscissas and one value for each")
-    t0, v0 = ts[0], vs[0]
-    shifted = tuple([t - t0 for t in ts])
+def _normalization(v0, mode: str, a, b) -> Normalization:
+    """The Normalization that mode gives a series whose first value is v0."""
     if mode == "divide_by_first":
         if v0 == 0.0:
             raise NormalizationError("first value is zero; cannot divide by it")
-        norm = Normalization(offset=0.0, scale=1.0 / float(v0))
-    elif mode == "affine":
-        if a is None or b is None or b == 0.0:
-            raise ValueError("affine mode needs offset a and nonzero scale b")
-        norm = Normalization(offset=float(a), scale=float(b))
-    elif mode == "none":
-        norm = Normalization(offset=0.0, scale=1.0)
-    else:
-        raise ValueError(f"unknown normalization mode {mode!r}")
-    offset, scale = norm.offset, norm.scale
+        return Normalization(offset=0.0, scale=1.0 / float(v0))
+    if mode == "affine":
+        if a is not None and b is not None:
+            check_real(a, "affine offset a")
+            check_real(b, "affine scale b")
+            if b != 0.0:
+                return Normalization(offset=float(a), scale=float(b))
+        raise ValueError("affine mode needs offset a and nonzero scale b")
+    if mode == "none":
+        return Normalization(offset=0.0, scale=1.0)
+    raise ValueError(f"unknown normalization mode {mode!r}")
+
+
+def _normalized(ts, vs, norm: Normalization, make) -> SampledSignal:
+    """normalize on the series' two columns under norm. make(shifted,
+    stored, norm) builds the signal: SampledSignal for columns of any
+    numbers, or SampledSignal._of_normalized for _read_columns' floats."""
+    t0 = ts[0]
+    shifted = tuple([t - t0 for t in ts])
+    offset, scale = norm
     stored = [offset + scale * v for v in vs]
     if not abs(stored[0] - 1.0) <= 1e-9:  # nan too
         raise NormalizationError(

@@ -85,9 +85,11 @@ class SweepSpec:
         )
 
     def grid_points(self) -> list[float]:
+        """start + i * step up to stop, each as a float: a grid of other
+        reals, Fractions say, is summed in their own arithmetic."""
         start, stop, step = self.grid
         count = int(math.floor((stop - start) / step + 0.5)) + 1
-        return [start + i * step for i in range(count)]
+        return [float(start + i * step) for i in range(count)]
 
 
 def _reals(values, name: str) -> tuple:

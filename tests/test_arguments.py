@@ -26,15 +26,17 @@ from geomprod.oracle import (
     COS,
     euler_partial_product,
     exp_scaled,
+    multiindex_bruteforce,
     sinc,
     truncated_invariance_closed_form,
 )
-from geomprod.signal import coverage_check, forecast, normalize
+from geomprod.signal import Normalization, SampledSignal, coverage_check, forecast, normalize
 from geomprod.sweeps import SweepSpec, r_sweep
 
 CFG = GmpConfig(r=2.0, n_max=10, base=IndexSet.of(1, 2))
 SIG = normalize([(t, 1.0 + 0.1 * t) for t in range(9)])
 S = IndexSet.of(1, 2)
+NORM = Normalization(0.0, 1.0)
 
 
 def sweep_spec(**fields):
@@ -45,6 +47,10 @@ def sweep_spec(**fields):
 
 def component_k(k):
     return component_estimate(COS, k, 0.5, CFG)
+
+
+def affine(a, b):
+    return normalize([(0, 2), (1, 3), (2, 5)], "affine", a, b).values
 
 
 # (argument, call with the argument's value, the name its message gives it)
@@ -64,6 +70,13 @@ REAL = [
      lambda v: truncated_invariance_closed_form(0.5, 2, 2.0, v, 5), "x"),
     ("euler_partial_product x", lambda v: euler_partial_product(v, 5), "x"),
     ("sinc x", lambda v: sinc(v), "x"),
+    ("multiindex_bruteforce x", lambda v: multiindex_bruteforce(COS, S, 2.0, v, 5), "x"),
+    ("normalize a", lambda v: affine(v, 0.5), "affine offset a"),
+    ("normalize b", lambda v: affine(0.0, v), "affine scale b"),
+    ("SampledSignal abscissas", lambda v: SampledSignal([0.0, v], [1.0, 2.0], NORM),
+     "each entry of abscissas"),
+    ("SampledSignal values", lambda v: SampledSignal([0.0, 1.0], [1.0, v], NORM),
+     "each entry of values"),
     ("GmpConfig r", lambda v: GmpConfig(r=v, n_max=10, base=S), "ratio r"),
     ("BuiltinFunction c", lambda v: exp_scaled(v), "function constant c"),
     ("cutoff_n_max K", lambda v: cutoff_n_max(v, 2.0), "cutoff"),
@@ -77,6 +90,7 @@ INTEGER = [
      lambda v: truncated_invariance_closed_form(0.5, v, 2.0, 0.5, 5), "k"),
     ("truncated_invariance_closed_form N",
      lambda v: truncated_invariance_closed_form(0.5, 2, 2.0, 0.5, v), "N"),
+    ("multiindex_bruteforce N", lambda v: multiindex_bruteforce(COS, S, 2.0, 0.5, v), "N"),
 ]
 NOT_REAL = ["1", None, Decimal(1), 1j, [1]]
 # A value refused whole, not by its type: (argument, call, value, message start)
@@ -89,13 +103,18 @@ OTHER = [
     ("SweepSpec grid", lambda v: sweep_spec(grid=v), (0.0, 1.0), "grid must be three real numbers"),
     ("SweepSpec grid", lambda v: sweep_spec(grid=v), None, "grid must be an iterable"),
     ("SweepSpec schedule", lambda v: sweep_spec(schedule=v), 2.0, "schedule must be an iterable"),
+    ("normalize a", lambda v: affine(v, 0.5), None, "affine mode needs offset a and nonzero scale b"),
+    ("normalize b", lambda v: affine(0.0, v), None, "affine mode needs offset a and nonzero scale b"),
 ]
+# None is affine mode's "not given", which OTHER refuses with the mode's message
+NOT_GIVEN = {"affine offset a", "affine scale b"}
 # A Decimal inside the range checks: it compares with floats, so only the
 # type check refuses it.
 INSIDE = {"ratio r": [Decimal(2)], "function constant c": [Decimal("0.5")], "cutoff": [Decimal(32)]}
 CASES = (
     [(name, call, v, f"{what} must be a real number, got {v!r}")
-     for name, call, what in REAL for v in [*NOT_REAL, *INSIDE.get(what, [])]]
+     for name, call, what in REAL for v in [*NOT_REAL, *INSIDE.get(what, [])]
+     if not (v is None and what in NOT_GIVEN)]
     + [(name, call, v, f"{what}={v!r} must be an integer")
        for name, call, what in INTEGER for v in [*NOT_REAL, 1.5]]
     + OTHER
@@ -128,6 +147,14 @@ GOOD = [
      lambda v: truncated_invariance_closed_form(0.5, 2, 2.0, v, 5), (1.0, 0.5)),
     ("euler_partial_product x", lambda v: euler_partial_product(v, 5), (1.0, 0.5)),
     ("sinc x", lambda v: sinc(v), (1.0, 0.5)),
+    ("multiindex_bruteforce x", lambda v: multiindex_bruteforce(COS, S, 2.0, v, 5), (1.0, 0.5)),
+    # a + b * 2 == 1 keeps the first value at 1
+    ("normalize a", lambda v: affine(v, (1 - v) / 2), (-1.0, 0.5)),
+    ("normalize b", lambda v: affine(1 - 2 * v, v), (1.0, 0.5)),
+    ("SampledSignal abscissas", lambda v: SampledSignal([0.0, v], [1.0, 2.0], NORM).abscissas,
+     (1.0, 0.5)),
+    ("SampledSignal values", lambda v: SampledSignal([0.0, 1.0], [1.0, v], NORM).values,
+     (1.0, 0.5)),
     ("GmpConfig r", lambda v: estimate(COS, 0.5, GmpConfig(r=v, n_max=10, base=S)), (2.0, 1.5)),
     ("BuiltinFunction c", lambda v: estimate(exp_scaled(v), 0.5, CFG), (1.0, 0.5)),
     ("cutoff_n_max K", lambda v: cutoff_n_max(v, 1.5), (32.0, 20.5)),

@@ -3,6 +3,7 @@ import dataclasses
 import math
 import pickle
 import re
+from fractions import Fraction
 
 import pytest
 
@@ -91,9 +92,13 @@ class TestBuiltins:
         with pytest.raises(ValueError, match=message):
             monomial_exp(c, 2)
 
-    @pytest.mark.parametrize("c", [math.inf, -math.inf, math.nan])
+    @pytest.mark.parametrize("c", [math.inf, -math.inf, math.nan, 10**400, -Fraction(10**400)],
+                             ids=["inf", "-inf", "nan", "10**400", "-Fraction(10**400)"])
     def test_non_finite_constant(self, c):
-        with pytest.raises(ValueError):
+        # a real past the float range is no finite float either
+        with pytest.raises(ValueError, match="^function constant must be finite"):
+            exp_scaled(c)
+        with pytest.raises(ValueError, match="^function constant must be finite"):
             exp_scaled(c)
         with pytest.raises(ValueError):
             monomial_exp(c, 2)

@@ -287,8 +287,10 @@ class TestNormalize:
 
     @pytest.mark.parametrize("shape", [(2, 2), (3, 1)])
     def test_two_dimensional_input(self, shape):
+        # each row is an entry that is no real number
         grid = np.ones(shape)
-        with pytest.raises(ValueError, match="need two or more abscissas and one value for each"):
+        message = r"^each entry of abscissas must be a real number, got array\("
+        with pytest.raises(ValueError, match=message):
             SampledSignal(grid, grid, Normalization(0.0, 1.0))
 
     def test_inputs_stay_writeable(self):
@@ -394,6 +396,29 @@ class TestReadSignal:
     @example(text="t,value\n0,2\n1,3\n2,4\n3,5\n", mode=MODES[0])
     @example(text="t,value\n0,2\n1,3\n2,4\n3,5\n", mode=MODES[1])
     @example(text="0,1\n1,2\n2,3\n3,4\n", mode=MODES[2])
+    # a series at (0, 1), which read_signal keeps as the reader gives it
+    # wherever the Normalization is (0, 1) and every value positive
+    @example(text="t,value\n0,1\n1,2\n2,3\n3,4\n", mode=MODES[0])
+    @example(text="t,value\n0,1\n1,2\n2,3\n3,4\n", mode=MODES[1])
+    @example(text="t,value\n0,1\n1,2\n2,3\n3,4\n", mode=MODES[2])
+    @example(text="t,value\n0,1\n1,2\n2,3\n3,4\n", mode=("affine", 0.0, 1.0))
+    @example(text="t,value\n0,1\n1,2\n2,3\n3,4\n", mode=("affine", -0.0, 1.0))
+    # a first value of 1 at a time other than 0
+    @example(text="5,1\n6,2\n7,3\n8,4\n", mode=MODES[2])
+    # a first time of -0 shifts to +0
+    @example(text="-0,1\n1,2\n2,3\n3,4\n", mode=MODES[0])
+    @example(text="-0,1\n1,2\n2,3\n3,4\n", mode=MODES[2])
+    # a later value that is not positive
+    @example(text="0,1\n1,0\n2,3\n3,4\n", mode=MODES[2])
+    @example(text="0,1\n1,-0\n2,3\n3,4\n", mode=MODES[0])
+    @example(text="0,1\n1,2\n2,-1\n3,4\n", mode=MODES[2])
+    # unsorted rows whose smallest t is 0, with value 1
+    @example(text="2,3\n0,1\n3,4\n1,2\n", mode=MODES[0])
+    @example(text="2,3\n0,1\n3,4\n1,2\n", mode=MODES[2])
+    # a first value near 1 under a Normalization of (0, 1): accepted and
+    # stored as 1, but not the identity
+    @example(text="0,1.0000000001\n1,2\n2,3\n3,4\n", mode=MODES[2])
+    @example(text="0,1.0000000001\n1,2\n2,3\n3,4\n", mode=("affine", 0.0, 1.0))
     def test_matches_normalize_of_load_csv(self, path, text, mode):
         """read_signal(path, mode, a, b) gives the same signal, or the same
         error, as normalize(load_csv(path), mode, a, b)."""

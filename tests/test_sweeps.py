@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import pytest
 
@@ -262,6 +263,20 @@ class TestCsvOutput:
         # 17 significant digits survive a float round trip
         cell = lines[2].split(",")[1]
         assert float(cell) == SQRT2
+
+    def test_fraction_grid_prints_floats(self):
+        # x is written as a 17-digit float, never as str(Fraction)
+        exact = SweepSpec(function=COS, grid=(Fraction(0), Fraction(1), Fraction(1, 3)),
+                          schedule=(1.5,), coupling="fixed_n_max",
+                          coupling_value=10, base=IndexSet.of(2, 4))
+        rounded = SweepSpec(function=COS, grid=(0.0, 1.0, 1 / 3), schedule=(1.5,),
+                            coupling="fixed_n_max", coupling_value=10, base=IndexSet.of(2, 4))
+        text = rows_to_csv(grid_eval(exact))
+        assert "/" not in text
+        assert [line.split(",")[:2] for line in text.splitlines()[1:]] == [
+            ["0", "1.5"], ["0.33333333333333331", "1.5"], ["0.66666666666666663", "1.5"],
+            ["1", "1.5"]]
+        assert text == rows_to_csv(grid_eval(rounded))
 
     def test_error_rows_are_recorded_not_raised(self):
         # a signal-free config that still fails: cos hits an exact zero only
