@@ -75,6 +75,8 @@ def multiplicity(n: int, m: int) -> int:
 
     Returns 0 when n < m. Exact integer arithmetic; never overflows.
     """
+    check_integer(n, "n")
+    check_integer(m, "m")
     if n < 1 or m < 1:
         raise ValueError(f"n and m must be positive, got n={n}, m={m}")
     if n < m:
@@ -94,6 +96,8 @@ def compositions_bruteforce(n: int, m: int) -> int:
     sums that can still reach n are visited; every composition is counted
     exactly once and no binomial identity is used.
     """
+    check_integer(n, "n")
+    check_integer(m, "m")
     if n < 1 or m < 1:
         raise ValueError(f"n and m must be positive, got n={n}, m={m}")
     if n > _BRUTEFORCE_N_MAX or m > _BRUTEFORCE_M_MAX:
@@ -123,12 +127,20 @@ def check_integer(value, name: str) -> None:
         raise ValueError(f"{name}={value!r} must be an integer") from None
 
 
-def check_real(value, what: str) -> None:
-    """Reject a value that is no numbers.Real (int, bool, float, Fraction
-    and numpy reals pass) as a ValueError naming the argument `what`. A
-    float passes on one type test, before the slower isinstance ABC check."""
-    if type(value) is not float and not isinstance(value, numbers.Real):
+def check_real(value, what: str) -> float:
+    """value's float, once value is a numbers.Real (int, bool, float,
+    Fraction and numpy reals pass) that has one; anything else is a
+    ValueError naming the argument `what`: a value of another type, or an
+    int or a Fraction past the float range. A float is returned after one
+    type test, before the slower isinstance ABC check."""
+    if type(value) is float:
+        return value
+    if not isinstance(value, numbers.Real):
         raise ValueError(f"{what} must be a real number, got {value!r}")
+    try:
+        return float(value)
+    except OverflowError:
+        raise ValueError(f"{what} must lie within the float range, got {value!r}") from None
 
 
 def check_n_max(n_max: int, name: str, size: int) -> None:

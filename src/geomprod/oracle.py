@@ -118,11 +118,7 @@ class BuiltinFunction:
         if self.tag not in _TAGS:
             raise ValueError(f"unknown builtin tag {self.tag!r}")
         check_real(self.c, "function constant c")
-        try:
-            finite = math.isfinite(self.c)
-        except OverflowError:  # an int or a Fraction past the float range
-            finite = False
-        if not finite:
+        if not math.isfinite(self.c):
             raise ValueError(f"function constant must be finite, got {self.c}")
         if self.tag == "monomial_exp":
             check_integer(self.k, "k")

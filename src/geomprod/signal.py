@@ -15,7 +15,9 @@ import itertools
 import math
 import numbers
 import operator
+import os
 from bisect import bisect_right
+from fractions import Fraction
 from typing import NamedTuple
 
 from .combinatorics import check_real
@@ -58,6 +60,10 @@ def load_csv(path) -> list[tuple[float, float]]:
 
 def _read_columns(path) -> tuple[list[float], list[float]]:
     """load_csv's series as (ts, vs), sorted by t and checked."""
+    try:
+        os.fspath(path)
+    except TypeError:  # open() would read an int or a bool as a file descriptor, then close it
+        raise ValueError(f"path must be a str, bytes or os.PathLike, got {path!r}") from None
     try:
         with open(path, newline="", encoding="utf-8") as fh:
             text = fh.read().removeprefix("\ufeff")  # Excel's "CSV UTF-8" writes one
@@ -134,13 +140,12 @@ def _all_finite(xs) -> bool:
     nan when any term is, so a finite hypot proves every term finite, and
     only one that overflowed pays for the scan. hypot reads each term as
     isfinite does; sum would add ints exactly and numpy scalars in numpy,
-    which warns when the sum overflows."""
+    which warns when the sum overflows. An int or a Fraction past the float
+    range, which an exact shift can make, is not finite."""
     try:
-        if math.isfinite(math.hypot(*xs)):
-            return True
-    except OverflowError:  # an int past the float range; the scan decides if it gets there
-        pass
-    return all(map(math.isfinite, xs))
+        return math.isfinite(math.hypot(*xs)) or all(map(math.isfinite, xs))
+    except OverflowError:
+        return False
 
 
 def _csv_columns(path, text: str) -> tuple[list[float], list[float]]:
@@ -273,19 +278,22 @@ class _Pchip:
         return out
 
 
-def _floats(column: tuple, what: str) -> tuple[float, ...]:
+def _floats(column, what: str):
     """column's entries as floats, once check_real would pass each entry of
     the argument `what`. Its numbers.Real test depends on the type alone, so
     each type in the column takes it once, and a column of floats alone is
     returned as it is; check_real runs over the entries only to name the
-    first that fails."""
+    first that fails: one that is no real number, or an int or a Fraction
+    that float() cannot take."""
     kinds = set(map(type, column))
     if kinds == {float}:
         return column
-    if not all(issubclass(kind, numbers.Real) for kind in kinds):
-        for value in column:
-            check_real(value, f"each entry of {what}")
-    return tuple(map(float, column))
+    if all(issubclass(kind, numbers.Real) for kind in kinds):
+        try:
+            return tuple(map(float, column))
+        except OverflowError:
+            pass
+    return tuple([check_real(value, f"each entry of {what}") for value in column])
 
 
 def _check_increasing_and_positive(ts: tuple[float, ...], vs: tuple[float, ...]) -> None:
@@ -344,16 +352,6 @@ class SampledSignal:
         self._keep(ts, vs, normalization)
 
     @classmethod
-    def _of_normalized(cls, ts: tuple[float, ...], vs: tuple[float, ...],
-                       normalization: Normalization) -> SampledSignal:
-        """A SampledSignal of float tuples that _normalized built from
-        _read_columns' floats, with two or more of each, ts[0] == 0,
-        vs[0] == 1 and every number finite. It runs only the two checks
-        left open."""
-        _check_increasing_and_positive(ts, vs)
-        return cls._of_floats(ts, vs, normalization)
-
-    @classmethod
     def _of_floats(cls, ts: tuple[float, ...], vs: tuple[float, ...],
                    normalization: Normalization) -> SampledSignal:
         """A SampledSignal of float tuples that pass every check of the
@@ -373,8 +371,7 @@ class SampledSignal:
         return 0.0, self.abscissas[-1]
 
     def __call__(self, x: float) -> float:
-        check_real(x, "x")
-        x = float(x)
+        x = check_real(x, "x")
         if not 0.0 <= x <= self.abscissas[-1]:  # nan too
             raise DomainCoverageError(x, 0.0, self.abscissas[-1])
         return self._interp.values((x,))[0]
@@ -401,16 +398,29 @@ def normalize(
     a: float | None = None,
     b: float | None = None,
 ) -> SampledSignal:
-    """Build a SampledSignal from a raw series.
+    """Build a SampledSignal from a raw series of (t, value) rows.
 
     Modes: 'divide_by_first' (scale so the first value is 1), 'affine'
     (stored = a + b*raw, with real numbers a and b; must map the first value
     to 1), 'none' (raw values must already start at 1).
+
+    A series needs two or more rows, and every entry of a row must be a
+    real number that has a float (_floats' rule, which is check_real's), or
+    a ValueError names abscissas or values before any arithmetic on them.
+    Values are then scaled as floats. Times shift in Python's own
+    arithmetic: an int or a Fraction stays as it is, so that t - t0 is exact
+    and rounds once, another integer (a numpy one, say) becomes the int it
+    equals, and any other real its float. Then the series takes the checks
+    of read_signal's general path, in its order.
     """
     ts, vs = [t for t, _ in raw], [v for _, v in raw]
-    if not ts:
+    if len(ts) < 2:
         raise ValueError("need two or more abscissas and one value for each")
-    return _normalized(ts, vs, _normalization(vs[0], mode, a, b), SampledSignal)
+    floats, vs = _floats(ts, "abscissas"), _floats(vs, "values")
+    if floats is not ts:  # _floats returns a column of floats alone as it is
+        ts = [t if type(t) in (float, int, Fraction) else operator.index(t)
+              if isinstance(t, numbers.Integral) else f for t, f in zip(ts, floats)]
+    return _normalized(ts, vs, _normalization(vs[0], mode, a, b))
 
 
 def read_signal(
@@ -427,39 +437,42 @@ def read_signal(
     positive and a Normalization of (0, 1) is already shifted and
     normalized: t - 0 is t and 0 + 1 * v is v, and only a first time of -0
     shifts to +0. Such a series keeps the reader's columns, with no
-    rescan. Any other series, or one that fails a check, takes the general
-    path, which raises the error normalize would.
+    rescan. Any other series, or one that fails a check, takes _normalized,
+    the pass normalize takes, and raises the error normalize would.
     """
     ts, vs = _read_columns(path)
     norm = _normalization(vs[0], mode, a, b)
     if ts[0] == 0.0 and vs[0] == 1.0 and norm == (0.0, 1.0) and min(vs) > 0.0:
         ts[0] = 0.0  # t0 - t0, +0.0 also when t0 is -0
         return SampledSignal._of_floats(tuple(ts), tuple(vs), norm)
-    return _normalized(ts, vs, norm, SampledSignal._of_normalized)
+    return _normalized(ts, vs, norm)
 
 
-def _normalization(v0, mode: str, a, b) -> Normalization:
+def _normalization(v0: float, mode: str, a, b) -> Normalization:
     """The Normalization that mode gives a series whose first value is v0."""
     if mode == "divide_by_first":
         if v0 == 0.0:
             raise NormalizationError("first value is zero; cannot divide by it")
-        return Normalization(offset=0.0, scale=1.0 / float(v0))
+        return Normalization(offset=0.0, scale=1.0 / v0)
     if mode == "affine":
         if a is not None and b is not None:
-            check_real(a, "affine offset a")
-            check_real(b, "affine scale b")
+            a, b = check_real(a, "affine offset a"), check_real(b, "affine scale b")
             if b != 0.0:
-                return Normalization(offset=float(a), scale=float(b))
+                return Normalization(offset=a, scale=b)
         raise ValueError("affine mode needs offset a and nonzero scale b")
     if mode == "none":
         return Normalization(offset=0.0, scale=1.0)
     raise ValueError(f"unknown normalization mode {mode!r}")
 
 
-def _normalized(ts, vs, norm: Normalization, make) -> SampledSignal:
-    """normalize on the series' two columns under norm. make(shifted,
-    stored, norm) builds the signal: SampledSignal for columns of any
-    numbers, or SampledSignal._of_normalized for _read_columns' floats."""
+def _normalized(ts, vs, norm: Normalization) -> SampledSignal:
+    """The signal of a series' two or more rows, as two columns, under
+    norm, in one pass: each time shifted by the first, each value scaled,
+    then the checks of the first value, finiteness, order and sign, in that
+    order, and the float columns handed to SampledSignal._of_floats. vs
+    holds floats, and ts floats, ints and Fractions (what normalize's checks
+    leave); a shift from an int or a Fraction t0 can be exact, and rounds
+    once, after the finiteness check."""
     t0 = ts[0]
     shifted = tuple([t - t0 for t in ts])
     offset, scale = norm
@@ -473,24 +486,22 @@ def _normalized(ts, vs, norm: Normalization, make) -> SampledSignal:
     # normalization failure, not a bad argument.
     if not (_all_finite(shifted) and _all_finite(stored)):
         raise NormalizationError("shifted times and normalized values must be finite")
+    if type(t0) is not float:  # a float t0 leaves every shift a float
+        shifted = tuple(map(float, shifted))
     try:
-        return make(shifted, tuple(stored), norm)  # rejects a non-positive stored value
+        _check_increasing_and_positive(shifted, stored)
     except ValueError:
         # Increasing times can meet once shifted, since t - t0 rounds; like
-        # an overflow, that is a failure of normalization. The scan reads
-        # the floats the constructor saw: exact int shifts can still differ.
-        seen = tuple(map(float, shifted))
-        for i, (s0, s1) in enumerate(zip(seen, seen[1:])):
+        # an overflow, that is a failure of normalization.
+        for i, (s0, s1) in enumerate(zip(shifted, shifted[1:])):
             if not s0 < s1:
                 if ts[i] < ts[i + 1]:
-                    # .item() names a numpy scalar as the Python int or float it equals
-                    t, t_next, t0 = (v.item() if hasattr(v, "item") else v
-                                     for v in (ts[i], ts[i + 1], t0))
                     raise NormalizationError(
-                        f"times {t!r} and {t_next!r} both shift to {s1!r} with t0={t0!r}"
+                        f"times {ts[i]!r} and {ts[i + 1]!r} both shift to {s1!r} with t0={t0!r}"
                     ) from None
                 break
         raise
+    return SampledSignal._of_floats(shifted, tuple(stored), norm)
 
 
 class CoverageReport(NamedTuple):

@@ -61,7 +61,10 @@ class SweepSpec:
         # Checked on the float span, before any list is built: a grid like
         # 0:1e9:1e-9 would otherwise allocate ~1e18 x values.
         start, stop, step = self.grid
-        span = (stop - start) / step + 0.5
+        try:
+            span = (stop - start) / step + 0.5
+        except OverflowError:  # ints or Fractions whose span has no float
+            span = math.inf
         if not all(map(math.isfinite, (start, stop, step, span))):
             raise ValueError(f"grid {self.grid} must be finite, with a finite point count")
         if not span < MAX_ROWS // max(len(self.schedule), 1):
@@ -70,7 +73,11 @@ class SweepSpec:
                 f"the {MAX_ROWS}-row sweep cap"
             )
         # The last point can pass stop by half a step, and so leave the float range.
-        if not math.isfinite(start + max(math.floor(span), 0) * step):
+        try:
+            finite = math.isfinite(start + max(math.floor(span), 0) * step)
+        except OverflowError:  # an exact last point past the float range
+            finite = False
+        if not finite:
             raise ValueError(f"grid {self.grid} ends outside the float range")
 
     def n_max_for(self, r: float) -> int:

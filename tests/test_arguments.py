@@ -3,22 +3,34 @@ argument by combinatorics.check_real, an integer argument by
 combinatorics.check_integer. A bad value ends in a ValueError that names
 the argument, never in a TypeError, AttributeError or IndexError from deep
 inside an estimate; a float, an int, a Fraction or a numpy scalar gives
-the float's result."""
+the float's result, and one past the float range has no float to give.
+Every callable the package exports has a row here, or a reason not to."""
 
 import re
+import tempfile
 from decimal import Decimal
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from geomprod.combinatorics import IndexSet, check_real
+import geomprod
+from geomprod.combinatorics import (
+    IndexSet,
+    check_real,
+    compositions_bruteforce,
+    factor_count,
+    multiplicity,
+)
 from geomprod.core import (
     GmpConfig,
+    coefficient,
     component_estimate,
     cutoff_n_max,
     estimate,
     log_partial_product,
+    pollution_exponent,
     reconstruct_from_components,
     sequence_point,
 )
@@ -26,11 +38,20 @@ from geomprod.oracle import (
     COS,
     euler_partial_product,
     exp_scaled,
+    log_series_components,
+    monomial_exp,
     multiindex_bruteforce,
     sinc,
     truncated_invariance_closed_form,
 )
-from geomprod.signal import Normalization, SampledSignal, coverage_check, forecast, normalize
+from geomprod.signal import (
+    Normalization,
+    SampledSignal,
+    coverage_check,
+    forecast,
+    normalize,
+    read_signal,
+)
 from geomprod.sweeps import SweepSpec, r_sweep
 
 CFG = GmpConfig(r=2.0, n_max=10, base=IndexSet.of(1, 2))
@@ -51,6 +72,13 @@ def component_k(k):
 
 def affine(a, b):
     return normalize([(0, 2), (1, 3), (2, 5)], "affine", a, b).values
+
+
+def read_affine(a, b):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp, "series.csv")
+        path.write_text("0,2\n1,3\n2,5\n3,7\n", encoding="utf-8")
+        return read_signal(path, "affine", a, b).values
 
 
 # (argument, call with the argument's value, the name its message gives it)
@@ -83,6 +111,12 @@ REAL = [
     ("r_sweep x", lambda v: r_sweep(COS, v, (2.0,), "fixed_n_max", 10, S), "each entry of grid"),
     ("SweepSpec grid", lambda v: sweep_spec(grid=(0.0, v, 0.5)), "each entry of grid"),
     ("SweepSpec schedule", lambda v: sweep_spec(schedule=(2.0, v)), "each entry of schedule"),
+    ("coefficient r", lambda v: coefficient(S, v), "ratio r"),
+    ("pollution_exponent r", lambda v: pollution_exponent(1, 2, v), "ratio r"),
+    ("exp_scaled c", lambda v: exp_scaled(v), "function constant c"),
+    ("monomial_exp c", lambda v: monomial_exp(v, 2), "function constant c"),
+    ("read_signal a", lambda v: read_affine(v, 0.5), "affine offset a"),
+    ("read_signal b", lambda v: read_affine(0.0, v), "affine scale b"),
 ]
 INTEGER = [
     ("sequence_point n", lambda v: sequence_point(S, 2.0, 0.5, v), "n"),
@@ -91,8 +125,19 @@ INTEGER = [
     ("truncated_invariance_closed_form N",
      lambda v: truncated_invariance_closed_form(0.5, 2, 2.0, 0.5, v), "N"),
     ("multiindex_bruteforce N", lambda v: multiindex_bruteforce(COS, S, 2.0, 0.5, v), "N"),
+    ("multiplicity n", lambda v: multiplicity(v, 2), "n"),
+    ("multiplicity m", lambda v: multiplicity(3, v), "m"),
+    ("compositions_bruteforce n", lambda v: compositions_bruteforce(v, 2), "n"),
+    ("compositions_bruteforce m", lambda v: compositions_bruteforce(3, v), "m"),
+    ("factor_count n_max", lambda v: factor_count(S, v), "n_max"),
+    ("log_series_components K_max", lambda v: log_series_components(COS, v), "K_max"),
+    ("monomial_exp k", lambda v: monomial_exp(0.5, v), "k"),
+    ("pollution_exponent j", lambda v: pollution_exponent(v, 2, 2.0), "j"),
+    ("pollution_exponent k", lambda v: pollution_exponent(1, v, 2.0), "k"),
 ]
 NOT_REAL = ["1", None, Decimal(1), 1j, [1]]
+# A real number with no float: an int or a Fraction past the float range.
+BEYOND = [10**400, Fraction(10**400)]
 # A value refused whole, not by its type: (argument, call, value, message start)
 OTHER = [
     ("component_estimate k", component_k, None, "component order None not in base"),
@@ -105,6 +150,8 @@ OTHER = [
     ("SweepSpec schedule", lambda v: sweep_spec(schedule=v), 2.0, "schedule must be an iterable"),
     ("normalize a", lambda v: affine(v, 0.5), None, "affine mode needs offset a and nonzero scale b"),
     ("normalize b", lambda v: affine(0.0, v), None, "affine mode needs offset a and nonzero scale b"),
+    ("IndexSet elements", IndexSet.of, 1.5, "index set elements must be positive integers"),
+    ("IndexSet elements", IndexSet.of, "1", "index set elements must be positive integers"),
 ]
 # None is affine mode's "not given", which OTHER refuses with the mode's message
 NOT_GIVEN = {"affine offset a", "affine scale b"}
@@ -115,6 +162,8 @@ CASES = (
     [(name, call, v, f"{what} must be a real number, got {v!r}")
      for name, call, what in REAL for v in [*NOT_REAL, *INSIDE.get(what, [])]
      if not (v is None and what in NOT_GIVEN)]
+    + [(name, call, v, f"{what} must lie within the float range, got {v!r}")
+       for name, call, what in REAL for v in BEYOND]
     + [(name, call, v, f"{what}={v!r} must be an integer")
        for name, call, what in INTEGER for v in [*NOT_REAL, 1.5]]
     + OTHER
@@ -124,7 +173,7 @@ CASES = (
 @pytest.mark.parametrize(
     "call, value, start",
     [case[1:] for case in CASES],
-    ids=[f"{name}-{value!r}" for name, _, value, _ in CASES],
+    ids=[f"{name}-{value!r:.30}" for name, _, value, _ in CASES],
 )
 def test_bad_argument_is_a_value_error_naming_it(call, value, start):
     # pytest.raises lets any other exception, a TypeError say, fail the test
@@ -177,3 +226,25 @@ def test_check_real():
     for value in NOT_REAL:
         with pytest.raises(ValueError, match=rf"^v must be a real number, got {re.escape(repr(value))}$"):
             check_real(value, "v")
+
+
+# Exports that take no number of their own, each set with its reason.
+# Records the package returns, or that a checked constructor takes whole.
+RECORDS = {"ComponentSeries", "CoverageReport", "Estimate", "ForecastResult", "LogProduct",
+           "Normalization", "SequencePlan", "SweepRow"}
+# Error classes: their arguments are the parts of a message.
+ERRORS = {"DomainCoverageError", "GeomprodError", "NonPositiveSampleError", "NormalizationError",
+          "SignalFormatError", "ZeroSampleError"}
+# A path (refused unless os.fspath takes it), a SweepSpec, SweepRows or an
+# IndexSet, each checked where it is made.
+NO_NUMBER = {"load_csv", "grid_eval", "rows_to_csv", "enumerate_subsets"}
+
+
+def test_every_export_has_a_row_or_a_reason():
+    exports = {name for name, obj in vars(geomprod).items()
+               if callable(obj) and not name.startswith("_")}
+    rows = {name.split()[0] for name, *_ in REAL + INTEGER + OTHER}
+    exempt = RECORDS | ERRORS | NO_NUMBER
+    assert not exempt & rows
+    assert exports - rows - exempt == set()
+    assert exempt <= exports

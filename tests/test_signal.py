@@ -1,6 +1,9 @@
 import csv
 import math
+import os
 import random
+import re
+from decimal import Decimal
 from unittest import mock
 
 import numpy as np
@@ -47,6 +50,16 @@ class TestLoadCsv:
         path = write_csv(tmp_path, "0,1\n1,1.2\n2,1.4\n")
         with pytest.raises(SignalFormatError, match="at least 4"):
             load_csv(path)
+
+    @pytest.mark.parametrize("read, path", [
+        (load_csv, 0), (load_csv, True), (signal.read_signal, None)])
+    def test_path_that_os_fspath_refuses(self, read, path):
+        # open() would read an int or a bool as a file descriptor, then close it
+        message = f"^path must be a str, bytes or os.PathLike, got {path!r}$"
+        with pytest.raises(ValueError, match=message):
+            read(path)
+        os.fstat(0)
+        os.fstat(1)
 
     def test_synthetic_series(self, tmp_path):
         text = "\n".join(f"{t},{v}" for t, v in half_sin_series(4.0, 0.1))
@@ -236,6 +249,7 @@ class TestNormalize:
     @pytest.mark.parametrize("raw", [
         [(0, 1e-300), (1, 1.0), (2, 1e300), (3, 1.0)],  # the scaled 1e300 overflows
         [(-1e308, 1.0), (0, 1.0), (1e308, 1.0), (1.5e308, 1.0)],  # so does the shifted time
+        [(-10**308, 1.0), (0, 1.0), (10**308, 1.0)],  # and an exact int shift past the float range
     ])
     def test_non_finite_after_normalization(self, raw):
         with pytest.raises(NormalizationError, match="finite"):
@@ -284,6 +298,26 @@ class TestNormalize:
             normalize([], "divide_by_first")
         with pytest.raises(ValueError, match="one value for each"):
             SampledSignal(np.array([0.0, 1.0]), np.array([1.0]), Normalization(0.0, 1.0))
+        with pytest.raises(ValueError, match="^need two or more abscissas and one value for each$"):
+            SampledSignal(5, 5, Normalization(0.0, 1.0))  # a scalar for each column
+
+    @pytest.mark.parametrize("raw, mode, message", [
+        ([(Decimal(0), Decimal(1)), (Decimal(1), Decimal(2))], "none",
+         "each entry of abscissas must be a real number, got Decimal('0')"),
+        ([("0", "1"), ("1", "2")], "none",
+         "each entry of abscissas must be a real number, got '0'"),
+        ([(0, 1), (1, None)], "none", "each entry of values must be a real number, got None"),
+        # checked before the first value is divided by
+        ([(0, "0"), (1, 2)], "divide_by_first",
+         "each entry of values must be a real number, got '0'"),
+        ([(0, 1), (10**400, 2)], "none",
+         f"each entry of abscissas must lie within the float range, got {10**400!r}"),
+        ([(0, 10**400), (1, 2)], "divide_by_first",
+         f"each entry of values must lie within the float range, got {10**400!r}"),
+    ])
+    def test_row_entry_that_is_no_real_number(self, raw, mode, message):
+        with pytest.raises(ValueError, match="^" + re.escape(message) + "$"):
+            normalize(raw, mode)
 
     @pytest.mark.parametrize("shape", [(2, 2), (3, 1)])
     def test_two_dimensional_input(self, shape):

@@ -84,9 +84,12 @@ class TestSweepSpec:
             with pytest.raises(ValueError):
                 fig1_spec(schedule=(r,))
         # a negative step; non-finite parts; a span that overflows; a last
-        # point half a step past stop that leaves the float range
+        # point half a step past stop that leaves the float range; the same
+        # two in a grid of exact numbers, which computes past the float range
         for grid in ((0.0, 1.0, -0.1), (0.0, 1.0, math.inf), (math.nan, 1.0, 0.5),
-                     (-math.inf, 1.0, 0.5), (1e308, -1e308, 1.0), (5e307, 1.7e308, 1.79e308)):
+                     (-math.inf, 1.0, 0.5), (1e308, -1e308, 1.0), (5e307, 1.7e308, 1.79e308),
+                     (0, 10**308, Fraction(1, 10**10)),
+                     (Fraction(17 * 10**307), Fraction(179 * 10**306), Fraction(10**307))):
             with pytest.raises(ValueError):
                 SweepSpec(
                     function=COS,
