@@ -16,7 +16,9 @@ import operator
 
 
 class IndexSet(tuple):
-    """A finite set of distinct positive integers, stored sorted as a tuple.
+    """A finite set of distinct positive integers, stored sorted as a tuple
+    of the ints operator.index gives (a bool or a numpy integer becomes its
+    int). A non-iterable, or an element that is no integer, is a ValueError.
 
     Each element is the order k of one geometric-sequence scaling factor
     (r^k - 1)^(1/k). Length, iteration, `in`, indexing, hashing, equality
@@ -27,14 +29,19 @@ class IndexSet(tuple):
     __slots__ = ()
 
     def __new__(cls, elements):
-        if not elements:
+        try:
+            elems = tuple(elements)
+            ints = tuple(map(operator.index, elems))
+        except TypeError:
+            raise ValueError(
+                f"index set elements must be positive integers: {elements!r}") from None
+        if not ints:
             raise ValueError("index set must be non-empty")
-        elems = tuple(elements)
-        if any((not isinstance(k, int)) or k < 1 for k in elems):
+        if any(k < 1 for k in ints):
             raise ValueError(f"index set elements must be positive integers: {elems}")
-        if any(a >= b for a, b in zip(elems, elems[1:])):
+        if any(a >= b for a, b in zip(ints, ints[1:])):
             raise ValueError(f"index set elements must be strictly increasing: {elems}")
-        return super().__new__(cls, elems)
+        return super().__new__(cls, ints)
 
     @classmethod
     def of(cls, *elements: int) -> "IndexSet":
@@ -61,7 +68,10 @@ def enumerate_subsets(base: IndexSet) -> tuple[IndexSet, ...]:
     Order is cardinality-major, then lexicographic, so any serialized
     output derived from the subsets is reproducible byte-for-byte. A subset
     of a checked IndexSet is one too, so each is built without the checks.
+    A base that is not an IndexSet is a ValueError.
     """
+    if not isinstance(base, IndexSet):
+        raise ValueError(f"base must be an IndexSet, got {base!r}")
     new = tuple.__new__
     return tuple(
         new(IndexSet, combo)
@@ -75,8 +85,7 @@ def multiplicity(n: int, m: int) -> int:
 
     Returns 0 when n < m. Exact integer arithmetic; never overflows.
     """
-    check_integer(n, "n")
-    check_integer(m, "m")
+    n, m = check_integer(n, "n"), check_integer(m, "m")
     if n < 1 or m < 1:
         raise ValueError(f"n and m must be positive, got n={n}, m={m}")
     if n < m:
@@ -96,8 +105,7 @@ def compositions_bruteforce(n: int, m: int) -> int:
     sums that can still reach n are visited; every composition is counted
     exactly once and no binomial identity is used.
     """
-    check_integer(n, "n")
-    check_integer(m, "m")
+    n, m = check_integer(n, "n"), check_integer(m, "m")
     if n < 1 or m < 1:
         raise ValueError(f"n and m must be positive, got n={n}, m={m}")
     if n > _BRUTEFORCE_N_MAX or m > _BRUTEFORCE_M_MAX:
@@ -118,11 +126,12 @@ def compositions_bruteforce(n: int, m: int) -> int:
     return count(n, m)
 
 
-def check_integer(value, name: str) -> None:
-    """Reject a value that operator.index refuses (an int, a bool or a numpy
-    integer passes) as a ValueError that names the argument `name`."""
+def check_integer(value, name: str) -> int:
+    """operator.index(value), the int of an int, a bool or a numpy integer;
+    a value that operator.index refuses is a ValueError that names the
+    argument `name`."""
     try:
-        operator.index(value)
+        return operator.index(value)
     except TypeError:
         raise ValueError(f"{name}={value!r} must be an integer") from None
 
@@ -143,13 +152,14 @@ def check_real(value, what: str) -> float:
         raise ValueError(f"{what} must lie within the float range, got {value!r}") from None
 
 
-def check_n_max(n_max: int, name: str, size: int) -> None:
-    """Reject an n_max that check_integer refuses, or one below `size`, the
-    largest subset of the set `name`, which would leave that subset without
+def check_n_max(n_max: int, name: str, size: int) -> int:
+    """n_max's int (check_integer), once it is at least `size`, the largest
+    subset of the set `name`; a smaller one would leave that subset without
     a term."""
-    check_integer(n_max, "n_max")
+    n_max = check_integer(n_max, "n_max")
     if n_max < size:
         raise ValueError(f"n_max={n_max} must be at least |{name}|={size}")
+    return n_max
 
 
 def factor_count(base: IndexSet, n_max: int, k: int | None = None) -> int:
@@ -163,7 +173,7 @@ def factor_count(base: IndexSet, n_max: int, k: int | None = None) -> int:
     whole base, and binomial(j + n_max, j + 1) for the subsets {k} + T with T
     drawn from the j elements of base below k, without enumerating them.
     """
-    check_n_max(n_max, "base", len(base))
+    n_max = check_n_max(n_max, "base", len(base))
     if k is None:
         return math.comb(len(base) + n_max, len(base)) - 1
     if k not in base:

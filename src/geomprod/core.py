@@ -67,7 +67,8 @@ class FunctionSource(Protocol):
 @dataclass(frozen=True)
 class GmpConfig:
     """Estimator parameters: ratio r, truncation n_max, generating base set,
-    and the declared parity mode ('all' or 'even')."""
+    and the declared parity mode ('all' or 'even'). r is kept as its float
+    and n_max as its int, the values their checks return."""
 
     r: float
     n_max: int
@@ -75,12 +76,12 @@ class GmpConfig:
     parity: str = "all"
 
     def __post_init__(self):
-        _check_r(self.r)
+        object.__setattr__(self, "r", _check_r(self.r))
         if not isinstance(self.base, IndexSet):  # which enumerate_subsets assumes
             raise ValueError(f"base must be an IndexSet, got {self.base!r}")
-        b = len(self.base)
         # Counted in closed form, before any subset is enumerated.
-        _check_plan(self.n_max, "base", b, lambda: plan_samples(b, self.n_max))
+        object.__setattr__(self, "n_max", _check_plan(self.n_max, "base", len(self.base),
+                                                      plan_samples))
         check_parity(self.parity, self.base)
 
     @cached_property
@@ -108,16 +109,17 @@ def plan_samples(b: int, n_max: int) -> int:
     return (n_max + 1) * (2**b - 1) - b * 2 ** (b - 1)
 
 
-def _check_plan(n_max: int, name: str, size: int, count) -> None:
-    """check_n_max, then reject a plan of more than MAX_SAMPLES samples,
-    counted by count() once n_max is known to be an integer."""
-    check_n_max(n_max, name, size)
-    samples = count()
+def _check_plan(n_max: int, name: str, size: int, count) -> int:
+    """check_n_max's int n_max, once count(size, n_max), the plan's samples
+    at that int, is at most MAX_SAMPLES."""
+    n_max = check_n_max(n_max, name, size)
+    samples = count(size, n_max)
     if samples > MAX_SAMPLES:
         raise ValueError(
             f"n_max={n_max} with |{name}|={size} needs {samples} "
             f"samples per estimate, over the {MAX_SAMPLES}-sample plan cap"
         )
+    return n_max
 
 
 def check_parity(parity: str, base: IndexSet) -> None:
@@ -173,12 +175,13 @@ class Estimate(NamedTuple):
     factor_count: int
 
 
-def _check_r(r: float) -> None:
-    """Reject a ratio that is not a real number, or one outside 1 < r < inf;
-    every ratio the package takes passes here."""
-    check_real(r, "ratio r")
-    if not 1.0 < r < math.inf:  # nan too
+def _check_r(r: float) -> float:
+    """r's float (check_real), once it lies in 1 < r < inf; every ratio the
+    package takes passes here."""
+    ratio = check_real(r, "ratio r")
+    if not 1.0 < ratio < math.inf:  # nan too
         raise ValueError(f"ratio r must exceed 1 and be finite, got {r}")
+    return ratio
 
 
 def _powers(r: float, exponents) -> list[float]:
@@ -199,16 +202,15 @@ def _roots(r: float, ks) -> list[float]:
 
 def coefficient(S: IndexSet, r: float) -> float:
     """The sequence coefficient prod_{k in S} (r^k - 1)^(1/k)."""
-    _check_r(r)
-    return math.prod(_roots(r, S))
+    return math.prod(_roots(_check_r(r), S))
 
 
 def sequence_point(S: IndexSet, r: float, x: float, n: int) -> float:
     """The n-th point of the geometric sequence for index set S."""
-    check_integer(n, "n")
+    n = check_integer(n, "n")
     if n < 1:
         raise ValueError(f"sequence index must be >= 1, got {n}")
-    check_real(x, "x")
+    x, r = check_real(x, "x"), _check_r(r)
     return coefficient(S, r) * x / _powers(r, (n,))[0]
 
 
@@ -356,9 +358,8 @@ def log_partial_product(
     f: FunctionSource, S: IndexSet, r: float, x: float, n_max: int
 ) -> LogProduct:
     """Accumulate sum_{n=|S|}^{n_max} binom(n-1, |S|-1) * log f(x_n)."""
-    _check_plan(n_max, "S", len(S), lambda: n_max - len(S) + 1)
-    _check_r(r)
-    check_real(x, "x")
+    n_max = _check_plan(n_max, "S", len(S), lambda m, n: n - m + 1)
+    r, x = _check_r(r), check_real(x, "x")
     (plan,) = _sequence_plans([S], r, n_max)
     log_value, sign = _quotient(f, x, (plan,))
     return LogProduct(  # log|P|: the plan weighs an even |S| by -binom
@@ -369,12 +370,11 @@ def log_partial_product(
 
 def _plans(f: FunctionSource, x: float, cfg: GmpConfig, k: int | None = None
            ) -> tuple[SequencePlan, ...]:
-    """The plans an estimate at x samples: cfg.plan, or with k, a k in base,
-    cfg.component_plans[k]. x must be a real number, and a function that
-    declares itself not even (f.even false) fails an 'even' config. x = 0
-    takes no sample and leaves the plans unbuilt: their r**n can overflow
-    for a huge r that x = 0 never needs."""
-    check_real(x, "x")
+    """The plans an estimate at the float x samples: cfg.plan, or with k, a
+    k in base, cfg.component_plans[k]. A function that declares itself not
+    even (f.even false) fails an 'even' config. x = 0 takes no sample and
+    leaves the plans unbuilt: their r**n can overflow for a huge r that
+    x = 0 never needs."""
     if cfg.parity == "even" and not getattr(f, "even", True):
         raise ValueError(f"even parity mode requires an even function, got {f}")
     if x == 0.0:
@@ -396,6 +396,7 @@ def _combine(log_value: float, sign: int, x: float, cfg: GmpConfig, k: int | Non
 
 def estimate(f: FunctionSource, x: float, cfg: GmpConfig) -> Estimate:
     """Full multiproduct estimate of f(x) under cfg."""
+    x = check_real(x, "x")
     return _combine(*_quotient(f, x, _plans(f, x, cfg)), x, cfg)
 
 
@@ -405,6 +406,7 @@ def component_estimate(f: FunctionSource, k: int, x: float, cfg: GmpConfig) -> E
     A k outside cfg.base, None included, raises ValueError."""
     if k not in cfg.base:
         raise ValueError(f"component order {k} not in base {cfg.base}")
+    x = check_real(x, "x")
     return _combine(*_quotient(f, x, _plans(f, x, cfg, k)), x, cfg, k)
 
 
@@ -416,6 +418,7 @@ def reconstruct_from_components(f: FunctionSource, x: float, cfg: GmpConfig) -> 
     components' log values are summed before one exp, so one past the float
     range alone does not overflow the product.
     """
+    x = check_real(x, "x")
     log_values, signs = zip(*[_quotient(f, x, _plans(f, x, cfg, k)) for k in cfg.base])
     return _combine(math.fsum(log_values), math.prod(signs), x, cfg)
 
@@ -423,9 +426,7 @@ def reconstruct_from_components(f: FunctionSource, x: float, cfg: GmpConfig) -> 
 def pollution_exponent(j: int, k: int, r: float) -> float:
     """Factor multiplying c_j x^j when the order-j component is sampled on
     the order-k sequence: (r^k - 1)^(j/k) / (r^j - 1). Exactly 1 for j == k."""
-    _check_r(r)
-    check_integer(j, "j")
-    check_integer(k, "k")
+    r, j, k = _check_r(r), check_integer(j, "j"), check_integer(k, "k")
     if j < 1 or k < 1:
         raise ValueError(f"orders must be positive, got j={j}, k={k}")
     if j == k:
@@ -440,13 +441,12 @@ def pollution_exponent(j: int, k: int, r: float) -> float:
 
 def cutoff_n_max(K: float, r: float) -> int:
     """Truncation index with r^n_max ~ K held fixed: ceil(ln K / ln r)."""
-    _check_r(r)
-    check_real(K, "cutoff")
-    if not K >= 2:  # nan too
+    r, cutoff = _check_r(r), check_real(K, "cutoff")
+    if not cutoff >= 2:  # nan too
         raise ValueError(f"cutoff must be >= 2, got {K}")
-    if K == math.inf:
+    if cutoff == math.inf:
         raise ValueError(f"cutoff must be finite, got {K}")
-    return math.ceil(math.log(K) / math.log(r))
+    return math.ceil(math.log(cutoff) / math.log(r))
 
 
 def coupled_n_max(coupling: str, value: int, r: float, base: IndexSet) -> int:

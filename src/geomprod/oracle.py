@@ -107,7 +107,8 @@ class BuiltinFunction:
     f < 0 (see core.FunctionSource), computed without under/overflow for the
     exponential tags: the estimator evaluates each subset's samples in one
     pass of C-level maps. signed_log(x) is its value at one point, so the
-    two agree by construction.
+    two agree by construction. c is kept as its float and, for
+    'monomial_exp', k as its int, the values their checks return.
     """
 
     tag: str
@@ -117,11 +118,11 @@ class BuiltinFunction:
     def __post_init__(self):
         if self.tag not in _TAGS:
             raise ValueError(f"unknown builtin tag {self.tag!r}")
-        check_real(self.c, "function constant c")
+        object.__setattr__(self, "c", check_real(self.c, "function constant c"))
         if not math.isfinite(self.c):
             raise ValueError(f"function constant must be finite, got {self.c}")
         if self.tag == "monomial_exp":
-            check_integer(self.k, "k")
+            object.__setattr__(self, "k", check_integer(self.k, "k"))
             if self.k < 1:
                 raise ValueError(f"monomial order must be positive, got {self.k}")
 
@@ -160,8 +161,7 @@ def monomial_exp(c: float, k: int) -> BuiltinFunction:
 def euler_partial_product(x: float, N: int) -> float:
     """prod_{n=1}^{N} cos(x / 2^n): the bisection product for sin(x)/x,
     for N from 1 to core.MAX_SAMPLES."""
-    check_real(x, "x")
-    check_integer(N, "N")
+    x, N = check_real(x, "x"), check_integer(N, "N")
     if not 1 <= N <= MAX_SAMPLES:
         raise ValueError(f"N must be from 1 to {MAX_SAMPLES}, got {N}")
     # ldexp(x, -n) rounds as x / 2**n does, and takes n past 1023, where
@@ -171,7 +171,7 @@ def euler_partial_product(x: float, N: int) -> float:
 
 def sinc(x: float) -> float:
     """sin(x)/x with the removable singularity handled by series."""
-    check_real(x, "x")
+    x = check_real(x, "x")
     if abs(x) < 1e-4:
         x2 = x * x
         return 1.0 - x2 / 6.0 + x2 * x2 / 120.0
@@ -189,13 +189,13 @@ def multiindex_bruteforce(f, S: IndexSet, r: float, x: float, N: int) -> float:
     Small scales only; pairs with core.log_partial_product as the two sides
     of the index-consolidation identity.
     """
-    check_real(x, "x")
-    check_integer(N, "N")
+    x, N = check_real(x, "x"), check_integer(N, "N")
     m = len(S)
     if m > _BRUTE_SET_MAX or N > _BRUTE_N_MAX:
         raise ValueError(
             f"brute-force scale exceeded: |S| <= {_BRUTE_SET_MAX}, N <= {_BRUTE_N_MAX}"
         )
+    r = _check_r(r)
     coeff = coefficient(S, r)
     terms = []
     for tup in itertools.product(range(1, N + 1), repeat=m):
@@ -244,7 +244,7 @@ def _log_of_series(a: list[float]) -> list[float]:
 
 def log_series_components(f: BuiltinFunction, K_max: int = 12) -> ComponentSeries:
     """c_1..c_{K_max} of log f, derived by truncated series arithmetic."""
-    check_integer(K_max, "K_max")
+    K_max = check_integer(K_max, "K_max")
     if not 0 <= K_max <= 12:
         raise ValueError(f"K_max must be from 0 to 12, got {K_max}")
     g = _log_of_series(_taylor_coefficients(f, K_max))
@@ -255,10 +255,13 @@ def truncated_invariance_closed_form(
     c: float, k: int, r: float, x: float, N: int
 ) -> float:
     """Exact log of the N-truncated order-k product of exp(c x^k):
-    c * x^k * (1 - r^(-k*N))."""
-    check_real(c, "c")
-    check_integer(k, "k")
-    _check_r(r)
-    check_real(x, "x")
-    check_integer(N, "N")
-    return c * x**k * (1.0 - r ** (-k * N))
+    c * x^k * (1 - r^(-k*N)). An overflow names the expression and its
+    arguments."""
+    c, k, r = check_real(c, "c"), check_integer(k, "k"), _check_r(r)
+    x, N = check_real(x, "x"), check_integer(N, "N")
+    try:
+        return c * x**k * (1.0 - r ** (-k * N))
+    except OverflowError as e:
+        raise OverflowError(
+            f"{e.args[-1]} for c * x**{k} * (1 - r**(-{k} * {N})) at c={c!r}, r={r!r}, x={x!r}"
+        ) from None

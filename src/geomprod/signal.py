@@ -521,7 +521,7 @@ def coverage_check(sig: SampledSignal, cfg: GmpConfig, x: float) -> CoverageRepo
     SequencePlan's farthest sample is its first, coeff * |x| / r^|S| for its
     first subset S, so one point per sequence is checked. Every sample of an
     x < 0 lies at t < 0, so no x < 0 is covered."""
-    check_real(x, "x")
+    x = check_real(x, "x")
     domain_end = sig.domain[1]
     if x == 0.0:
         return CoverageReport(True, 0.0, domain_end, math.inf)

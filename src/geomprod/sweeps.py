@@ -34,8 +34,8 @@ class SweepSpec:
 
     function must be a FunctionSource, callable with a signed_log (an
     oracle.BuiltinFunction is one), grid three real numbers and schedule an
-    iterable of real numbers, each kept as a tuple; a field that is not
-    fails as a ValueError naming it, before any config is built.
+    iterable of real numbers, each kept as a tuple of their floats; a field
+    that is not fails as a ValueError naming it, before any config is built.
     """
 
     function: FunctionSource
@@ -53,18 +53,15 @@ class SweepSpec:
         grid = _reals(self.grid, "grid")
         if len(grid) != 3:
             raise ValueError(f"grid must be three real numbers (start, stop, step), got {self.grid!r}")
-        object.__setattr__(self, "grid", grid)
         object.__setattr__(self, "schedule", _reals(self.schedule, "schedule"))
         self.configs  # built here, so a bad coupling, cutoff or ratio fails construction
-        if self.grid[2] <= 0:
+        start, stop, step = grid
+        if step <= 0:
             raise ValueError("grid step must be positive")
         # Checked on the float span, before any list is built: a grid like
-        # 0:1e9:1e-9 would otherwise allocate ~1e18 x values.
-        start, stop, step = self.grid
-        try:
-            span = (stop - start) / step + 0.5
-        except OverflowError:  # ints or Fractions whose span has no float
-            span = math.inf
+        # 0:1e9:1e-9 would otherwise allocate ~1e18 x values. The messages
+        # print the grid as given; its floats are kept once it passes.
+        span = (stop - start) / step + 0.5
         if not all(map(math.isfinite, (start, stop, step, span))):
             raise ValueError(f"grid {self.grid} must be finite, with a finite point count")
         if not span < MAX_ROWS // max(len(self.schedule), 1):
@@ -73,12 +70,9 @@ class SweepSpec:
                 f"the {MAX_ROWS}-row sweep cap"
             )
         # The last point can pass stop by half a step, and so leave the float range.
-        try:
-            finite = math.isfinite(start + max(math.floor(span), 0) * step)
-        except OverflowError:  # an exact last point past the float range
-            finite = False
-        if not finite:
+        if not math.isfinite(start + max(math.floor(span), 0) * step):
             raise ValueError(f"grid {self.grid} ends outside the float range")
+        object.__setattr__(self, "grid", grid)
 
     def n_max_for(self, r: float) -> int:
         return coupled_n_max(self.coupling, self.coupling_value, r, self.base)
@@ -92,23 +86,21 @@ class SweepSpec:
         )
 
     def grid_points(self) -> list[float]:
-        """start + i * step up to stop, each as a float: a grid of other
-        reals, Fractions say, is summed in their own arithmetic."""
+        """start + i * step up to stop, in float arithmetic."""
         start, stop, step = self.grid
         count = int(math.floor((stop - start) / step + 0.5)) + 1
-        return [float(start + i * step) for i in range(count)]
+        return [start + i * step for i in range(count)]
 
 
 def _reals(values, name: str) -> tuple:
-    """values as a tuple, once each is a real number; a ValueError names the
-    field `name` where one is not, or where values is not iterable."""
+    """values' floats (check_real) as a tuple; a ValueError names the field
+    `name` where one is no real number with a float, or where values is not
+    iterable."""
     try:
         values = tuple(values)
     except TypeError:
         raise ValueError(f"{name} must be an iterable of real numbers, got {values!r}") from None
-    for value in values:
-        check_real(value, f"each entry of {name}")
-    return values
+    return tuple([check_real(value, f"each entry of {name}") for value in values])
 
 
 class SweepRow(NamedTuple):

@@ -2,8 +2,11 @@
 argument by combinatorics.check_real, an integer argument by
 combinatorics.check_integer. A bad value ends in a ValueError that names
 the argument, never in a TypeError, AttributeError or IndexError from deep
-inside an estimate; a float, an int, a Fraction or a numpy scalar gives
-the float's result, and one past the float range has no float to give.
+inside an estimate. The checked value is the value used: check_real returns
+the float and check_integer the int, and the code past the entry computes
+with those and stores them. So a float, an int, a Fraction or a numpy
+scalar gives the float's result, repr and errors included, a numpy integer
+gives the int's, and a real past the float range has no float to give.
 Every callable the package exports has a row here, or a reason not to."""
 
 import re
@@ -18,8 +21,10 @@ import pytest
 import geomprod
 from geomprod.combinatorics import (
     IndexSet,
+    check_integer,
     check_real,
     compositions_bruteforce,
+    enumerate_subsets,
     factor_count,
     multiplicity,
 )
@@ -52,7 +57,7 @@ from geomprod.signal import (
     normalize,
     read_signal,
 )
-from geomprod.sweeps import SweepSpec, r_sweep
+from geomprod.sweeps import SweepSpec, grid_eval, r_sweep
 
 CFG = GmpConfig(r=2.0, n_max=10, base=IndexSet.of(1, 2))
 SIG = normalize([(t, 1.0 + 0.1 * t) for t in range(9)])
@@ -152,6 +157,8 @@ OTHER = [
     ("normalize b", lambda v: affine(0.0, v), None, "affine mode needs offset a and nonzero scale b"),
     ("IndexSet elements", IndexSet.of, 1.5, "index set elements must be positive integers"),
     ("IndexSet elements", IndexSet.of, "1", "index set elements must be positive integers"),
+    ("IndexSet elements", IndexSet, 5, "index set elements must be positive integers: 5"),
+    ("enumerate_subsets base", enumerate_subsets, 5, "base must be an IndexSet, got 5"),
 ]
 # None is affine mode's "not given", which OTHER refuses with the mode's message
 NOT_GIVEN = {"affine offset a", "affine scale b"}
@@ -208,7 +215,19 @@ GOOD = [
     ("BuiltinFunction c", lambda v: estimate(exp_scaled(v), 0.5, CFG), (1.0, 0.5)),
     ("cutoff_n_max K", lambda v: cutoff_n_max(v, 1.5), (32.0, 20.5)),
     ("r_sweep x", lambda v: r_sweep(COS, v, (2.0,), "fixed_n_max", 10, S), (1.0, 0.5)),
+    # r**1024 overflows at r = 2.0, and 1.5's 1100 powers are floats
+    ("GmpConfig r at n_max 1100",
+     lambda v: estimate(COS, 0.5, GmpConfig(r=v, n_max=1100, base=S)), (2.0, 1.5)),
 ]
+
+
+def outcome(call, value):
+    """The repr of call(value), or the type and message of the error it
+    raises: a Fraction or a numpy scalar kept past the entry shows in either."""
+    try:
+        return repr(call(value))
+    except (ValueError, ArithmeticError) as e:
+        return f"{type(e).__name__}: {e}"
 
 
 @pytest.mark.parametrize("call, floats", [g[1:] for g in GOOD], ids=[g[0] for g in GOOD])
@@ -217,7 +236,43 @@ def test_real_arguments_of_every_type_give_the_floats_result(call, floats):
     for value, same in [(integral, int(integral)), (integral, Fraction(integral)),
                         (integral, np.float64(integral)), (half, Fraction(half)),
                         (half, np.float64(half))]:
-        assert call(same) == call(value), (value, same)
+        assert outcome(call, same) == outcome(call, value), (value, same)
+
+
+# (argument, call, a valid int)
+GOOD_INTEGERS = [
+    ("GmpConfig n_max", lambda v: estimate(COS, 0.5, GmpConfig(r=2.0, n_max=v, base=S)), 10),
+    # plan_samples past the cap, which int64 arithmetic would wrap below 0
+    ("GmpConfig n_max over the cap",
+     lambda v: GmpConfig(r=2.0, n_max=v, base=IndexSet(range(1, 46))), 10**6),
+    ("monomial_exp k", lambda v: monomial_exp(0.5, v), 3),
+    ("sequence_point n", lambda v: sequence_point(S, 2.0, 0.5, v), 3),
+    ("pollution_exponent k", lambda v: pollution_exponent(1, v, 2.0), 2),
+    ("truncated_invariance_closed_form N",
+     lambda v: truncated_invariance_closed_form(0.5, 2, 2.0, 0.5, v), 5),
+]
+
+
+@pytest.mark.parametrize("call, integer", [g[1:] for g in GOOD_INTEGERS],
+                         ids=[g[0] for g in GOOD_INTEGERS])
+def test_integer_arguments_of_every_type_give_the_ints_result(call, integer):
+    for same in (np.int64(integer), np.int32(integer)):
+        assert outcome(call, same) == outcome(call, integer), same
+
+
+def test_entries_store_the_checked_float_and_int():
+    cfg = GmpConfig(r=Fraction(3, 2), n_max=np.int64(10), base=IndexSet.of(np.int64(1), 2))
+    f = monomial_exp(np.float64(0.5), np.int64(2))
+    est = estimate(f, Fraction(1, 2), cfg)
+    spec = sweep_spec(grid=(0, Fraction(1, 2), Fraction(1, 2)), schedule=(Fraction(3, 2),),
+                      coupling_value=np.int64(10))
+    rows = grid_eval(spec)
+    floats = [cfg.r, f.c, est.x, *spec.grid, *spec.schedule, *(row.x for row in rows),
+              *(row.r for row in rows)]
+    ints = [cfg.n_max, f.k, *cfg.base, *(row.n_max for row in rows)]
+    assert {type(v) for v in floats} == {float}
+    assert {type(v) for v in ints} == {int}
+    assert IndexSet.of(True) == (1,) and str(IndexSet.of(True)) == "{1}"
 
 
 def test_check_real():
@@ -228,6 +283,12 @@ def test_check_real():
             check_real(value, "v")
 
 
+def test_check_integer_returns_the_int():
+    for value, expected in ((3, 3), (True, 1), (np.int64(3), 3), (np.uint8(7), 7)):
+        checked = check_integer(value, "n")
+        assert type(checked) is int and checked == expected, value
+
+
 # Exports that take no number of their own, each set with its reason.
 # Records the package returns, or that a checked constructor takes whole.
 RECORDS = {"ComponentSeries", "CoverageReport", "Estimate", "ForecastResult", "LogProduct",
@@ -235,9 +296,9 @@ RECORDS = {"ComponentSeries", "CoverageReport", "Estimate", "ForecastResult", "L
 # Error classes: their arguments are the parts of a message.
 ERRORS = {"DomainCoverageError", "GeomprodError", "NonPositiveSampleError", "NormalizationError",
           "SignalFormatError", "ZeroSampleError"}
-# A path (refused unless os.fspath takes it), a SweepSpec, SweepRows or an
-# IndexSet, each checked where it is made.
-NO_NUMBER = {"load_csv", "grid_eval", "rows_to_csv", "enumerate_subsets"}
+# A path (refused unless os.fspath takes it), a SweepSpec or SweepRows,
+# each checked where it is made.
+NO_NUMBER = {"load_csv", "grid_eval", "rows_to_csv"}
 
 
 def test_every_export_has_a_row_or_a_reason():

@@ -240,6 +240,12 @@ class TestTruncatedInvariance:
         with pytest.raises(ValueError, match="ratio r must exceed 1"):
             truncated_invariance_closed_form(1.0, 2, r, 1.0, 5)
 
+    def test_overflow_names_the_expression_and_its_arguments(self):
+        message = ("Numerical result out of range for c * x**2 * (1 - r**(-2 * 5)) "
+                   "at c=1.0, r=2.0, x=1e+200")
+        with pytest.raises(OverflowError, match=f"^{re.escape(message)}$"):
+            truncated_invariance_closed_form(1.0, 2, 2.0, 1e200, 5)
+
     def test_matches_partial_product(self):
         for c in (-1.0, 0.3):
             for k in (1, 3, 6):

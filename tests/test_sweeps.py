@@ -268,9 +268,9 @@ class TestCsvOutput:
         assert float(cell) == SQRT2
 
     def test_fraction_grid_prints_floats(self):
-        # x is written as a 17-digit float, never as str(Fraction)
+        # x and r are written as 17-digit floats, never as str(Fraction)
         exact = SweepSpec(function=COS, grid=(Fraction(0), Fraction(1), Fraction(1, 3)),
-                          schedule=(1.5,), coupling="fixed_n_max",
+                          schedule=(Fraction(3, 2),), coupling="fixed_n_max",
                           coupling_value=10, base=IndexSet.of(2, 4))
         rounded = SweepSpec(function=COS, grid=(0.0, 1.0, 1 / 3), schedule=(1.5,),
                             coupling="fixed_n_max", coupling_value=10, base=IndexSet.of(2, 4))
