@@ -30,18 +30,18 @@ MAX_SAMPLES = 10**6
 class FunctionSource(Protocol):
     """Anything the estimator can sample.
 
-    For each sequence of the plan (see SequencePlan) the estimator takes
-    (logs, negatives): log|f| at its points and the positions where f < 0.
-
     signed_log(x) returns (sign, log|f(x)|), and the estimator calls it once
     per sample of each subset unless the source defines log_batch(points).
-    That takes a lazy iterable of sample points on one geometric sequence,
-    in signed_log's order, and returns the pair in one call; its values must
-    equal signed_log's to the bit. An estimate calls log_batch once per
-    sequence it keeps, over every point of it, and weighs each point once,
-    by the sequence's merged weight. A ValueError or ArithmeticError, from
-    any log_batch call or from summing the logs, or a non-finite sum, hands
-    the whole estimate to signed_log, which raises every typed error:
+    That takes a lazy iterable of sample points on one geometric sequence
+    (see SequencePlan), in signed_log's order, and returns a lazy iterable
+    of log f at them, for f > 0 only; its values must equal signed_log's to
+    the bit. It reports no sign: every sign comes from signed_log. An
+    estimate calls log_batch once per sequence it keeps, over every point
+    of it, and weighs each point once, by the sequence's merged weight, with
+    sign +1. A ValueError or ArithmeticError, from any log_batch call, from
+    taking its logs (math.log raises ValueError at a value <= 0) or from
+    summing them, or a non-finite sum, hands the whole estimate to
+    signed_log, which takes the sign and raises every typed error:
     ZeroSampleError for f(x) == 0, and for a signal NonPositiveSampleError
     and DomainCoverageError as well. A point whose merged weight is 0 is
     still evaluated, so it still raises.
@@ -51,7 +51,7 @@ class FunctionSource(Protocol):
     the calls at their own points only to raise the same errors in the
     same order and to keep one call per sample: the benchmark counts the
     samples by those calls (46,640 per Fig-2 pass). Dropping the repeats
-    waits until it counts them another way (ROADMAP items 3 and 11).
+    waits until it counts them another way (ROADMAP item 12).
 
     The estimator never calls __call__(x), f(x) itself: the sweep's
     reference column does, and so does a signal's own signed_log. A source
@@ -184,14 +184,15 @@ def _check_r(r: float) -> float:
     return ratio
 
 
-def _powers(r: float, exponents) -> list[float]:
-    """r**n for each n in exponents, in order; an overflow names r and n."""
+def _powers(r: float, exponents, name: str = "r") -> list[float]:
+    """r**n for each n in exponents, in order; an overflow names the base
+    (as `name`), its value and n."""
     powers = []
     for n in exponents:
         try:
             powers.append(r**n)
         except OverflowError as e:
-            raise OverflowError(f"{e.args[-1]} for r**{n} at r={r!r}") from None
+            raise OverflowError(f"{e.args[-1]} for {name}**{n} at {name}={r!r}") from None
     return powers
 
 
@@ -265,14 +266,16 @@ def _logs(values):
     return itertools.starmap(math.log, zip(values))
 
 
-def _signed_logs(f: FunctionSource, S: IndexSet, r_pows, scaled_x: float) -> tuple[list, list]:
-    """(logs, negatives) through f.signed_log, one call per sample: log|f| at
-    S's samples scaled_x / r**n, for r**n in r_pows, and the positions where
-    f < 0. A GeomprodError or an ArithmeticError keeps its type and gains
-    the sample's [subset S, n=…]; an ArithmeticError, which names no sample,
-    gains its abscissa too."""
+def _signed_logs(f: FunctionSource, S: IndexSet, r_pows, scaled_x: float) -> tuple[list, int]:
+    """(logs, odd) through f.signed_log, one call per sample: log|f| at S's
+    samples scaled_x / r**n, for r**n in r_pows, and the count of the values
+    f < 0 at odd weights. By Lucas's theorem the weight of S's i-th sample,
+    counted from 0, binom(|S|-1+i, |S|-1), is odd exactly when
+    i & (|S|-1) == 0. A GeomprodError or an ArithmeticError keeps its type
+    and gains the sample's [subset S, n=…]; an ArithmeticError, which names
+    no sample, gains its abscissa too."""
     logs = []
-    negatives = []
+    odd = 0
     try:
         # A for loop, not map: the note below needs the failing sample's
         # index and abscissa.
@@ -280,27 +283,26 @@ def _signed_logs(f: FunctionSource, S: IndexSet, r_pows, scaled_x: float) -> tup
             point = scaled_x / r_n
             s, log_f = f.signed_log(point)
             if s < 0:
-                negatives.append(len(logs))
+                odd += not len(logs) & (len(S) - 1)
             logs.append(log_f)
     except (GeomprodError, ArithmeticError) as e:
         n = len(S) + len(logs)  # one log per sample before the failing one
         at = "" if isinstance(e, GeomprodError) else f" at sample abscissa {point!r}"
         e.args = (f"{e.args[-1] if e.args else ''}{at} [subset {S}, n={n}]",)
         raise
-    return logs, negatives
+    return logs, odd
 
 
 def _products(f: FunctionSource, batch, plans, x: float, odd: list):
     """For each plan, its merged weights times log|f| at its points,
-    lazily; the logs as they are where every weight is +1.0. odd gains the
-    count of the negative values at odd weights, summed over the plan's
-    subsets: by Lucas's theorem the weight of S's i-th sample, counted from
-    0, binom(|S|-1+i, |S|-1), is odd exactly when i & (|S|-1) == 0, and W's
-    parity is the parity of that count. With batch (f.log_batch) each plan
-    takes one call over its points; without it, _signed_logs takes one call
-    per sample of each subset, and the first subset's logs, which cover
-    every point, are the ones weighed. A plan whose coeff * x is not finite
-    fails before its samples are taken."""
+    lazily; the logs as they are where every weight is +1.0. With batch
+    (f.log_batch) each plan takes one call over its points, which yields
+    log f for f > 0 only. Without it, _signed_logs takes one call per
+    sample of each subset, the first subset's logs, which cover every
+    point, are the ones weighed, and odd gains each subset's count of
+    negative values at odd weights; W's parity is the parity of their sum.
+    A plan whose coeff * x is not finite fails before its samples are
+    taken."""
     for plan in plans:
         scaled_x = plan.coeff * x  # coeff * x / r**n, in the formula's own order
         first = plan.subsets[0]
@@ -308,15 +310,12 @@ def _products(f: FunctionSource, batch, plans, x: float, odd: list):
             raise GeomprodError(
                 f"sample point coeff * x is not finite for subset {first} at x={x}")
         if batch is not None:
-            logs, negatives = batch(map(operator.truediv, itertools.repeat(scaled_x), plan.r_pows))
-        else:
-            logs, negatives = _signed_logs(f, first, plan.r_pows, scaled_x)
-            for S in plan.subsets[1:]:  # see FunctionSource: the same calls, errors and order
-                _signed_logs(f, S, plan.r_pows[len(S) - len(first):], scaled_x)
-        if negatives:
-            for S in plan.subsets:
-                skip = len(S) - len(first)  # the sequence's points before S's first
-                odd.append(sum(not (i - skip) & (len(S) - 1) for i in negatives if i >= skip))
+            logs = batch(map(operator.truediv, itertools.repeat(scaled_x), plan.r_pows))
+        else:  # see FunctionSource: one call per sample of each subset, in order
+            runs = [_signed_logs(f, S, plan.r_pows[len(S) - len(first):], scaled_x)
+                    for S in plan.subsets]
+            logs = runs[0][0]
+            odd.extend(count for _, count in runs)
         # a lone subset's |w| rises from 1, so its last weight tells
         unit = len(plan.subsets) == 1 and plan.weights[-1] == 1.0
         yield logs if unit else map(operator.mul, logs, plan.weights)
@@ -325,18 +324,19 @@ def _products(f: FunctionSource, batch, plans, x: float, odd: list):
 def _quotient(f: FunctionSource, x: float, plans) -> tuple[float, int]:
     """(log_value, sign) of the quotient over `plans`: one math.fsum over
     every plan's _products, one product per point, so the sum is rounded
-    once; the quotient is negative when the negatives at odd weights are odd
-    in number. If log_batch gives up anywhere (a ValueError, an
-    ArithmeticError or a non-finite sum), the whole pass reruns through
-    _signed_logs, which raises the typed errors."""
+    once. Through log_batch every value is positive, so the sign is +1. If
+    log_batch gives up anywhere (a ValueError, which a value <= 0 raises in
+    math.log, an ArithmeticError or a non-finite sum), the whole pass reruns
+    through _signed_logs, which raises the typed errors and takes the sign:
+    the quotient is negative when the negatives at odd weights are odd in
+    number."""
     batch = getattr(f, "log_batch", None)
     if batch is not None:
-        odd = []
         try:
             log_value = math.fsum(itertools.chain.from_iterable(
-                _products(f, batch, plans, x, odd)))
+                _products(f, batch, plans, x, [])))
             if math.isfinite(log_value):
-                return log_value, -1 if sum(odd) & 1 else 1
+                return log_value, 1
         except (ValueError, ArithmeticError):
             pass
     odd = []

@@ -15,57 +15,53 @@ from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
 from .combinatorics import IndexSet, check_integer, check_real
-from .core import MAX_SAMPLES, _check_r, _logs, coefficient
+from .core import MAX_SAMPLES, _check_r, _logs, _powers, coefficient
 
 
-def _log_abs_batch(values: list[float]):
-    """(log|v| for each value, the positions of the negative values), for
-    values of either sign. A block with every value positive takes its logs
-    directly. log(0.0) raises ValueError, so a zero from a user source that
-    uses this hands the subset to that source's own signed_log; cos, the
-    builtin that uses it, has no zero at any float."""
-    if min(values) > 0.0:
-        return _logs(values), ()
-    negatives = list(itertools.compress(
-        itertools.count(), map(operator.lt, values, itertools.repeat(0.0))))
-    return _logs(map(abs, values)), negatives
-
-
-def _cos_log_batch(c: float, k: int, points):
-    return _log_abs_batch(list(map(math.cos, points)))
+def _cos_signed_log(c: float, k: int, x: float) -> tuple[int, float]:
+    """cos's (sign, log|cos x|) at one point: its batch's log where cos x > 0,
+    bit for bit. cos has no zero at any float, so log sees no 0.0."""
+    v = math.cos(x)
+    return (-1 if v < 0.0 else 1), math.log(abs(v))
 
 
 class _Tag(NamedTuple):
     """What one builtin tag computes, as plain functions of its c and k.
-    Its log is written once, as log_batch; signed_log reads it at one point."""
+    Its log is written once, as log_batch, which is lazy and holds log f
+    where f > 0 only (math.log raises ValueError at a value <= 0). A tag
+    whose f is positive everywhere leaves signed_log None, and
+    BuiltinFunction.signed_log reads log_batch at one point with sign +1;
+    a tag that can be negative (cos) gives its own signed form."""
 
     value: Callable  # (c, k, x) -> f(x)
-    log_batch: Callable  # (c, k, points) -> (log|f| at each point, positions where f < 0)
+    log_batch: Callable  # (c, k, points) -> log f at each point, lazily
     even: Callable  # k -> whether f is even
     label: Callable  # (c, k) -> str(f)
     taylor: Callable  # (c, k, K_max) -> (n, a_n) pairs of f's Taylor series; other a_n are 0
+    signed_log: Callable | None = None  # (c, k, x) -> (sign, log|f(x)|), where f can be < 0
 
 
 _TAGS = {
     "one": _Tag(
         value=lambda c, k, x: 1.0,
-        log_batch=lambda c, k, points: ((0.0 for _ in points), ()),
+        log_batch=lambda c, k, points: (0.0 for _ in points),
         even=lambda k: True,
         label=lambda c, k: "one",
         taylor=lambda c, k, K_max: (),
     ),
     "cos": _Tag(
         value=lambda c, k, x: math.cos(x),
-        log_batch=_cos_log_batch,
+        log_batch=lambda c, k, points: _logs(map(math.cos, points)),
         even=lambda k: True,
         label=lambda c, k: "cos",
         taylor=lambda c, k, K_max: (
             (2 * m, (-1) ** m / math.factorial(2 * m)) for m in range(1, K_max // 2 + 1)
         ),
+        signed_log=_cos_signed_log,
     ),
     "exp_scaled": _Tag(
         value=lambda c, k, x: math.exp(c * x),
-        log_batch=lambda c, k, points: (map(operator.mul, itertools.repeat(c), points), ()),
+        log_batch=lambda c, k, points: map(operator.mul, itertools.repeat(c), points),
         even=lambda k: False,
         label=lambda c, k: f"exp_scaled(c={c})",
         taylor=lambda c, k, K_max: (
@@ -74,8 +70,8 @@ _TAGS = {
     ),
     "half_sin_shifted": _Tag(
         value=lambda c, k, x: 1.0 + 0.5 * math.sin(x),
-        log_batch=lambda c, k, points: (map(
-            math.log1p, map(operator.mul, itertools.repeat(0.5), map(math.sin, points))), ()),
+        log_batch=lambda c, k, points: map(
+            math.log1p, map(operator.mul, itertools.repeat(0.5), map(math.sin, points))),
         even=lambda k: False,
         label=lambda c, k: "half_sin_shifted",
         taylor=lambda c, k, K_max: (
@@ -85,8 +81,8 @@ _TAGS = {
     ),
     "monomial_exp": _Tag(
         value=lambda c, k, x: math.exp(c * x**k),
-        log_batch=lambda c, k, points: (map(
-            operator.mul, itertools.repeat(c), map(pow, points, itertools.repeat(k))), ()),
+        log_batch=lambda c, k, points: map(
+            operator.mul, itertools.repeat(c), map(pow, points, itertools.repeat(k))),
         even=lambda k: k % 2 == 0,
         label=lambda c, k: f"monomial_exp(c={c}, k={k})",
         taylor=lambda c, k, K_max: (
@@ -103,12 +99,15 @@ class BuiltinFunction:
     Tags: 'one', 'cos', 'exp_scaled' (exp(c*x)), 'half_sin_shifted'
     (1 + sin(x)/2), 'monomial_exp' (exp(c*x^k)).
 
-    log_batch(points) returns log|f| at each point and the positions where
-    f < 0 (see core.FunctionSource), computed without under/overflow for the
-    exponential tags: the estimator evaluates each subset's samples in one
-    pass of C-level maps. signed_log(x) is its value at one point, so the
-    two agree by construction. c is kept as its float and, for
-    'monomial_exp', k as its int, the values their checks return.
+    log_batch(points) lazily maps log f over the points, for f > 0 only
+    (see core.FunctionSource), computed without under/overflow for the
+    exponential tags: the estimator evaluates each sequence's samples in one
+    pass of C-level maps. cos's batch raises ValueError where it meets a
+    value < 0. signed_log(x) is (sign, log|f(x)|): for cos its own signed
+    form, for every other tag (f > 0 everywhere) log_batch at the one point
+    with sign +1, so the two agree to the bit wherever f > 0. c is kept as
+    its float and, for 'monomial_exp', k as its int, the values their
+    checks return.
     """
 
     tag: str
@@ -134,9 +133,10 @@ class BuiltinFunction:
         return _TAGS[self.tag].value(self.c, self.k, x)
 
     def signed_log(self, x: float) -> tuple[int, float]:
-        logs, negatives = self.log_batch((x,))
-        (log_f,) = logs
-        return (-1 if negatives else 1), log_f
+        tag = _TAGS[self.tag]
+        if tag.signed_log is not None:
+            return tag.signed_log(self.c, self.k, x)
+        return 1, *tag.log_batch(self.c, self.k, (x,))
 
     def log_batch(self, points):
         return _TAGS[self.tag].log_batch(self.c, self.k, points)
@@ -214,7 +214,9 @@ class ComponentSeries(NamedTuple):
     coefficients: tuple[float, ...]
 
     def log_f(self, x: float) -> float:
-        return math.fsum(c * x**k for k, c in enumerate(self.coefficients, start=1))
+        """sum of c_k x**k at x's float (check_real); an overflow names the power."""
+        powers = _powers(check_real(x, "x"), range(1, len(self.coefficients) + 1), "x")
+        return math.fsum(map(operator.mul, self.coefficients, powers))
 
     def f(self, x: float) -> float:
         return math.exp(self.log_f(x))

@@ -16,6 +16,7 @@ import math
 import numbers
 import operator
 import os
+import reprlib
 from bisect import bisect_right
 from fractions import Fraction
 from typing import NamedTuple
@@ -34,16 +35,17 @@ MIN_POINTS = 4
 
 
 class Normalization(NamedTuple):
-    """Affine record: stored = offset + scale * raw."""
+    """Affine record: stored = offset + scale * raw. apply and invert take
+    their number's float (check_real)."""
 
     offset: float
     scale: float
 
     def apply(self, raw: float) -> float:
-        return self.offset + self.scale * raw
+        return self.offset + self.scale * check_real(raw, "raw")
 
     def invert(self, stored: float) -> float:
-        return (stored - self.offset) / self.scale
+        return (check_real(stored, "stored") - self.offset) / self.scale
 
 
 def load_csv(path) -> list[tuple[float, float]]:
@@ -386,10 +388,11 @@ class SampledSignal:
 
     def log_batch(self, points):
         """signed_log's batch form (see core.FunctionSource): log v at each
-        point, and no negatives. A point outside [0, t_last] (the interpolant's
-        check) or a value v <= 0 (math.log's) raises ValueError, and the
-        estimator's signed_log calls then raise the typed error."""
-        return _logs(self._interp.values(points)), ()
+        point, lazily. A point outside [0, t_last] (the interpolant's check,
+        on the call) or a value v <= 0 (math.log's, as the logs are taken)
+        raises ValueError, and the estimator's signed_log calls then raise
+        the typed error."""
+        return _logs(self._interp.values(points))
 
 
 def normalize(
@@ -404,7 +407,9 @@ def normalize(
     (stored = a + b*raw, with real numbers a and b; must map the first value
     to 1), 'none' (raw values must already start at 1).
 
-    A series needs two or more rows, and every entry of a row must be a
+    raw is any iterable of (t, value) pairs, read once; anything else, a
+    row that is no pair included, is a ValueError that names raw. A series
+    needs two or more rows, and every entry of a row must be a
     real number that has a float (_floats' rule, which is check_real's), or
     a ValueError names abscissas or values before any arithmetic on them.
     Values are then scaled as floats. Times shift in Python's own
@@ -413,7 +418,11 @@ def normalize(
     equals, and any other real its float. Then the series takes the checks
     of read_signal's general path, in its order.
     """
-    ts, vs = [t for t, _ in raw], [v for _, v in raw]
+    try:  # a TypeError for no iterable, a ValueError for a row of other length
+        rows = list(raw)
+        ts, vs = [t for t, _ in rows], [v for _, v in rows]
+    except (TypeError, ValueError):
+        raise ValueError(f"raw must be (t, value) pairs, got {reprlib.repr(raw)}") from None
     if len(ts) < 2:
         raise ValueError("need two or more abscissas and one value for each")
     floats, vs = _floats(ts, "abscissas"), _floats(vs, "values")

@@ -63,6 +63,7 @@ CFG = GmpConfig(r=2.0, n_max=10, base=IndexSet.of(1, 2))
 SIG = normalize([(t, 1.0 + 0.1 * t) for t in range(9)])
 S = IndexSet.of(1, 2)
 NORM = Normalization(0.0, 1.0)
+SERIES = log_series_components(COS, 8)
 
 
 def sweep_spec(**fields):
@@ -122,6 +123,10 @@ REAL = [
     ("monomial_exp c", lambda v: monomial_exp(v, 2), "function constant c"),
     ("read_signal a", lambda v: read_affine(v, 0.5), "affine offset a"),
     ("read_signal b", lambda v: read_affine(0.0, v), "affine scale b"),
+    ("ComponentSeries.log_f x", lambda v: SERIES.log_f(v), "x"),
+    ("ComponentSeries.f x", lambda v: SERIES.f(v), "x"),
+    ("Normalization.apply raw", lambda v: NORM.apply(v), "raw"),
+    ("Normalization.invert stored", lambda v: NORM.invert(v), "stored"),
 ]
 INTEGER = [
     ("sequence_point n", lambda v: sequence_point(S, 2.0, 0.5, v), "n"),
@@ -159,6 +164,11 @@ OTHER = [
     ("IndexSet elements", IndexSet.of, "1", "index set elements must be positive integers"),
     ("IndexSet elements", IndexSet, 5, "index set elements must be positive integers: 5"),
     ("enumerate_subsets base", enumerate_subsets, 5, "base must be an IndexSet, got 5"),
+    ("normalize raw", normalize, 5, "raw must be (t, value) pairs, got 5"),
+    ("normalize raw", normalize, [1.0, 2.0, 3.0],
+     "raw must be (t, value) pairs, got [1.0, 2.0, 3.0]"),
+    ("normalize raw", normalize, [(0, 1, 2), (1, 2, 3)],
+     "raw must be (t, value) pairs, got [(0, 1, 2), (1, 2, 3)]"),
 ]
 # None is affine mode's "not given", which OTHER refuses with the mode's message
 NOT_GIVEN = {"affine offset a", "affine scale b"}
@@ -215,6 +225,10 @@ GOOD = [
     ("BuiltinFunction c", lambda v: estimate(exp_scaled(v), 0.5, CFG), (1.0, 0.5)),
     ("cutoff_n_max K", lambda v: cutoff_n_max(v, 1.5), (32.0, 20.5)),
     ("r_sweep x", lambda v: r_sweep(COS, v, (2.0,), "fixed_n_max", 10, S), (1.0, 0.5)),
+    ("ComponentSeries.log_f x", lambda v: SERIES.log_f(v), (1.0, 0.5)),
+    ("ComponentSeries.f x", lambda v: SERIES.f(v), (1.0, 0.5)),
+    ("Normalization.apply raw", lambda v: Normalization(0.5, 3.0).apply(v), (1.0, 0.5)),
+    ("Normalization.invert stored", lambda v: Normalization(0.5, 3.0).invert(v), (1.0, 0.5)),
     # r**1024 overflows at r = 2.0, and 1.5's 1100 powers are floats
     ("GmpConfig r at n_max 1100",
      lambda v: estimate(COS, 0.5, GmpConfig(r=v, n_max=1100, base=S)), (2.0, 1.5)),
@@ -290,7 +304,8 @@ def test_check_integer_returns_the_int():
 
 
 # Exports that take no number of their own, each set with its reason.
-# Records the package returns, or that a checked constructor takes whole.
+# Records the package returns, or that a checked constructor takes whole;
+# a record method that takes a number (ComponentSeries.f, say) has a row.
 RECORDS = {"ComponentSeries", "CoverageReport", "Estimate", "ForecastResult", "LogProduct",
            "Normalization", "SequencePlan", "SweepRow"}
 # Error classes: their arguments are the parts of a message.

@@ -14,6 +14,7 @@ from geomprod.combinatorics import IndexSet, enumerate_subsets, multiplicity
 from geomprod.core import (
     GmpConfig,
     SequencePlan,
+    _logs,
     _products,
     _quotient,
     _sequence_plans,
@@ -25,7 +26,7 @@ from geomprod.core import (
     sequence_point,
 )
 from geomprod.errors import GeomprodError, ZeroSampleError
-from geomprod.oracle import COS, HALF_SIN_SHIFTED, ONE, _log_abs_batch, exp_scaled, monomial_exp
+from geomprod.oracle import COS, HALF_SIN_SHIFTED, ONE, exp_scaled, monomial_exp
 from geomprod.signal import _Pchip, normalize
 from geomprod.sweeps import DEFAULT_SCHEDULE, SweepSpec, grid_eval
 
@@ -76,28 +77,38 @@ def _same_through_both(fn, f, *args):
 
 
 class _CountingBatch:
-    """A source whose log_batch counts the points it is asked for."""
+    """A source whose log_batch counts the points it is asked for and the
+    blocks it gives up on (a ValueError as its logs are taken), and whose
+    signed_log counts its calls."""
 
     def __init__(self, inner):
         self.inner = inner
-        self.points = 0
+        self.points = self.give_ups = self.calls = 0
 
     def __call__(self, x):
         return self.inner(x)
 
     def signed_log(self, x):
+        self.calls += 1
         return self.inner.signed_log(x)
 
     def log_batch(self, points):
         points = list(points)
         self.points += len(points)
-        return self.inner.log_batch(points)
+        return self._logs(points)
+
+    def _logs(self, points):
+        try:
+            yield from self.inner.log_batch(points)
+        except ValueError:
+            self.give_ups += 1
+            raise
 
 
 class _CosMinus:
     """cos(t) - cos(a): exactly 0 at t = a and negative where cos(t) <
-    cos(a), with the cos builtin's log_batch over its values (cos itself is
-    never exactly 0 at a float)."""
+    cos(a), with a log_batch that, like the cos builtin's, gives up at a
+    value <= 0 (cos itself is never exactly 0 at a float)."""
 
     def __init__(self, a):
         self.level = math.cos(a)
@@ -112,7 +123,7 @@ class _CosMinus:
         return (1 if v > 0 else -1), math.log(abs(v))
 
     def log_batch(self, points):
-        return _log_abs_batch([math.cos(t) - self.level for t in points])
+        return _logs([math.cos(t) - self.level for t in points])
 
 
 _CONSTANTS = st.floats(-1e3, 1e3) | st.floats(-1e300, 1e300)
@@ -265,7 +276,9 @@ def _shared_cases(draw):
 
 class TestSequenceRecords:
     """Each SequencePlan takes one log_batch call over its points, and a
-    scalar source still one signed_log call per sample of each subset."""
+    scalar source still one signed_log call per sample of each subset. A
+    negative cos sample makes the batch give up, and the pass reruns
+    through signed_log, one call per sample like the scalar source."""
 
     @given(_shared_cases())
     @settings(max_examples=60, deadline=None)
@@ -283,7 +296,11 @@ class TestSequenceRecords:
             kept = [[S for S in p.subsets if k in (None, S[-1])] for p in cfg.plan]
             # a record cut to its kept subsets runs from its first kept one;
             # subset S has n_max - |S| + 1 samples
-            assert batch.points == (sum(cfg.n_max - len(p[0]) + 1 for p in kept if p) if x else 0)
+            if batch.give_ups:
+                assert batch.give_ups == 1 and batch.calls == scalar.calls
+            else:
+                assert batch.points == (sum(cfg.n_max - len(p[0]) + 1 for p in kept if p) if x else 0)
+                assert batch.calls == 0
             assert scalar.calls == (sum(cfg.n_max - len(S) + 1 for p in kept for S in p) if x else 0)
             if k is None:
                 assert scalar.calls == (plan_samples(len(cfg.base), cfg.n_max) if x else 0)
@@ -302,8 +319,8 @@ def _exact_weights(plan: SequencePlan, n_max: int) -> list[int]:
 
 
 class _NegativeAt:
-    """1 + sin(t)/2, reported negative at the given points, through both
-    signed_log and log_batch."""
+    """1 + sin(t)/2 through signed_log alone, reported negative at the given
+    points: a source with a negative value takes its signs from signed_log."""
 
     def __init__(self, points):
         self.points = set(points)
@@ -313,11 +330,6 @@ class _NegativeAt:
 
     def signed_log(self, t):
         return (-1 if t in self.points else 1), HALF_SIN_SHIFTED.signed_log(t)[1]
-
-    def log_batch(self, points):
-        points = list(points)
-        return ([HALF_SIN_SHIFTED.signed_log(p)[1] for p in points],
-                [i for i, p in enumerate(points) if p in self.points])
 
 
 def _point(plan: SequencePlan, x: float, i: int) -> float:
@@ -361,8 +373,9 @@ class TestMergedRecords:
         assert shared.weights[:4] == (1.0, 0.0, -1.0, -2.0)
         f = _NegativeAt(_point(shared, 1.5, i) for i in positions)
         want = -1 if sum(_exact_weights(shared, 12)[i] for i in positions) % 2 else 1
-        _same_through_both(estimate, f, 1.5, cfg)
-        assert estimate(f, 1.5, cfg).sign == want
+        est = estimate(f, 1.5, cfg)
+        assert est.sign == want
+        assert repr(est.log_value) == repr(estimate(HALF_SIN_SHIFTED, 1.5, cfg).log_value)
 
     def test_sign_past_2_to_53(self):
         # even and odd merged weights past 2**53, where float(W) is even
@@ -374,7 +387,9 @@ class TestMergedRecords:
         for positions in (odd[:1], even[:1], odd[:2], odd[:1] + even, odd + even[:1]):
             f = _NegativeAt(_point(p, 1.5, i) for i in positions)
             want = -1 if sum(_BIG_EXACT[i] for i in positions) % 2 else 1
-            assert _quotient(f, 1.5, _BIG)[1] == _quotient(_SignedLogOnly(f), 1.5, _BIG)[1] == want
+            log_value, sign = _quotient(f, 1.5, _BIG)
+            assert sign == want
+            assert repr(log_value) == repr(_quotient(HALF_SIN_SHIFTED, 1.5, _BIG)[0])
 
     def test_source_failing_only_at_a_zero_weight_raises(self):
         # the shared {2},{1,2} sequence of Fig 2 at n = 2, where W = 0
@@ -417,17 +432,16 @@ class TestMergedRecords:
 
 
 class _LastLogs:
-    """A builtin whose log_batch hands out its logs as a list and keeps the
-    last one it handed out."""
+    """A builtin whose log_batch hands out its signed_log logs, log|f| at
+    each point, as a list and keeps the last one it handed out."""
 
     def __init__(self, inner):
         self.inner = inner
         self.last = None
 
     def log_batch(self, points):
-        logs, negatives = self.inner.log_batch(points)
-        self.last = list(logs)
-        return self.last, negatives
+        self.last = [self.inner.signed_log(p)[1] for p in points]
+        return self.last
 
 
 class TestSampledSignalBatch:
@@ -436,9 +450,8 @@ class TestSampledSignalBatch:
 
     def test_equals_signed_log(self):
         points = [sequence_point(IndexSet.of(2, 3), 2.0, 3.9, n) for n in range(2, 41)]
-        logs, negatives = self.SIG.log_batch(iter(points))
+        logs = self.SIG.log_batch(iter(points))
         assert [repr(v) for v in logs] == [repr(self.SIG.signed_log(p)[1]) for p in points]
-        assert list(negatives) == []
 
     @pytest.mark.parametrize("points", [[4.5, 2.0, 1.0], [-1.0, -0.5], [4.0, math.nan]])
     def test_block_out_of_range(self, points):
@@ -458,7 +471,7 @@ class TestSampledSignalBatch:
         sig = normalize([(0.0, 1.0), (0.5, 0.5), (1.0, 2.0), (4.0, 3.0)])
         sig._interp = _Pchip((0.0, 0.5, 1.0, 4.0), (1.0, 0.5, 0.0, -3.0))
         with pytest.raises(ValueError):
-            list(sig.log_batch([x / 2.0, x / 4.0])[0])
+            list(sig.log_batch([x / 2.0, x / 4.0]))
         out = _same_through_both(estimate, sig, x, GmpConfig(r=2.0, n_max=12, base=IndexSet.of(1, 2)))
         assert out.startswith(f"(<class 'geomprod.errors.{error}'>")
 
@@ -484,7 +497,7 @@ class _UnitLogs:
         return 1, _NoMultiply(HALF_SIN_SHIFTED.signed_log(t)[1])
 
     def log_batch(self, points):
-        return [self.signed_log(p)[1] for p in points], ()
+        return [self.signed_log(p)[1] for p in points]
 
 
 class TestUnitWeights:
@@ -504,23 +517,18 @@ class TestUnitWeights:
         assert repr(lp.log_value) == repr(math.fsum(logs))
 
 
-class _Marked:
-    """1 + sin(t)/2 through log_batch, with the values at the given
-    positions of each block reported negative."""
-
-    def __init__(self, negatives):
-        self.negatives = negatives
-
-    def log_batch(self, points):
-        return [HALF_SIN_SHIFTED.signed_log(p)[1] for p in points], self.negatives
-
-
 # A 10-element S at n_max 300 has 291 samples with weights C(n-1, 9) up to
 # C(299, 9), about 1.6e16: past 2**53, where a float weight has lost its low
 # bits, so an odd weight is stored even.
 _BIG_WEIGHTS = [math.comb(n - 1, 9) for n in range(10, 301)]
 _ODD = [i for i, w in enumerate(_BIG_WEIGHTS) if w > 2**53 and w % 2]
 _EVEN = [i for i, w in enumerate(_BIG_WEIGHTS) if w > 2**53 and w % 2 == 0]
+
+
+def _negative_at(S: IndexSet, r: float, x: float, n_max: int, positions) -> _NegativeAt:
+    """A _NegativeAt negative at the given positions of S's one sequence."""
+    (plan,) = _sequence_plans([S], r, n_max)
+    return _NegativeAt(_point(plan, x, i) for i in positions)
 
 
 class TestWeightsPast2To53:
@@ -531,7 +539,8 @@ class TestWeightsPast2To53:
     def test_sum_and_sign_match_integer_weights(self, negatives):
         assert len(_BIG_WEIGHTS) == 291
         assert all(float(_BIG_WEIGHTS[i]) % 2 == 0 for i in _ODD[:2])
-        lp = log_partial_product(_BatchOnly(_Marked(negatives)), self.S, self.R, self.X, 300)
+        f = _negative_at(self.S, self.R, self.X, 300, negatives)
+        lp = log_partial_product(f, self.S, self.R, self.X, 300)
         coeff = coefficient(self.S, self.R)
         direct = math.fsum(
             HALF_SIN_SHIFTED.signed_log(coeff * self.X / self.R**n)[1] * w
@@ -547,7 +556,8 @@ class TestWeightsPast2To53:
         even = [i for i in range(41) if i & (m - 1)]
         for negatives in ([], odd[:1], odd[1:2], odd[:2], odd[-3:], even[:1], even[:3],
                           odd[:1] + even[:2], odd[-3:] + even[-2:]):
-            lp = log_partial_product(_BatchOnly(_Marked(negatives)), S, self.R, self.X, m + 40)
+            f = _negative_at(S, self.R, self.X, m + 40, negatives)
+            lp = log_partial_product(f, S, self.R, self.X, m + 40)
             assert lp.sign == (
                 -1 if sum(math.comb(len(S) - 1 + i, len(S) - 1) for i in negatives) % 2 else 1)
 
@@ -568,15 +578,15 @@ class TestSign:
 
     def test_negative_sample_at_odd_weight_flips(self):
         # n = 2 at 2.5 (cos < 0, weight 1); every later sample is positive
-        lp = self._product(_BatchOnly(COS), 2.5)
+        lp = self._product(_SignedLogOnly(COS), 2.5)
         assert lp.sign == -1
-        assert repr(lp) == repr(self._product(_SignedLogOnly(COS), 2.5))
+        assert repr(lp) == repr(self._product(COS, 2.5))
 
     def test_negative_sample_at_even_weight_does_not(self):
         # n = 2 at 5.0 (cos > 0), n = 3 at 2.5 (cos < 0, weight 2)
-        lp = self._product(_BatchOnly(COS), 5.0)
+        lp = self._product(_SignedLogOnly(COS), 5.0)
         assert lp.sign == 1
-        assert repr(lp) == repr(self._product(_SignedLogOnly(COS), 5.0))
+        assert repr(lp) == repr(self._product(COS, 5.0))
 
 
 class _GivesUpOn:
@@ -622,7 +632,7 @@ class TestOneDecision:
         # signed_log fails first at {2,4}, n = 5.
         f = _CosMinus(sequence_point(IndexSet.of(2, 4), 2.0, 3.0, 5))
         with pytest.raises(ValueError):
-            list(f.log_batch([sequence_point(IndexSet.of(2, 4), 2.0, 3.0, 5)])[0])
+            list(f.log_batch([sequence_point(IndexSet.of(2, 4), 2.0, 3.0, 5)]))
         with pytest.raises(ZeroSampleError, match=re.escape("[subset {2,4}, n=5]")):
             estimate(f, 3.0, _FIG2)
 
@@ -675,8 +685,40 @@ class TestFallback:
 
             def log_batch(self, points):
                 # log(0.0) raises ValueError: signed_log takes the subset
-                return [math.log(abs(1.0 - p)) for p in points], ()
+                return [math.log(1.0 - p) for p in points]
 
         # S={1}, r=2, x=2 samples the exact zero at 1.0, the first sample
         with pytest.raises(ZeroSampleError, match=r"abscissa 1\.0 \[subset \{1\}, n=1\]"):
             log_partial_product(Hinge(), IndexSet.of(1), 2.0, 2.0, 5)
+
+
+class TestPositiveOnlyBatch:
+    """log_batch yields log f for f > 0 only; a value <= 0 raises ValueError
+    as the logs are taken, and every sign comes from signed_log."""
+
+    # a SampledSignal's: TestSampledSignalBatch.test_equals_signed_log
+    @pytest.mark.parametrize("f", [
+        ONE, COS, HALF_SIN_SHIFTED, exp_scaled(-2.0), monomial_exp(0.3, 4)], ids=str)
+    def test_logs_equal_signed_log(self, f):
+        points = [1.2 / 1.5**n for n in range(40)]
+        logs = list(f.log_batch(iter(points)))
+        assert all(type(v) is float for v in logs)
+        assert [repr(v) for v in logs] == [repr(f.signed_log(p)[1]) for p in points]
+        assert {f.signed_log(p)[0] for p in points} == {1}
+
+    def test_cos_gives_up_at_a_negative_value(self):
+        logs = COS.log_batch([0.5, 2.0, 0.25])  # lazy: the call takes no log
+        assert next(logs) == COS.signed_log(0.5)[1]
+        with pytest.raises(ValueError):
+            next(logs)
+        assert COS.signed_log(2.0) == (-1, math.log(-math.cos(2.0)))
+
+    def test_one_give_up_then_signed_log(self):
+        # at x = 3 the first sample of {2}, sqrt(1.25) * 3 / 1.5, has cos < 0
+        cfg = GmpConfig(r=1.5, n_max=9, base=IndexSet.of(2, 4))
+        f = _CountingBatch(COS)
+        est = estimate(f, 3.0, cfg)
+        assert f.give_ups == 1
+        assert f.calls == plan_samples(2, 9)
+        assert repr(est) == repr(estimate(_SignedLogOnly(COS), 3.0, cfg))
+        assert repr(est) == repr(estimate(COS, 3.0, cfg))
