@@ -47,11 +47,11 @@ class FunctionSource(Protocol):
     still evaluated, so it still raises.
 
     Through signed_log the estimate weighs the first subset's logs, which
-    cover every point of the sequence, and the later subsets on it repeat
-    the calls at their own points only to raise the same errors in the
-    same order and to keep one call per sample: the benchmark counts the
-    samples by those calls (46,640 per Fig-2 pass). Dropping the repeats
-    waits until it counts them another way (ROADMAP item 12).
+    cover every point of the sequence, and takes the sign from them and the
+    plan's odd mask. The later subsets on it repeat the calls at their own
+    points, the same floats, only to keep one call per sample: the benchmark
+    counts the samples by those calls (46,640 per Fig-2 pass). The repeats
+    are all that is left of ROADMAP item 12.
 
     The estimator never calls __call__(x), f(x) itself: the sweep's
     reference column does, and so does a signal's own signed_log. A source
@@ -143,14 +143,17 @@ class SequencePlan(NamedTuple):
     integers and converted to float once (one past 2**1024 is an
     OverflowError naming the first subset). W_n may be 0 (on Fig 2, at 7 of
     315 points). float(W) * v rounds exactly as W * v does for an int W.
-    Above 2**53 a float weight has lost its low bits, so the sign rule takes
-    each binomial's parity from Lucas's theorem instead (see _products).
+    odd holds 1 at each point whose integer W_n is odd and 0 elsewhere; the
+    sign rule reads it, since above 2**53 a float weight has lost its low
+    bits. The later subsets' repeated signed_log calls are all that is
+    left of ROADMAP item 12 (see FunctionSource).
     """
 
     coeff: float
     r_pows: tuple[float, ...]  # r**n from the first subset's first n
     subsets: tuple[IndexSet, ...]
     weights: tuple[float, ...]  # per point, float(sum_S (-1)**(|S|+1) * binom(n-1, |S|-1))
+    odd: bytes  # per point, that sum's parity
 
 
 class LogProduct(NamedTuple):
@@ -223,11 +226,12 @@ def _sequence_plans(subsets, r: float, n_max: int) -> tuple[SequencePlan, ...]:
     once; the records share them, and each coefficient multiplies its roots
     in coefficient()'s order. A record's merged column adds its subsets'
     integer columns aligned at their ends, in C; each distinct one is
-    converted to floats, which checks the float range, once, after every
-    coefficient, so an overflowing coefficient is reported first."""
+    converted to floats, which checks the float range, and to its parity
+    mask, once, after every coefficient, so an overflowing coefficient is
+    reported first. This is the one place that encodes the binomials."""
     r_pows = tuple(_powers(r, range(1, n_max + 1)))
     columns: dict[int, tuple[int, ...]] = {}  # |S| -> signed binomials
-    merged: dict[tuple[int, ...], tuple[float, ...]] = {}  # the |S| on a sequence -> weights
+    merged: dict[tuple[int, ...], tuple] = {}  # the |S| on a sequence -> (weights, odd)
     roots: dict[int, float] = {}  # k -> (r**k - 1)**(1/k)
     sequences: dict[float, list[IndexSet]] = {}  # coeff -> its subsets
     for S in subsets:
@@ -248,10 +252,10 @@ def _sequence_plans(subsets, r: float, n_max: int) -> tuple[SequencePlan, ...]:
             for size in sizes[1:]:  # a later subset's run is the last points
                 total[size - m:] = map(operator.add, total[size - m:], columns[size])
             try:
-                merged[sizes] = tuple(map(float, total))
+                merged[sizes] = tuple(map(float, total)), bytes(map((1).__and__, total))
             except OverflowError as e:  # a weight past 2**1024
                 raise OverflowError(f"{e} [subset {same[0]}]") from None
-        plans.append(SequencePlan(coeff, r_pows[m - 1:], tuple(same), merged[sizes]))
+        plans.append(SequencePlan(coeff, r_pows[m - 1:], tuple(same), *merged[sizes]))
     return tuple(plans)
 
 
@@ -266,29 +270,28 @@ def _logs(values):
     return itertools.starmap(math.log, zip(values))
 
 
-def _signed_logs(f: FunctionSource, S: IndexSet, r_pows, scaled_x: float) -> tuple[list, int]:
-    """(logs, odd) through f.signed_log, one call per sample: log|f| at S's
-    samples scaled_x / r**n, for r**n in r_pows, and the count of the values
-    f < 0 at odd weights. By Lucas's theorem the weight of S's i-th sample,
-    counted from 0, binom(|S|-1+i, |S|-1), is odd exactly when
-    i & (|S|-1) == 0. A GeomprodError or an ArithmeticError keeps its type
-    and gains the sample's [subset S, n=…]; an ArithmeticError, which names
-    no sample, gains its abscissa too."""
+def _signed_logs(f: FunctionSource, plan: SequencePlan, scaled_x: float) -> tuple[list, int]:
+    """(logs, odd) through f.signed_log, one call per point of plan: log|f|
+    at scaled_x / r**n, for r**n in plan.r_pows, and the count of the values
+    f < 0 where plan.odd is 1. A GeomprodError or an ArithmeticError keeps
+    its type and gains the sample's [subset S, n=…], S the plan's first
+    subset; an ArithmeticError, which names no sample, gains its abscissa
+    too."""
     logs = []
     odd = 0
     try:
         # A for loop, not map: the note below needs the failing sample's
         # index and abscissa.
-        for r_n in r_pows:
+        for r_n in plan.r_pows:
             point = scaled_x / r_n
             s, log_f = f.signed_log(point)
             if s < 0:
-                odd += not len(logs) & (len(S) - 1)
+                odd += plan.odd[len(logs)]
             logs.append(log_f)
     except (GeomprodError, ArithmeticError) as e:
-        n = len(S) + len(logs)  # one log per sample before the failing one
+        n = len(plan.subsets[0]) + len(logs)  # one log per sample before the failing one
         at = "" if isinstance(e, GeomprodError) else f" at sample abscissa {point!r}"
-        e.args = (f"{e.args[-1] if e.args else ''}{at} [subset {S}, n={n}]",)
+        e.args = (f"{e.args[-1] if e.args else ''}{at} [subset {plan.subsets[0]}, n={n}]",)
         raise
     return logs, odd
 
@@ -298,11 +301,9 @@ def _products(f: FunctionSource, batch, plans, x: float, odd: list):
     lazily; the logs as they are where every weight is +1.0. With batch
     (f.log_batch) each plan takes one call over its points, which yields
     log f for f > 0 only. Without it, _signed_logs takes one call per
-    sample of each subset, the first subset's logs, which cover every
-    point, are the ones weighed, and odd gains each subset's count of
-    negative values at odd weights; W's parity is the parity of their sum.
-    A plan whose coeff * x is not finite fails before its samples are
-    taken."""
+    point, those logs are the ones weighed, and odd gains the plan's count
+    of negative values at odd merged weights. A plan whose coeff * x is not
+    finite fails before its samples are taken."""
     for plan in plans:
         scaled_x = plan.coeff * x  # coeff * x / r**n, in the formula's own order
         first = plan.subsets[0]
@@ -311,11 +312,14 @@ def _products(f: FunctionSource, batch, plans, x: float, odd: list):
                 f"sample point coeff * x is not finite for subset {first} at x={x}")
         if batch is not None:
             logs = batch(map(operator.truediv, itertools.repeat(scaled_x), plan.r_pows))
-        else:  # see FunctionSource: one call per sample of each subset, in order
-            runs = [_signed_logs(f, S, plan.r_pows[len(S) - len(first):], scaled_x)
-                    for S in plan.subsets]
-            logs = runs[0][0]
-            odd.extend(count for _, count in runs)
+        else:
+            logs, count = _signed_logs(f, plan, scaled_x)
+            odd.append(count)
+            # Kept only because bench/workloads.py counts samples by these
+            # calls; each takes a float the first subset's run took.
+            for S in plan.subsets[1:]:
+                for r_n in plan.r_pows[len(S) - len(first):]:
+                    f.signed_log(scaled_x / r_n)
         # a lone subset's |w| rises from 1, so its last weight tells
         unit = len(plan.subsets) == 1 and plan.weights[-1] == 1.0
         yield logs if unit else map(operator.mul, logs, plan.weights)

@@ -214,8 +214,12 @@ class ComponentSeries(NamedTuple):
     coefficients: tuple[float, ...]
 
     def log_f(self, x: float) -> float:
-        """sum of c_k x**k at x's float (check_real); an overflow names the power."""
-        powers = _powers(check_real(x, "x"), range(1, len(self.coefficients) + 1), "x")
+        """sum of c_k x**k at x's float (check_real), which must be finite;
+        an overflow names the power."""
+        x = check_real(x, "x")
+        if not math.isfinite(x):
+            raise ValueError(f"x must be finite, got {x}")
+        powers = _powers(x, range(1, len(self.coefficients) + 1), "x")
         return math.fsum(map(operator.mul, self.coefficients, powers))
 
     def f(self, x: float) -> float:

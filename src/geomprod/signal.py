@@ -407,9 +407,11 @@ def normalize(
     (stored = a + b*raw, with real numbers a and b; must map the first value
     to 1), 'none' (raw values must already start at 1).
 
-    raw is any iterable of (t, value) pairs, read once; anything else, a
-    row that is no pair included, is a ValueError that names raw. A series
-    needs two or more rows, and every entry of a row must be a
+    raw is any iterable of (t, value) pairs, read once, or anything with a
+    tolist method (a numpy array), whose list is read instead: it holds the
+    same numbers as Python ints and floats, made in one call. Anything
+    else, a row that is no pair included, is a ValueError that names raw. A
+    series needs two or more rows, and every entry of a row must be a
     real number that has a float (_floats' rule, which is check_real's), or
     a ValueError names abscissas or values before any arithmetic on them.
     Values are then scaled as floats. Times shift in Python's own
@@ -419,7 +421,7 @@ def normalize(
     of read_signal's general path, in its order.
     """
     try:  # a TypeError for no iterable, a ValueError for a row of other length
-        rows = list(raw)
+        rows = raw.tolist() if hasattr(raw, "tolist") else list(raw)
         ts, vs = [t for t, _ in rows], [v for _, v in rows]
     except (TypeError, ValueError):
         raise ValueError(f"raw must be (t, value) pairs, got {reprlib.repr(raw)}") from None

@@ -346,7 +346,8 @@ _BIG_EXACT = _exact_weights(_BIG[0], 300)
 
 class TestMergedRecords:
     """Each record holds one merged weight per point: the float of the exact
-    sum of its subsets' signed integer weights there."""
+    sum of its subsets' signed integer weights there, and that sum's parity
+    in its odd mask."""
 
     @given(_shared_cases())
     @settings(max_examples=60, deadline=None)
@@ -356,11 +357,13 @@ class TestMergedRecords:
             for p in cfg.plan if k is None else cfg.component_plans[k]:
                 assert len(p.weights) == len(p.r_pows)
                 assert p.weights == tuple(map(float, _exact_weights(p, cfg.n_max)))
+                assert p.odd == bytes(w % 2 for w in _exact_weights(p, cfg.n_max))
 
     def test_columns_past_2_to_53(self):
         (p,) = _BIG
         assert len(p.subsets) == 2 and max(map(abs, _BIG_EXACT)) > 2**53
         assert p.weights == tuple(map(float, _BIG_EXACT))
+        assert p.odd == bytes(w % 2 for w in _BIG_EXACT)
 
     @pytest.mark.parametrize("positions", [
         [1], [3], [1, 3], [2], [1, 2], [0, 1, 2, 3], [5, 7, 9]])

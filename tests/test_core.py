@@ -273,11 +273,12 @@ class TestEstimate:
     def test_plan_of_a_small_base(self):
         # at r = 2, {2} and {1,2} sample sqrt(3) x / 2^n: {2} from n = 1
         # with the weights 1, 1, {1,2} from n = 2 with -binom(1, 1), so the
-        # merged weights are 1 and 1 - 1 = 0
+        # merged weights are 1 and 1 - 1 = 0, odd and even
         cfg = GmpConfig(r=2.0, n_max=2, base=IndexSet.of(1, 2))
         assert cfg.plan == (
-            SequencePlan(1.0, (2.0, 4.0), (IndexSet.of(1),), (1.0, 1.0)),
-            SequencePlan(3**0.5, (2.0, 4.0), (IndexSet.of(2), IndexSet.of(1, 2)), (1.0, 0.0)),
+            SequencePlan(1.0, (2.0, 4.0), (IndexSet.of(1),), (1.0, 1.0), b"\x01\x01"),
+            SequencePlan(3**0.5, (2.0, 4.0), (IndexSet.of(2), IndexSet.of(1, 2)), (1.0, 0.0),
+                         b"\x01\x00"),
         )
 
     @pytest.mark.parametrize("r", [2.0, SQRT2, 1.5, 1.0 + 2.0**-8, 1.895715910705717])

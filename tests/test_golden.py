@@ -10,6 +10,10 @@ huge-ratio sweep as JSON (null cells, error statuses) and the forecast as
 CSV pin the two outputs built from a record's fields by name. In
 sign_even_weight.json the {2,4} subset has negative samples at weights 1
 and 2, so its sign of -1 holds only if the even weight is not counted. In
+sign_merged_record.json (x = 7, r = 2, base {1,2}) the batch gives up: the
+{1} sequence has two negative samples at weight 1, and the {2},{1,2}
+sequence, which the two subsets share, one at its merged weight 0, so its
+sign of +1 holds only if that zero weight does not count. In
 forecast_r15.json (r = 1.5, base {1,2,3}) the farthest sample, 3.9599, lies
 in the signal's last interval, so the interpolant's end slope at t = 4 is
 evaluated. A speed change must leave all of them identical.
@@ -20,7 +24,9 @@ became one pass over its plan; sweep_huge_ratio.json and
 readme_forecast.csv from the code before the records became named tuples;
 sign_even_weight.json from the code before the sign rule took each weight's
 parity from Lucas's theorem; forecast_r15.json from the code before the
-interpolant ran one loop per geometric sequence. fig2_sweep.csv,
+interpolant ran one loop per geometric sequence; sign_merged_record.json
+from the code before the sign rule read each weight's parity from the
+plan's odd mask. fig2_sweep.csv,
 forecast_r15.json, readme_forecast.csv and .json, readme_sweep.csv,
 sweep_default_schedule.csv and sweep_huge_ratio.csv and .json were
 captured again when an estimate became one math.fsum over signed weights
@@ -108,6 +114,10 @@ CASES = {
     "forecast_r15.json": (
         "forecast", "--csv", "{csv}", "--x", "4.452", "--r", "1.5", "--n-max", "24",
         "--base", "1,2,3",
+    ),
+    "sign_merged_record.json": (
+        "estimate", "--function", "cos", "--x", "7", "--r", "2", "--n-max", "20",
+        "--base", "1,2",
     ),
 }
 

@@ -228,6 +228,14 @@ class TestLogSeriesComponents:
             with pytest.raises(OverflowError, match=f"^{re.escape(message)}$"):
                 method(1e200)
 
+    @pytest.mark.parametrize("x", [math.inf, -math.inf, math.nan])
+    def test_non_finite_x(self, x):
+        # cos's zero odd coefficients would make 0.0 * inf a silent nan
+        series = log_series_components(COS, 8)
+        for method in (series.log_f, series.f):
+            with pytest.raises(ValueError, match=f"^x must be finite, got {x}$"):
+                method(x)
+
 
 class TestTruncatedInvariance:
     def test_large_n_limit(self):

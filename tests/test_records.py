@@ -42,11 +42,11 @@ RECORDS = [
     (LogProduct, ("log_value", "sign", "term_count", "min_point"), (0.0, 1, 2, 0.125),
      "LogProduct(log_value=0.0, sign=1, term_count=2, min_point=0.125)"),
     (SequencePlan,
-     ("coeff", "r_pows", "subsets", "weights"),
-     (3**0.5, (2.0, 4.0), (IndexSet.of(2), IndexSet.of(1, 2)), (1.0, 0.0)),
+     ("coeff", "r_pows", "subsets", "weights", "odd"),
+     (3**0.5, (2.0, 4.0), (IndexSet.of(2), IndexSet.of(1, 2)), (1.0, 0.0), b"\x01\x00"),
      "SequencePlan(coeff=1.7320508075688772, r_pows=(2.0, 4.0), "
      "subsets=(IndexSet(elements=(2,)), IndexSet(elements=(1, 2))), "
-     "weights=(1.0, 0.0))"),
+     "weights=(1.0, 0.0), odd=b'\\x01\\x00')"),
     (Normalization, ("offset", "scale"), (0.0, 0.5), "Normalization(offset=0.0, scale=0.5)"),
     (CoverageReport, ("ok", "max_required", "domain_end", "max_feasible_x"), _COVERAGE,
      _COVERAGE_REPR),

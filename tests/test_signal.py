@@ -287,6 +287,22 @@ class TestNormalize:
             normalize(np.array(raw, dtype=dtype), "none")
         assert str(got.value) == str(want.value)
 
+    @pytest.mark.parametrize("dtype", [np.float64, np.int64])
+    def test_numpy_rows_match_python_rows(self, dtype):
+        # the array's tolist gives the same numbers as Python rows
+        rows = [(0.05 * i, 2.0 + math.sin(0.05 * i)) for i in range(81)]
+        if dtype is np.int64:
+            rows = [(3 * i, 100 + i * i) for i in range(81)]
+        want, got = normalize(rows), normalize(np.array(rows, dtype=dtype))
+        assert [x.hex() for x in got.abscissas + got.values] == [
+            x.hex() for x in want.abscissas + want.values]
+        assert got.normalization == want.normalization
+
+    def test_numpy_rows_of_three_are_no_pairs(self):
+        raw = np.array([(0.0, 1.0, 2.0), (1.0, 2.0, 3.0), (2.0, 3.0, 4.0)])
+        with pytest.raises(ValueError, match=r"^raw must be \(t, value\) pairs, got array\("):
+            normalize(raw)
+
     @pytest.mark.parametrize("ab", [{}, {"a": 1.0, "b": 0.0}])
     def test_affine_needs_offset_and_nonzero_scale(self, ab):
         with pytest.raises(ValueError, match="^affine mode needs offset a and nonzero scale b$"):
