@@ -152,6 +152,29 @@ def check_real(value, what: str) -> float:
         raise ValueError(f"{what} must lie within the float range, got {value!r}") from None
 
 
+def check_reals(values, what: str) -> tuple:
+    """values' floats as a tuple, once check_real passes each entry as an
+    entry of the argument `what`; an argument that is not iterable is a
+    ValueError too. The numbers.Real test depends on the type alone, so each
+    type among the entries takes it once, and a tuple of floats alone is
+    returned as it is; check_real runs over the entries only to name the
+    first that fails: one that is no real number, or an int or a Fraction
+    that float() cannot take."""
+    try:
+        values = tuple(values)
+    except TypeError:
+        raise ValueError(f"{what} must be an iterable of real numbers, got {values!r}") from None
+    kinds = set(map(type, values))
+    if kinds == {float}:
+        return values
+    if all(issubclass(kind, numbers.Real) for kind in kinds):
+        try:
+            return tuple(map(float, values))
+        except OverflowError:
+            pass
+    return tuple([check_real(value, f"each entry of {what}") for value in values])
+
+
 def check_n_max(n_max: int, name: str, size: int) -> int:
     """n_max's int (check_integer), once it is at least `size`, the largest
     subset of the set `name`; a smaller one would leave that subset without

@@ -46,12 +46,14 @@ class FunctionSource(Protocol):
     and DomainCoverageError as well. A point whose merged weight is 0 is
     still evaluated, so it still raises.
 
-    Through signed_log the estimate weighs the first subset's logs, which
-    cover every point of the sequence, and takes the sign from them and the
-    plan's odd mask. The later subsets on it repeat the calls at their own
-    points, the same floats, only to keep one call per sample: the benchmark
-    counts the samples by those calls (46,640 per Fig-2 pass). The repeats
-    are all that is left of ROADMAP item 12.
+    The signed_log pass samples each subset's own run, as the paper's
+    product does, one call per (subset, n): 46,640 per Fig-2 pass, which
+    the benchmark counts. A later subset on a shared sequence runs over the
+    last points of the first subset's run, the same floats again. The pass
+    weighs the first subset's logs, which cover every point, and takes the
+    sign from them and the plan's odd mask; a failing call's note names its
+    own subset and n. Counting the samples by point instead is ROADMAP
+    item 12.
 
     The estimator never calls __call__(x), f(x) itself: the sweep's
     reference column does, and so does a signal's own signed_log. A source
@@ -145,8 +147,8 @@ class SequencePlan(NamedTuple):
     315 points). float(W) * v rounds exactly as W * v does for an int W.
     odd holds 1 at each point whose integer W_n is odd and 0 elsewhere; the
     sign rule reads it, since above 2**53 a float weight has lost its low
-    bits. The later subsets' repeated signed_log calls are all that is
-    left of ROADMAP item 12 (see FunctionSource).
+    bits. The signed_log pass samples each subset's own run and weighs the
+    first subset's, point by point (see FunctionSource).
     """
 
     coeff: float
@@ -271,83 +273,78 @@ def _logs(values):
 
 
 def _signed_logs(f: FunctionSource, plan: SequencePlan, scaled_x: float) -> tuple[list, int]:
-    """(logs, odd) through f.signed_log, one call per point of plan: log|f|
-    at scaled_x / r**n, for r**n in plan.r_pows, and the count of the values
-    f < 0 where plan.odd is 1. A GeomprodError or an ArithmeticError keeps
-    its type and gains the sample's [subset S, n=…], S the plan's first
-    subset; an ArithmeticError, which names no sample, gains its abscissa
-    too."""
-    logs = []
-    odd = 0
+    """(logs, odd) through f.signed_log, one call per sample of each subset
+    of plan, subset by subset: subset S samples scaled_x / r**n for n = |S|
+    to n_max, the last points of the first subset's run. logs are log|f|
+    over that first run, which covers every point, and odd the count of its
+    values f < 0 where plan.odd is 1. A GeomprodError or an ArithmeticError
+    keeps its type and gains the failing sample's [subset S, n=…]; an
+    ArithmeticError, which names no sample, gains its abscissa too."""
+    logs, odd = [], 0
     try:
-        # A for loop, not map: the note below needs the failing sample's
-        # index and abscissa.
-        for r_n in plan.r_pows:
-            point = scaled_x / r_n
-            s, log_f = f.signed_log(point)
-            if s < 0:
-                odd += plan.odd[len(logs)]
-            logs.append(log_f)
+        for S in plan.subsets:
+            start = len(logs)
+            # A for loop, not map: the note below needs the failing sample's
+            # index and abscissa.
+            for r_n in plan.r_pows[len(S) - len(plan.subsets[0]):]:
+                s, log_f = f.signed_log(scaled_x / r_n)
+                if s < 0 and len(logs) < len(plan.r_pows):  # a sign of the first run
+                    odd += plan.odd[len(logs)]
+                logs.append(log_f)
     except (GeomprodError, ArithmeticError) as e:
-        n = len(plan.subsets[0]) + len(logs)  # one log per sample before the failing one
-        at = "" if isinstance(e, GeomprodError) else f" at sample abscissa {point!r}"
-        e.args = (f"{e.args[-1] if e.args else ''}{at} [subset {plan.subsets[0]}, n={n}]",)
+        n = len(S) + len(logs) - start  # one log per sample of S before the failing one
+        at = "" if isinstance(e, GeomprodError) else f" at sample abscissa {scaled_x / r_n!r}"
+        e.args = (f"{e.args[-1] if e.args else ''}{at} [subset {S}, n={n}]",)
         raise
+    del logs[len(plan.r_pows):]  # the later runs' logs repeat the first's
     return logs, odd
 
 
-def _products(f: FunctionSource, batch, plans, x: float, odd: list):
-    """For each plan, its merged weights times log|f| at its points,
-    lazily; the logs as they are where every weight is +1.0. With batch
-    (f.log_batch) each plan takes one call over its points, which yields
-    log f for f > 0 only. Without it, _signed_logs takes one call per
-    point, those logs are the ones weighed, and odd gains the plan's count
-    of negative values at odd merged weights. A plan whose coeff * x is not
-    finite fails before its samples are taken."""
-    for plan in plans:
-        scaled_x = plan.coeff * x  # coeff * x / r**n, in the formula's own order
-        first = plan.subsets[0]
-        if not math.isfinite(scaled_x):
-            raise GeomprodError(
-                f"sample point coeff * x is not finite for subset {first} at x={x}")
-        if batch is not None:
-            logs = batch(map(operator.truediv, itertools.repeat(scaled_x), plan.r_pows))
-        else:
-            logs, count = _signed_logs(f, plan, scaled_x)
-            odd.append(count)
-            # Kept only because bench/workloads.py counts samples by these
-            # calls; each takes a float the first subset's run took.
-            for S in plan.subsets[1:]:
-                for r_n in plan.r_pows[len(S) - len(first):]:
-                    f.signed_log(scaled_x / r_n)
-        # a lone subset's |w| rises from 1, so its last weight tells
-        unit = len(plan.subsets) == 1 and plan.weights[-1] == 1.0
-        yield logs if unit else map(operator.mul, logs, plan.weights)
+def _products(plan: SequencePlan, logs):
+    """plan's merged weights times logs, its log|f| at its points, lazily;
+    the logs as they are where every weight is +1.0."""
+    # a lone subset's |w| rises from 1, so its last weight tells
+    unit = len(plan.subsets) == 1 and plan.weights[-1] == 1.0
+    return logs if unit else map(operator.mul, logs, plan.weights)
 
 
 def _quotient(f: FunctionSource, x: float, plans) -> tuple[float, int]:
     """(log_value, sign) of the quotient over `plans`: one math.fsum over
     every plan's _products, one product per point, so the sum is rounded
-    once. Through log_batch every value is positive, so the sign is +1. If
-    log_batch gives up anywhere (a ValueError, which a value <= 0 raises in
-    math.log, an ArithmeticError or a non-finite sum), the whole pass reruns
-    through _signed_logs, which raises the typed errors and takes the sign:
-    the quotient is negative when the negatives at odd weights are odd in
-    number."""
+    once. The batch pass gives each plan one log_batch call over its
+    points; every value is positive, so the sign is +1. If log_batch gives
+    up anywhere (a ValueError, which a value <= 0 raises in math.log, an
+    ArithmeticError or a non-finite sum), the whole pass reruns through
+    _signed_logs, which samples each subset's own run and weighs the
+    first's, raises the typed errors and counts each plan's negatives at
+    odd weights: the quotient is negative when they are odd in number."""
+
+    def scaled_x(plan: SequencePlan) -> float:
+        """plan.coeff * x, the numerator of each sample point coeff * x /
+        r**n in the formula's own order; one that is not finite fails before
+        any of plan's samples is taken."""
+        scaled = plan.coeff * x
+        if not math.isfinite(scaled):
+            raise GeomprodError(
+                f"sample point coeff * x is not finite for subset {plan.subsets[0]} at x={x}")
+        return scaled
+
     batch = getattr(f, "log_batch", None)
     if batch is not None:
         try:
             log_value = math.fsum(itertools.chain.from_iterable(
-                _products(f, batch, plans, x, [])))
+                _products(plan, batch(map(operator.truediv, itertools.repeat(scaled_x(plan)),
+                                          plan.r_pows)))
+                for plan in plans))
             if math.isfinite(log_value):
                 return log_value, 1
         except (ValueError, ArithmeticError):
             pass
-    odd = []
     # A list: every signed_log call runs first, so an error below is fsum's.
-    products = list(_products(f, None, plans, x, odd))
+    runs = [_signed_logs(f, plan, scaled_x(plan)) for plan in plans]
     try:
-        log_value = math.fsum(itertools.chain.from_iterable(products))
+        log_value = math.fsum(itertools.chain.from_iterable(
+            _products(plan, logs) for plan, (logs, _) in zip(plans, runs)))
     except OverflowError as e:  # fsum's "intermediate overflow"
         e.args = (f"{e} at x={x}",)
         raise
@@ -355,7 +352,7 @@ def _quotient(f: FunctionSource, x: float, plans) -> tuple[float, int]:
         log_value = math.nan
     if not math.isfinite(log_value):
         raise GeomprodError(f"non-finite sum of weighted logs at x={x}")
-    return log_value, -1 if sum(odd) & 1 else 1
+    return log_value, -1 if sum(odd for _, odd in runs) & 1 else 1
 
 
 def log_partial_product(

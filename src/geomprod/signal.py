@@ -21,7 +21,7 @@ from bisect import bisect_right
 from fractions import Fraction
 from typing import NamedTuple
 
-from .combinatorics import check_real
+from .combinatorics import check_real, check_reals
 from .core import Estimate, GmpConfig, _logs, estimate
 from .errors import (
     DomainCoverageError,
@@ -280,24 +280,6 @@ class _Pchip:
         return out
 
 
-def _floats(column, what: str):
-    """column's entries as floats, once check_real would pass each entry of
-    the argument `what`. Its numbers.Real test depends on the type alone, so
-    each type in the column takes it once, and a column of floats alone is
-    returned as it is; check_real runs over the entries only to name the
-    first that fails: one that is no real number, or an int or a Fraction
-    that float() cannot take."""
-    kinds = set(map(type, column))
-    if kinds == {float}:
-        return column
-    if all(issubclass(kind, numbers.Real) for kind in kinds):
-        try:
-            return tuple(map(float, column))
-        except OverflowError:
-            pass
-    return tuple([check_real(value, f"each entry of {what}") for value in column])
-
-
 def _check_increasing_and_positive(ts: tuple[float, ...], vs: tuple[float, ...]) -> None:
     """Raise unless the floats ts strictly increase and every value is positive."""
     if not all(map(operator.lt, ts, ts[1:])):
@@ -317,8 +299,8 @@ class SampledSignal:
     interpolant reads the same tuples.
 
     The constructor checks, in this order: two or more abscissas and one
-    value for each, every entry of both a real number (check_real's rule,
-    tested once per type other than float), a first abscissa of 0,
+    value for each, every entry of both a real number (check_reals' rule,
+    which is check_real's tested once per type), a first abscissa of 0,
     finite abscissas, strictly increasing abscissas, positive values (a
     NormalizationError), a first value of exactly 1, finite values, and a
     Normalization with a finite offset and a finite, nonzero scale, which
@@ -333,7 +315,7 @@ class SampledSignal:
             ts = vs = ()
         if len(ts) < 2 or len(vs) != len(ts):
             raise ValueError("need two or more abscissas and one value for each")
-        ts, vs = _floats(ts, "abscissas"), _floats(vs, "values")
+        ts, vs = check_reals(ts, "abscissas"), check_reals(vs, "values")
         if ts[0] != 0.0:
             raise ValueError("first abscissa must be 0 after time shift")
         # inf < inf is False, so an overflowed time must fail here, before
@@ -410,25 +392,31 @@ def normalize(
     raw is any iterable of (t, value) pairs, read once, or anything with a
     tolist method (a numpy array), whose list is read instead: it holds the
     same numbers as Python ints and floats, made in one call. Anything
-    else, a row that is no pair included, is a ValueError that names raw. A
-    series needs two or more rows, and every entry of a row must be a
-    real number that has a float (_floats' rule, which is check_real's), or
-    a ValueError names abscissas or values before any arithmetic on them.
+    else, a row that is no pair included, is a ValueError that names raw,
+    and so is a datetime64 or timedelta64 array, in every unit. A series
+    needs two or more rows, and every entry of a row must be a real number
+    that has a float (check_reals' rule, which is check_real's), or a
+    ValueError names abscissas or values before any arithmetic on them.
     Values are then scaled as floats. Times shift in Python's own
     arithmetic: an int or a Fraction stays as it is, so that t - t0 is exact
     and rounds once, another integer (a numpy one, say) becomes the int it
     equals, and any other real its float. Then the series takes the checks
     of read_signal's general path, in its order.
     """
+    # tolist gives a datetime64 or timedelta64 array's entries as ints in
+    # some units and as datetime objects in others, and neither is a number
+    # of the series' own.
+    if getattr(getattr(raw, "dtype", None), "kind", None) in ("m", "M"):
+        raise ValueError(f"raw must be (t, value) pairs of real numbers, got a {raw.dtype} array")
     try:  # a TypeError for no iterable, a ValueError for a row of other length
         rows = raw.tolist() if hasattr(raw, "tolist") else list(raw)
-        ts, vs = [t for t, _ in rows], [v for _, v in rows]
+        ts, vs = tuple([t for t, _ in rows]), tuple([v for _, v in rows])
     except (TypeError, ValueError):
         raise ValueError(f"raw must be (t, value) pairs, got {reprlib.repr(raw)}") from None
     if len(ts) < 2:
         raise ValueError("need two or more abscissas and one value for each")
-    floats, vs = _floats(ts, "abscissas"), _floats(vs, "values")
-    if floats is not ts:  # _floats returns a column of floats alone as it is
+    floats, vs = check_reals(ts, "abscissas"), check_reals(vs, "values")
+    if floats is not ts:  # check_reals returns a tuple of floats alone as it is
         ts = [t if type(t) in (float, int, Fraction) else operator.index(t)
               if isinstance(t, numbers.Integral) else f for t, f in zip(ts, floats)]
     return _normalized(ts, vs, _normalization(vs[0], mode, a, b))

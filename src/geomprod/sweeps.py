@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import NamedTuple
 
-from .combinatorics import IndexSet, check_real, factor_count
+from .combinatorics import IndexSet, check_reals, factor_count
 from .core import FunctionSource, GmpConfig, coupled_n_max, estimate
 from .errors import GeomprodError
 
@@ -50,10 +50,10 @@ class SweepSpec:
         if not (callable(self.function) and hasattr(self.function, "signed_log")):
             raise ValueError("function must be a FunctionSource, callable with a signed_log, "
                              f"got {self.function!r}")
-        grid = _reals(self.grid, "grid")
+        grid = check_reals(self.grid, "grid")
         if len(grid) != 3:
             raise ValueError(f"grid must be three real numbers (start, stop, step), got {self.grid!r}")
-        object.__setattr__(self, "schedule", _reals(self.schedule, "schedule"))
+        object.__setattr__(self, "schedule", check_reals(self.schedule, "schedule"))
         self.configs  # built here, so a bad coupling, cutoff or ratio fails construction
         start, stop, step = grid
         if step <= 0:
@@ -90,17 +90,6 @@ class SweepSpec:
         start, stop, step = self.grid
         count = int(math.floor((stop - start) / step + 0.5)) + 1
         return [start + i * step for i in range(count)]
-
-
-def _reals(values, name: str) -> tuple:
-    """values' floats (check_real) as a tuple; a ValueError names the field
-    `name` where one is no real number with a float, or where values is not
-    iterable."""
-    try:
-        values = tuple(values)
-    except TypeError:
-        raise ValueError(f"{name} must be an iterable of real numbers, got {values!r}") from None
-    return tuple([check_real(value, f"each entry of {name}") for value in values])
 
 
 class SweepRow(NamedTuple):

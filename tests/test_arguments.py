@@ -23,6 +23,7 @@ from geomprod.combinatorics import (
     IndexSet,
     check_integer,
     check_real,
+    check_reals,
     compositions_bruteforce,
     enumerate_subsets,
     factor_count,
@@ -295,6 +296,19 @@ def test_check_real():
     for value in NOT_REAL:
         with pytest.raises(ValueError, match=rf"^v must be a real number, got {re.escape(repr(value))}$"):
             check_real(value, "v")
+
+
+def test_check_reals():
+    values = (0.5, 1.5)
+    assert check_reals(values, "v") is values
+    got = check_reals([0, True, Fraction(1, 4), np.float32(1.5), np.int64(3), 2.5], "v")
+    assert got == (0.0, 1.0, 0.25, 1.5, 3.0, 2.5) and {type(v) for v in got} == {float}
+    for value in [*NOT_REAL, *BEYOND]:
+        with pytest.raises(ValueError, match=rf"^each entry of v must (be a real number|lie "
+                                             rf"within the float range), got {re.escape(repr(value))}$"):
+            check_reals([1.0, value], "v")
+    with pytest.raises(ValueError, match=r"^v must be an iterable of real numbers, got 3$"):
+        check_reals(3, "v")
 
 
 def test_check_integer_returns_the_int():

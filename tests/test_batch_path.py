@@ -403,6 +403,15 @@ class TestMergedRecords:
             with pytest.raises(ZeroSampleError, match=re.escape("[subset {2}, n=2]")):
                 estimate(source, 3.0, _FIG2)
 
+    def test_a_later_subsets_failing_sample_is_named(self):
+        # {1,2}'s run on the shared {2},{1,2} sequence of Fig 2 starts at
+        # n = 2, a point {2}'s run sampled first; the source fails there
+        # only when asked again, so the failing call is {1,2}'s own
+        (shared,) = [p for p in _FIG2.plan if p.subsets[0] == IndexSet.of(2)]
+        assert shared.subsets == (IndexSet.of(2), IndexSet.of(1, 2))
+        with pytest.raises(ZeroSampleError, match=re.escape("[subset {1,2}, n=2]")):
+            estimate(_ZeroWhenAskedAgain(_point(shared, 3.0, 1)), 3.0, _FIG2)
+
     @given(_shared_cases())
     @settings(max_examples=60, deadline=None)
     def test_unit_shortcut_is_exact(self, case):
@@ -413,7 +422,8 @@ class TestMergedRecords:
         f, cfg, x = case
         source = _LastLogs(f)
         for p in cfg.plan:
-            (products,) = _products(source, source.log_batch, (p,), x, [])
+            points = (_point(p, x, i) for i in range(len(p.r_pows)))
+            products = _products(p, source.log_batch(points))
             logs = source.last
             unit = set(p.weights) == {1.0}
             if products is logs:
@@ -429,9 +439,28 @@ class TestMergedRecords:
         assert p.subsets == (IndexSet.of(2, 3, 4), IndexSet.of(1, 2, 3, 4))
         assert p.weights[:5] == (1.0, 2.0, 2.0, 0.0, -5.0)
         source = _LastLogs(HALF_SIN_SHIFTED)
-        (products,) = _products(source, source.log_batch, (p,), 1.0, [])
+        products = _products(p, source.log_batch(_point(p, 1.0, i) for i in range(len(p.r_pows))))
         assert products is not source.last
         assert list(products) == [v * w for v, w in zip(source.last, p.weights)]
+
+
+class _ZeroWhenAskedAgain:
+    """HALF_SIN_SHIFTED through signed_log alone, with state: exactly 0 the
+    second time it is sampled at `point`."""
+
+    def __init__(self, point):
+        self.point = point
+        self.asked = False
+
+    def __call__(self, t):
+        return HALF_SIN_SHIFTED(t)
+
+    def signed_log(self, t):
+        if t == self.point:
+            if self.asked:
+                raise ZeroSampleError(t)
+            self.asked = True
+        return HALF_SIN_SHIFTED.signed_log(t)
 
 
 class _LastLogs:

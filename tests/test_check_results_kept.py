@@ -1,8 +1,8 @@
 """The checked value is the value used: no module of geomprod calls a number
-check (check_real, check_integer, check_n_max, _check_r, _check_plan) as a
-bare statement that throws its result away, so the code past an entry
-computes with the float or the int the check returns, never with the
-caller's int, Fraction or numpy scalar."""
+check (check_real, check_reals, check_integer, check_n_max, _check_r,
+_check_plan) as a bare statement that throws its result away, so the code
+past an entry computes with the float or the int the check returns, never
+with the caller's int, Fraction or numpy scalar."""
 
 import ast
 from pathlib import Path
@@ -12,7 +12,7 @@ import pytest
 import geomprod
 
 PACKAGE = Path(geomprod.__file__).parent
-CHECKS = {"check_real", "check_integer", "check_n_max", "_check_r", "_check_plan"}
+CHECKS = {"check_real", "check_reals", "check_integer", "check_n_max", "_check_r", "_check_plan"}
 
 
 def _discarded_checks(path: Path):

@@ -287,12 +287,14 @@ class TestNormalize:
             normalize(np.array(raw, dtype=dtype), "none")
         assert str(got.value) == str(want.value)
 
-    @pytest.mark.parametrize("dtype", [np.float64, np.int64])
+    @pytest.mark.parametrize("dtype", [np.float64, np.int64, np.bool_])
     def test_numpy_rows_match_python_rows(self, dtype):
         # the array's tolist gives the same numbers as Python rows
         rows = [(0.05 * i, 2.0 + math.sin(0.05 * i)) for i in range(81)]
         if dtype is np.int64:
             rows = [(3 * i, 100 + i * i) for i in range(81)]
+        if dtype is np.bool_:
+            rows = [(False, True), (True, True)]
         want, got = normalize(rows), normalize(np.array(rows, dtype=dtype))
         assert [x.hex() for x in got.abscissas + got.values] == [
             x.hex() for x in want.abscissas + want.values]
@@ -301,6 +303,16 @@ class TestNormalize:
     def test_numpy_rows_of_three_are_no_pairs(self):
         raw = np.array([(0.0, 1.0, 2.0), (1.0, 2.0, 3.0), (2.0, 3.0, 4.0)])
         with pytest.raises(ValueError, match=r"^raw must be \(t, value\) pairs, got array\("):
+            normalize(raw)
+
+    @pytest.mark.parametrize("dtype", [kind + unit for kind in ("m8", "M8")
+                                       for unit in ("[ns]", "[us]", "[s]")])
+    def test_numpy_times_are_refused_in_every_unit(self, dtype):
+        # tolist gives ints in [ns] and timedelta or datetime objects in [us]
+        # and [s]; each is refused alike, before any arithmetic
+        raw = np.array([(0, 1), (1, 2), (2, 3)], dtype=dtype)
+        message = f"raw must be (t, value) pairs of real numbers, got a {raw.dtype} array"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             normalize(raw)
 
     @pytest.mark.parametrize("ab", [{}, {"a": 1.0, "b": 0.0}])
